@@ -20,7 +20,7 @@ from .crossbar import (
     build_level_set,
     crossbar_window_predictions,
     program_crossbar,
-    quantize_weight,
+    quantize_output_layer,
     read_program,
     reconstruct_weights,
     write_program,
@@ -199,28 +199,21 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _quantization_table(params: LstmParams, out: OutputLayer, cfg: RunConfig):
-    """Per-entry (name, row, col, original, quantized) rows; output layer
-    entries are included only when it is quantized too."""
-    levels = cfg.crossbar_config().levels
-    rows = []
+def _quantization_table(params: LstmParams, quantized: LstmParams, out: OutputLayer, out_q: OutputLayer | None):
+    """Per-entry (name, row, col, original, quantized, abs_error) rows, the
+    error taken against the clamped original; output layer entries are
+    included only when it is quantized too."""
+    pairs = []
     for g, gate in enumerate("ifco"):
-        for group, label in ((params.W, "W"), (params.U, "U")):
-            mat = group[g]
-            for r in range(mat.shape[0]):
-                for c in range(mat.shape[1]):
-                    rows.append((f"{label}_{gate}", r, c, mat[r, c]))
-        for c in range(params.b.shape[1]):
-            rows.append((f"b_{gate}", 0, c, params.b[g, c]))
-    if cfg.quantize_output_layer:
-        for r, v in enumerate(out.w_out):
-            rows.append(("w_out", r, 0, v))
-        rows.append(("b_out", 0, 0, out.b_out))
+        pairs += [(f"W_{gate}", params.W[g], quantized.W[g]), (f"U_{gate}", params.U[g], quantized.U[g]),
+                  (f"b_{gate}", params.b[g][None, :], quantized.b[g][None, :])]
+    if out_q is not None:
+        pairs += [("w_out", out.w_out[:, None], out_q.w_out[:, None]),
+                  ("b_out", np.array([[out.b_out]]), np.array([[out_q.b_out]]))]
     table = []
-    for name, r, c, v in rows:
-        clamped = min(max(v, -1.0), 1.0)
-        q = quantize_weight(clamped, levels)
-        table.append((name, r, c, v, q, abs(q - clamped)))
+    for name, original, q in pairs:
+        for (r, c), v in np.ndenumerate(original):
+            table.append((name, r, c, v, q[r, c], abs(q[r, c] - min(max(v, -1.0), 1.0))))
     return table
 
 
@@ -234,15 +227,10 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     write_program(program, out_dir / PROGRAM_FILE)
 
     quantized = reconstruct_weights(program, xbar_cfg.levels)
-    out_q = out
-    if cfg.quantize_output_layer:
-        out_q = OutputLayer(
-            np.array([quantize_weight(v, xbar_cfg.levels) for v in out.w_out]),
-            quantize_weight(out.b_out, xbar_cfg.levels),
-        )
-    write_weights(quantized, out_q, out_dir / QUANTIZED_WEIGHTS_FILE)
+    out_q = quantize_output_layer(out, xbar_cfg.levels) if cfg.quantize_output_layer else None
+    write_weights(quantized, out_q or out, out_dir / QUANTIZED_WEIGHTS_FILE)
 
-    table = _quantization_table(params, out, cfg)
+    table = _quantization_table(params, quantized, out, out_q)
     errors = np.array([row[5] for row in table])
     header = [
         f"spacing {xbar_cfg.levels.spacing}",

@@ -5,15 +5,15 @@ against. Everything here is a pure function of immutable inputs; the
 crossbar and training modules own quantization and parameter updates.
 
 Gate axis order is (input, forget, cell, output) everywhere, matching the
-left-to-right column packing of the concatenated [*, 4M] weight matrices.
+left-to-right column packing of :meth:`LstmParams.grid`, the one weight
+layout that the training kernels and the crossbar share.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 GATES = ("i", "f", "c", "o")
-GATE_I, GATE_F, GATE_C, GATE_O = range(4)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class LstmParams:
 
     W: [4, n_inputs, n_hidden] input weights, U: [4, n_hidden, n_hidden]
     recurrent weights, b: [4, n_hidden] biases; gate order (i, f, c, o).
-    Per-gate views are exposed as W_i ... b_o.
     """
 
     W: np.ndarray
@@ -67,54 +66,26 @@ class LstmParams:
     def copy(self) -> "LstmParams":
         return LstmParams(self.W.copy(), self.U.copy(), self.b.copy())
 
-    # per-gate views (read/write, no copies)
-    @property
-    def W_i(self):
-        return self.W[GATE_I]
+    def grid(self) -> np.ndarray:
+        """The one weight layout: rows [x; h; bias] by 4M columns, column
+        g * M + m carrying gate g of hidden unit m. This is the crossbar's
+        row and column order, so [x_t, h_prev, 1] @ grid gives every gate
+        pre-activation of one step."""
+        n, m = self.dims.n_inputs, self.dims.n_hidden
+        stacked = np.concatenate([self.W, self.U, self.b[:, None, :]], axis=1)
+        return stacked.transpose(1, 0, 2).reshape(n + m + 1, 4 * m)
 
-    @property
-    def W_f(self):
-        return self.W[GATE_F]
-
-    @property
-    def W_c(self):
-        return self.W[GATE_C]
-
-    @property
-    def W_o(self):
-        return self.W[GATE_O]
-
-    @property
-    def U_i(self):
-        return self.U[GATE_I]
-
-    @property
-    def U_f(self):
-        return self.U[GATE_F]
-
-    @property
-    def U_c(self):
-        return self.U[GATE_C]
-
-    @property
-    def U_o(self):
-        return self.U[GATE_O]
-
-    @property
-    def b_i(self):
-        return self.b[GATE_I]
-
-    @property
-    def b_f(self):
-        return self.b[GATE_F]
-
-    @property
-    def b_c(self):
-        return self.b[GATE_C]
-
-    @property
-    def b_o(self):
-        return self.b[GATE_O]
+    @classmethod
+    def from_grid(cls, grid) -> "LstmParams":
+        """Inverse of :meth:`grid`; the dims follow from the grid's shape."""
+        grid = np.asarray(grid, dtype=np.float64)
+        rows, cols = grid.shape
+        m = cols // 4
+        n = rows - m - 1
+        if cols != 4 * m or n < 1:
+            raise ValueError(f"grid of shape {grid.shape} is not [n_inputs + n_hidden + 1, 4 * n_hidden]")
+        gates = grid.reshape(rows, 4, m).transpose(1, 0, 2)
+        return cls(gates[:, :n].copy(), gates[:, n : n + m].copy(), gates[:, n + m].copy())
 
 
 @dataclass
@@ -190,12 +161,27 @@ def tanh(x):
     return out
 
 
-def lstm_step(params: LstmParams, x_t: np.ndarray, prev: LstmState):
-    """One LSTM cell step.
+def lstm_cell(a: np.ndarray, C_prev: np.ndarray):
+    """The LSTM cell equations, the only place they are written.
 
-    i = sigma(x W_i + h U_i + b_i), f and o analogous,
-    c_tilde = tanh(x W_c + h U_c + b_c),
+    a holds gate pre-activations [..., 4M] in grid column order (gate g of
+    unit m at g * M + m), C_prev the previous cell state [..., M]:
+
+    i, f, o = sigma(a_i, a_f, a_o),  c_tilde = tanh(a_c),
     C_t = f * C_prev + i * c_tilde,  h_t = o * tanh(C_t).
+
+    Returns (acts, C_t, h_t) with acts the post-activation gates in a's layout.
+    """
+    m = C_prev.shape[-1]
+    acts = sigmoid(a)
+    acts[..., 2 * m : 3 * m] = np.tanh(a[..., 2 * m : 3 * m])
+    i, f, c_tilde, o = (acts[..., g * m : (g + 1) * m] for g in range(4))
+    C_t = f * C_prev + i * c_tilde
+    return acts, C_t, o * np.tanh(C_t)
+
+
+def lstm_step(params: LstmParams, x_t: np.ndarray, prev: LstmState):
+    """One LSTM cell step on the float weights.
 
     Returns (GateActivations, LstmState); gate internals are exposed so the
     crossbar path can be cross-checked cycle by cycle.
@@ -206,16 +192,8 @@ def lstm_step(params: LstmParams, x_t: np.ndarray, prev: LstmState):
         raise ValueError(f"x_t has shape {x_t.shape}, expected ({n},) to match W")
     if prev.h.shape != (m,):
         raise ValueError(f"prev.h has shape {prev.h.shape}, expected ({m},) to match U")
-
-    # [4, m] pre-activations for all gates at once
-    a = np.einsum("n,gnm->gm", x_t, params.W) + np.einsum("m,gmh->gh", prev.h, params.U) + params.b
-    i = sigmoid(a[GATE_I])
-    f = sigmoid(a[GATE_F])
-    c_tilde = tanh(a[GATE_C])
-    o = sigmoid(a[GATE_O])
-    C_t = f * prev.C + i * c_tilde
-    h_t = o * np.tanh(C_t)
-    return GateActivations(i, f, c_tilde, o), LstmState(h_t, C_t)
+    acts, C_t, h_t = lstm_cell(np.concatenate([x_t, prev.h, [1.0]]) @ params.grid(), prev.C)
+    return GateActivations(*acts.reshape(4, m)), LstmState(h_t, C_t)
 
 
 def dense_output(h: np.ndarray, out: OutputLayer) -> float:

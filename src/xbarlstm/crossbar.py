@@ -10,11 +10,11 @@ weight units.
 
 Rows are ordered [x inputs, h inputs, bias]; the bias row is driven with a
 constant 1. Logical column g * M + m carries gate g of hidden unit m, in
-gate order (i, f, c, o) - the same left-to-right packing as the
-concatenated [*, 4M] weight matrices. Evaluation is time multiplexed: one
-hidden unit per cycle, four column reads per cycle, M cycles per time
-step, with the new h latched into the memory units only after all M
-cycles.
+gate order (i, f, c, o) - the layout of LstmParams.grid(), so the float
+path is this path on the ideal weight grid. Evaluation is time
+multiplexed: one hidden unit per cycle, four column reads per cycle, M
+cycles per time step, with the new h latched into the memory units only
+after all M cycles.
 
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
@@ -24,14 +24,13 @@ unit-gain, and the output layer stays at full precision unless
 quantize_output_layer is set.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .core import GATES, Dims, GateActivations, LstmParams, LstmState, OutputLayer
+from .core import GATES, Dims, GateActivations, LstmParams, LstmState, OutputLayer, lstm_cell
 
 N_LEVELS = 16
 R_MIN_OHM = 200e3
@@ -116,22 +115,12 @@ class CrossbarConfig:
             raise ValueError("noise sigmas must be >= 0")
 
 
-def _nearest_level_scalar(mag: float, levels: LevelSet) -> int:
-    """Index of the level nearest to G_min + mag * (G_max - G_min); exact
-    half-way ties go to the higher conductance."""
+def _nearest_level(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
+    """Index of the level nearest to G_min + mag * (G_max - G_min) for every
+    magnitude in [0, 1]; exact half-way ties go to the higher conductance."""
     if levels.spacing == "uniform_conductance":
         # uniform spacing: work in level-step units, where the tie point
         # (k + 0.5) is exactly representable and floor(t + 0.5) rounds it up
-        t = mag * (N_LEVELS - 1)
-        return min(int(math.floor(t + 0.5)), N_LEVELS - 1)
-    g = levels.conductances
-    target = levels.g_min + mag * (levels.g_max - levels.g_min)
-    d = np.abs(target - g)
-    return int(N_LEVELS - 1 - np.argmin(d[::-1]))
-
-
-def _nearest_level_array(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
-    if levels.spacing == "uniform_conductance":
         t = mags * (N_LEVELS - 1)
         return np.minimum(np.floor(t + 0.5).astype(np.int64), N_LEVELS - 1)
     target = levels.g_min + mags * (levels.g_max - levels.g_min)
@@ -139,29 +128,54 @@ def _nearest_level_array(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
     return (N_LEVELS - 1 - np.argmin(d[..., ::-1], axis=-1)).astype(np.int64)
 
 
+def quantize_levels(weights, levels: LevelSet):
+    """The one quantizer: differential-pair level indices for an array of weights.
+
+    Weights outside [-1, 1] are clamped and counted. The side matching the
+    sign carries the magnitude; the other side sits at level 0. Returns
+    (level_plus, level_minus, n_clamped); non-finite weights raise ValueError.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("cannot quantize a non-finite weight")
+    n_clamped = int(np.count_nonzero(np.abs(w) > 1.0))
+    w = np.clip(w, -1.0, 1.0)
+    idx = _nearest_level(np.abs(w), levels)
+    positive = w >= 0
+    return np.where(positive, idx, 0), np.where(positive, 0, idx), n_clamped
+
+
+def level_weights(level_plus, level_minus, levels: LevelSet) -> np.ndarray:
+    """Weights read out from ideal differential level pairs."""
+    g = levels.conductances
+    return (g[level_plus] - g[level_minus]) * levels.k_scale
+
+
 def map_weight_to_pair(w: float, levels: LevelSet):
     """Differential-pair level indices (level_plus, level_minus) for one weight.
 
-    Weights outside [-1, 1] are clamped with a warning. The side matching
-    the sign carries the magnitude; the other side sits at level 0.
+    Weights outside [-1, 1] are clamped with a warning.
     """
-    w = float(w)
-    if not -1.0 <= w <= 1.0:
-        warnings.warn(f"weight {w:g} outside [-1, 1]; clamped", stacklevel=2)
-        w = min(1.0, max(-1.0, w))
-    idx = _nearest_level_scalar(abs(w), levels)
-    return (idx, 0) if w >= 0 else (0, idx)
-
-
-def reconstruct_pair(level_plus: int, level_minus: int, levels: LevelSet) -> float:
-    g = levels.conductances
-    return float((g[level_plus] - g[level_minus]) * levels.k_scale)
+    lp, lm, n_clamped = quantize_levels([w], levels)
+    if n_clamped:
+        warnings.warn(f"weight {float(w):g} outside [-1, 1]; clamped", stacklevel=2)
+    return int(lp[0]), int(lm[0])
 
 
 def quantize_weight(w: float, levels: LevelSet) -> float:
     """Weight after a round trip through the differential pair mapping."""
     lp, lm = map_weight_to_pair(w, levels)
-    return reconstruct_pair(lp, lm, levels)
+    return float(level_weights(lp, lm, levels))
+
+
+def quantize_output_layer(out: OutputLayer, levels: LevelSet) -> OutputLayer:
+    """Output layer after the same round trip, for when it is mapped onto
+    the crossbar too; out-of-range entries are clamped with a warning."""
+    lp, lm, n_clamped = quantize_levels(np.append(out.w_out, out.b_out), levels)
+    if n_clamped:
+        warnings.warn(f"{n_clamped} output-layer weight(s) outside [-1, 1]; clamped", stacklevel=2)
+    q = level_weights(lp, lm, levels)
+    return OutputLayer(q[:-1], q[-1])
 
 
 @dataclass
@@ -185,38 +199,13 @@ class CrossbarProgram:
     def n_columns(self) -> int:
         return 4 * self.dims.n_hidden
 
-    def effective_conductances(self):
-        """(G_plus, G_minus) actually seen by reads: perturbed if programmed
-        with level variation, ideal level values otherwise."""
-        if self.g_plus is not None:
-            return self.g_plus, self.g_minus
-        g = self.cfg.levels.conductances
-        return g[self.level_plus], g[self.level_minus]
-
-
-def _layout_weights(params: LstmParams) -> np.ndarray:
-    """Pack LSTM parameters into the crossbar grid [x rows; h rows; bias row]."""
-    n, m = params.dims.n_inputs, params.dims.n_hidden
-    grid = np.empty((n + m + 1, 4 * m))
-    for g in range(4):
-        cols = slice(g * m, (g + 1) * m)
-        grid[:n, cols] = params.W[g]
-        grid[n : n + m, cols] = params.U[g]
-        grid[n + m, cols] = params.b[g]
-    return grid
-
-
-def _unpack_weights(grid: np.ndarray, dims: Dims) -> LstmParams:
-    n, m = dims.n_inputs, dims.n_hidden
-    W = np.empty((4, n, m))
-    U = np.empty((4, m, m))
-    b = np.empty((4, m))
-    for g in range(4):
-        cols = slice(g * m, (g + 1) * m)
-        W[g] = grid[:n, cols]
-        U[g] = grid[n : n + m, cols]
-        b[g] = grid[n + m, cols]
-    return LstmParams(W, U, b)
+    def grid(self) -> np.ndarray:
+        """What reads see, (G_plus - G_minus) * k in weight units, laid out
+        like LstmParams.grid(): perturbed conductances if programmed with
+        level variation, ideal level values otherwise."""
+        if self.g_plus is None:
+            return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
+        return (self.g_plus - self.g_minus) * self.cfg.levels.k_scale
 
 
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:
@@ -227,13 +216,7 @@ def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram
     multiplicatively with a seeded Gaussian and stored alongside the ideal
     level indices.
     """
-    grid = _layout_weights(params)
-    n_clamped = int(np.sum((grid < -1.0) | (grid > 1.0)))
-    grid = np.clip(grid, -1.0, 1.0)
-    idx = _nearest_level_array(np.abs(grid), cfg.levels)
-    positive = grid >= 0
-    level_plus = np.where(positive, idx, 0)
-    level_minus = np.where(positive, 0, idx)
+    level_plus, level_minus, n_clamped = quantize_levels(params.grid(), cfg.levels)
     program = CrossbarProgram(params.dims, cfg, level_plus, level_minus, n_clamped=n_clamped)
     _apply_level_variation(program)
     return program
@@ -260,16 +243,7 @@ def _apply_level_variation(program: CrossbarProgram) -> None:
 def reconstruct_weights(program: CrossbarProgram, levels: LevelSet) -> LstmParams:
     """Ideal quantized weights implied by the programmed level indices
     (programming perturbations are deliberately ignored)."""
-    g = levels.conductances
-    grid = (g[program.level_plus] - g[program.level_minus]) * levels.k_scale
-    return _unpack_weights(grid, program.dims)
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    return LstmParams.from_grid(level_weights(program.level_plus, program.level_minus, levels))
 
 
 def _column_index(program: CrossbarProgram, gate, unit: int) -> int:
@@ -296,8 +270,7 @@ def crossbar_dot(program: CrossbarProgram, input_voltages, gate, unit: int,
     if v.shape != (program.n_rows,):
         raise ValueError(f"input_voltages has shape {v.shape}, expected ({program.n_rows},)")
     col = _column_index(program, gate, unit)
-    gp, gm = program.effective_conductances()
-    value = float(v @ (gp[:, col] - gm[:, col])) * program.cfg.levels.k_scale
+    value = float(v @ program.grid()[:, col])
     sigma = program.cfg.read_noise_sigma
     if sigma > 0 and rng is not None:
         value *= 1.0 + sigma * rng.standard_normal()
@@ -320,9 +293,10 @@ def crossbar_lstm_step(program: CrossbarProgram, x_t, prev: LstmState, cfg: Cros
     hidden unit m', applies the ideal activation circuits, and updates that
     unit's cell state and output.
 
-    All M cycles see the h vector latched at the previous step. Read noise
-    uses cfg.read_noise_sigma, one draw per read in cycle order. Returns
-    (GateActivations, LstmState, cycle_trace) with one CycleRead per read.
+    All M cycles see the h vector latched at the previous step, so the reads
+    of one step are computed together. Read noise uses cfg.read_noise_sigma,
+    one draw per read in cycle order. Returns (GateActivations, LstmState,
+    cycle_trace) with one CycleRead per read.
     """
     x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
     n, m = program.dims.n_inputs, program.dims.n_hidden
@@ -330,49 +304,18 @@ def crossbar_lstm_step(program: CrossbarProgram, x_t, prev: LstmState, cfg: Cros
         raise ValueError(f"x_t has shape {x_t.shape}, expected ({n},)")
     if prev.h.shape != (m,):
         raise ValueError(f"prev.h has shape {prev.h.shape}, expected ({m},)")
-    voltages = np.concatenate([x_t, prev.h, [1.0]])
-
-    gp, gm = program.effective_conductances()
-    diff = (gp - gm) * cfg.levels.k_scale
-    sigma = cfg.read_noise_sigma
-
-    gates = np.empty((4, m))
-    h_new = np.empty(m)
-    C_new = np.empty(m)
-    trace = []
-    for unit in range(m):
-        reads = np.empty(4)
-        for g in range(4):
-            col = g * m + unit
-            value = float(voltages @ diff[:, col])
-            if sigma > 0 and rng is not None:
-                value *= 1.0 + sigma * rng.standard_normal()
-            reads[g] = value
-            trace.append(CycleRead(unit, unit, GATES[g], value))
-        i = _sigmoid(reads[0])
-        f = _sigmoid(reads[1])
-        c_tilde = math.tanh(reads[2])
-        o = _sigmoid(reads[3])
-        gates[0, unit], gates[1, unit], gates[2, unit], gates[3, unit] = i, f, c_tilde, o
-        C_new[unit] = f * prev.C[unit] + i * c_tilde
-        h_new[unit] = o * math.tanh(C_new[unit])
-    activations = GateActivations(gates[0], gates[1], gates[2], gates[3])
-    return activations, LstmState(h_new, C_new), trace
-
-
-def _effective_output_layer(out: OutputLayer, cfg: CrossbarConfig) -> OutputLayer:
-    if not cfg.quantize_output_layer:
-        return out
-    w = np.array([quantize_weight(v, cfg.levels) for v in out.w_out])
-    return OutputLayer(w, quantize_weight(out.b_out, cfg.levels))
+    reads = np.concatenate([x_t, prev.h, [1.0]]) @ program.grid()
+    if cfg.read_noise_sigma > 0 and rng is not None:
+        reads *= 1.0 + _read_noise(rng, (1, 1, m), cfg.read_noise_sigma)[0, 0]
+    acts, C_t, h_t = lstm_cell(reads, prev.C)
+    trace = [CycleRead(unit, unit, GATES[g], float(reads[g * m + unit])) for unit in range(m) for g in range(4)]
+    return GateActivations(*acts.reshape(4, m)), LstmState(h_t, C_t), trace
 
 
 def _read_noise(rng: np.random.Generator, shape_btm: tuple, sigma: float) -> np.ndarray:
     """Noise factors laid out [B, T, 4M]; drawn in (window, step, cycle, gate)
     order so a step-by-step replay consumes the identical stream."""
     B, T, M = shape_btm
-    if sigma == 0.0:
-        return np.zeros((B, T, 4 * M))
     draws = sigma * rng.standard_normal((B, T, M, 4))
     return np.ascontiguousarray(draws.transpose(0, 1, 3, 2).reshape(B, T, 4 * M))
 
@@ -380,6 +323,18 @@ def _read_noise(rng: np.random.Generator, shape_btm: tuple, sigma: float) -> np.
 def _read_rng(cfg: CrossbarConfig) -> np.random.Generator:
     _, ss_read = np.random.SeedSequence(cfg.seed).spawn(2)
     return np.random.default_rng(ss_read)
+
+
+def _unroll_program(program: CrossbarProgram, out: OutputLayer, X: np.ndarray, cfg: CrossbarConfig):
+    """Unroll X [B, T, N] on the programmed grid with cfg's seeded read noise;
+    returns h [T, B, M] and the output layer the readout applies."""
+    noise = None
+    if cfg.read_noise_sigma > 0:
+        noise = _read_noise(_read_rng(cfg), X.shape[:2] + (program.dims.n_hidden,), cfg.read_noise_sigma)
+    h, *_ = kernels.crossbar_unroll(program.grid(), X, noise)
+    if cfg.quantize_output_layer:
+        out = quantize_output_layer(out, cfg.levels)
+    return h, out
 
 
 def crossbar_forward(program: CrossbarProgram, out: OutputLayer, inputs, cfg: CrossbarConfig):
@@ -394,15 +349,8 @@ def crossbar_forward(program: CrossbarProgram, out: OutputLayer, inputs, cfg: Cr
         return []
     if X.ndim == 1:
         X = X[:, None]
-    T = X.shape[0]
-    n, m = program.dims.n_inputs, program.dims.n_hidden
-    if X.shape[1] != n:
-        raise ValueError(f"inputs have {X.shape[1]} features, expected {n}")
-    gp, gm = program.effective_conductances()
-    noise = _read_noise(_read_rng(cfg), (1, T, m), cfg.read_noise_sigma)
-    h_all, _ = kernels.crossbar_unroll(gp, gm, cfg.levels.k_scale, X[None], noise)
-    eff = _effective_output_layer(out, cfg)
-    return list(h_all[0] @ eff.w_out + eff.b_out)
+    h, out = _unroll_program(program, out, X[None], cfg)
+    return list(h[:, 0] @ out.w_out + out.b_out)
 
 
 def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, windows,
@@ -413,13 +361,8 @@ def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, wind
     sigmas at zero this equals the float path on the reconstructed weights.
     """
     X = np.ascontiguousarray(windows.x[:, :, None], dtype=np.float64)
-    B, T, _ = X.shape
-    m = program.dims.n_hidden
-    gp, gm = program.effective_conductances()
-    noise = _read_noise(_read_rng(cfg), (B, T, m), cfg.read_noise_sigma)
-    h_all, _ = kernels.crossbar_unroll(gp, gm, cfg.levels.k_scale, X, noise)
-    eff = _effective_output_layer(out, cfg)
-    return h_all[:, -1, :] @ eff.w_out + eff.b_out
+    h, out = _unroll_program(program, out, X, cfg)
+    return h[-1] @ out.w_out + out.b_out
 
 
 # ---------------------------------------------------------------------------

@@ -1,337 +1,87 @@
-"""Hot numeric kernels: batched LSTM inference/BPTT and crossbar unrolling.
+"""The one unroll of the LSTM cell over a window batch, and its BPTT.
 
-Each kernel exists twice: a loop version compiled with numba's ``@njit``
-and a batch-vectorized numpy fallback. ``XBARLSTM_NO_NUMBA=1`` (or a
-missing numba) selects the fallback; see :mod:`xbarlstm.accel`. Both
-variants stay importable so the equivalence tests and the benchmark can
-compare them directly.
+Both the float path and the crossbar path run here: the float path passes
+``LstmParams.grid()`` and no noise, the crossbar path
+``CrossbarProgram.grid()``, the differential column currents in weight
+units, with its per-read noise factors. The scalar loop versions that
+check these kernels live with the tests, in ``tests/_oracles.py``.
 
-Array conventions: gate axis order (i, f, c, o); stacked weights
-W [4, N, M], U [4, M, M], b [4, M]; window batches X [B, T, N]; logical
-crossbar column g * M + m carries gate g of hidden unit m.
+Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and
+column g * M + m carrying gate g of hidden unit m, gate order (i, f, c, o);
+window batches X [B, T, N]; results laid out [T, B, .].
 """
-
-import math
 
 import numpy as np
 
-from .accel import USE_NUMBA, njit
-from .core import sigmoid
+from .core import lstm_cell
 
 
-# ---------------------------------------------------------------------------
-# loop kernels (numba-compiled when enabled)
-# ---------------------------------------------------------------------------
+def crossbar_unroll(grid, X, noise=None):
+    """Run every window of X from the zero state through the cell on grid.
 
-
-@njit(cache=True)
-def _gate_preacts(W, U, b, x_t, h, a):
-    """Fill a[4, M] with the four gate pre-activations for one step."""
-    n_gates, N, M = W.shape
-    for g in range(4):
-        for m in range(M):
-            acc = b[g, m]
-            for k in range(N):
-                acc += x_t[k] * W[g, k, m]
-            for k in range(M):
-                acc += h[k] * U[g, k, m]
-            a[g, m] = acc
-
-
-@njit(cache=True)
-def _sigmoid_scalar(x):
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-@njit(cache=True)
-def _batch_last_predictions_loop(W, U, b, w_out, b_out, X):
+    Each step drives the rows with [x_t, h_{t-1}, 1] and reads all 4M
+    columns at once. With noise [B, T, 4M] given, read (b, t, col) is
+    scaled by 1 + noise[b, t, col]. Returns (h, reads, acts, C): hidden
+    outputs and cell states [T, B, M], column reads and post-activation
+    gates [T, B, 4M].
+    """
     B, T, N = X.shape
-    M = W.shape[2]
-    preds = np.empty(B)
-    a = np.empty((4, M))
-    for s in range(B):
-        h = np.zeros(M)
-        C = np.zeros(M)
-        for t in range(T):
-            _gate_preacts(W, U, b, X[s, t], h, a)
-            for m in range(M):
-                i = _sigmoid_scalar(a[0, m])
-                f = _sigmoid_scalar(a[1, m])
-                g = math.tanh(a[2, m])
-                o = _sigmoid_scalar(a[3, m])
-                C[m] = f * C[m] + i * g
-                h[m] = o * math.tanh(C[m])
-        acc = b_out
-        for m in range(M):
-            acc += w_out[m] * h[m]
-        preds[s] = acc
-    return preds
-
-
-@njit(cache=True)
-def _batch_loss_and_grads_loop(W, U, b, w_out, b_out, X, y):
-    B, T, N = X.shape
-    M = W.shape[2]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros_like(b)
-    dw_out = np.zeros(M)
-    db_out = 0.0
-    loss = 0.0
-
-    gi = np.empty((T, M))
-    gf = np.empty((T, M))
-    gc = np.empty((T, M))
-    go = np.empty((T, M))
-    Cs = np.empty((T, M))
-    hs = np.empty((T, M))
-    a = np.empty((4, M))
-
-    for s in range(B):
-        # forward, caching gate values and states
-        h = np.zeros(M)
-        C = np.zeros(M)
-        for t in range(T):
-            _gate_preacts(W, U, b, X[s, t], h, a)
-            for m in range(M):
-                i = _sigmoid_scalar(a[0, m])
-                f = _sigmoid_scalar(a[1, m])
-                g = math.tanh(a[2, m])
-                o = _sigmoid_scalar(a[3, m])
-                gi[t, m] = i
-                gf[t, m] = f
-                gc[t, m] = g
-                go[t, m] = o
-                C[m] = f * C[m] + i * g
-                h[m] = o * math.tanh(C[m])
-                Cs[t, m] = C[m]
-                hs[t, m] = h[m]
-        pred = b_out
-        for m in range(M):
-            pred += w_out[m] * h[m]
-        err = pred - y[s]
-        loss += err * err
-        # d(mean squared error)/d(pred), batch mean applied here
-        dpred = 2.0 * err / B
-        db_out += dpred
-
-        dh = np.empty(M)
-        dC = np.zeros(M)
-        for m in range(M):
-            dw_out[m] += dpred * hs[T - 1, m]
-            dh[m] = dpred * w_out[m]
-        for t in range(T - 1, -1, -1):
-            dh_next = np.zeros(M)
-            for m in range(M):
-                tc = math.tanh(Cs[t, m])
-                do = dh[m] * tc
-                dC[m] += dh[m] * go[t, m] * (1.0 - tc * tc)
-                c_prev = Cs[t - 1, m] if t > 0 else 0.0
-                di = dC[m] * gc[t, m]
-                df = dC[m] * c_prev
-                dg = dC[m] * gi[t, m]
-                da_i = di * gi[t, m] * (1.0 - gi[t, m])
-                da_f = df * gf[t, m] * (1.0 - gf[t, m])
-                da_c = dg * (1.0 - gc[t, m] * gc[t, m])
-                da_o = do * go[t, m] * (1.0 - go[t, m])
-                for k in range(N):
-                    xk = X[s, t, k]
-                    dW[0, k, m] += xk * da_i
-                    dW[1, k, m] += xk * da_f
-                    dW[2, k, m] += xk * da_c
-                    dW[3, k, m] += xk * da_o
-                for k in range(M):
-                    h_prev = hs[t - 1, k] if t > 0 else 0.0
-                    dU[0, k, m] += h_prev * da_i
-                    dU[1, k, m] += h_prev * da_f
-                    dU[2, k, m] += h_prev * da_c
-                    dU[3, k, m] += h_prev * da_o
-                    dh_next[k] += (
-                        da_i * U[0, k, m]
-                        + da_f * U[1, k, m]
-                        + da_c * U[2, k, m]
-                        + da_o * U[3, k, m]
-                    )
-                db[0, m] += da_i
-                db[1, m] += da_f
-                db[2, m] += da_c
-                db[3, m] += da_o
-                dC[m] *= gf[t, m]
-            dh = dh_next
-    loss /= B
-    return loss, dW, dU, db, dw_out, db_out
-
-
-@njit(cache=True)
-def _crossbar_unroll_loop(g_plus, g_minus, k_scale, X, noise):
-    B, T, N = X.shape
-    R, C4 = g_plus.shape
+    R, C4 = grid.shape
     M = C4 // 4
-    h_all = np.empty((B, T, M))
-    reads = np.empty((B, T, C4))
-    v = np.empty(R)
-    for s in range(B):
-        h = np.zeros(M)
-        C = np.zeros(M)
-        for t in range(T):
-            for k in range(N):
-                v[k] = X[s, t, k]
-            for k in range(M):
-                v[N + k] = h[k]
-            v[R - 1] = 1.0
-            # one cycle per hidden unit: four column reads, then the cell update
-            for m in range(M):
-                vals = np.empty(4)
-                for g in range(4):
-                    col = g * M + m
-                    acc = 0.0
-                    for r in range(R):
-                        acc += v[r] * (g_plus[r, col] - g_minus[r, col])
-                    val = acc * k_scale
-                    val *= 1.0 + noise[s, t, col]
-                    reads[s, t, col] = val
-                    vals[g] = val
-                i = _sigmoid_scalar(vals[0])
-                f = _sigmoid_scalar(vals[1])
-                g_c = math.tanh(vals[2])
-                o = _sigmoid_scalar(vals[3])
-                C[m] = f * C[m] + i * g_c
-                h_all[s, t, m] = o * math.tanh(C[m])
-            # memory units latch the new outputs only after all M cycles
-            for m in range(M):
-                h[m] = h_all[s, t, m]
-    return h_all, reads
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks (vectorized over the window batch)
-# ---------------------------------------------------------------------------
-
-
-def _flatten_gates(W, U, b):
-    """Stacked [4, ., M] -> 2D [., 4M] with columns in g * M + m order."""
-    n_gates, N, M = W.shape
-    W2 = W.transpose(1, 0, 2).reshape(N, 4 * M)
-    U2 = U.transpose(1, 0, 2).reshape(M, 4 * M)
-    b2 = b.reshape(4 * M)
-    return W2, U2, b2
-
-
-def _forward_numpy(W, U, b, X):
-    """Batched forward pass; returns per-step caches as [T, B, M] arrays."""
-    B, T, N = X.shape
-    M = W.shape[2]
-    W2, U2, b2 = _flatten_gates(W, U, b)
-    H = np.zeros((B, M))
-    C = np.zeros((B, M))
-    cache = {k: np.empty((T, B, M)) for k in ("i", "f", "g", "o", "C", "h")}
+    if R != N + M + 1:
+        raise ValueError(f"weights have n_inputs={R - M - 1} but the windows carry {N} feature(s) per step")
+    h = np.empty((T, B, M))
+    C = np.empty((T, B, M))
+    reads = np.empty((T, B, C4))
+    acts = np.empty((T, B, C4))
+    V = np.zeros((B, R))
+    V[:, R - 1] = 1.0
+    C_t = np.zeros((B, M))
     for t in range(T):
-        A = X[:, t, :] @ W2 + H @ U2 + b2
-        i = sigmoid(A[:, :M])
-        f = sigmoid(A[:, M : 2 * M])
-        g = np.tanh(A[:, 2 * M : 3 * M])
-        o = sigmoid(A[:, 3 * M :])
-        C = f * C + i * g
-        H = o * np.tanh(C)
-        for key, arr in zip(("i", "f", "g", "o", "C", "h"), (i, f, g, o, C, H)):
-            cache[key][t] = arr
-    return cache
+        V[:, :N] = X[:, t, :]
+        np.matmul(V, grid, out=reads[t])
+        if noise is not None:
+            reads[t] *= 1.0 + noise[:, t, :]
+        acts[t], C_t, h[t] = lstm_cell(reads[t], C_t)
+        C[t] = C_t
+        V[:, N : N + M] = h[t]
+    return h, reads, acts, C
 
 
-def _batch_last_predictions_numpy(W, U, b, w_out, b_out, X):
-    cache = _forward_numpy(W, U, b, X)
-    return cache["h"][-1] @ w_out + b_out
+def batch_loss_and_grads(grid, w_out, b_out, X, y):
+    """Batch MSE of the last-step predictions and its exact gradients.
 
-
-def _batch_loss_and_grads_numpy(W, U, b, w_out, b_out, X, y):
+    Returns (loss, d_grid, d_w_out, d_b_out) with d_grid shaped like grid.
+    """
     B, T, N = X.shape
-    M = W.shape[2]
-    W2, U2, _ = _flatten_gates(W, U, b)
-    cache = _forward_numpy(W, U, b, X)
-    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
-    Cs, hs = cache["C"], cache["h"]
+    M = w_out.shape[0]
+    h, _, acts, C = crossbar_unroll(grid, X)
 
-    preds = hs[-1] @ w_out + b_out
-    errs = preds - y
+    errs = h[-1] @ w_out + b_out - y
     loss = float(np.mean(errs**2))
     dpred = 2.0 * errs / B
 
-    dw_out = hs[-1].T @ dpred
+    dw_out = h[-1].T @ dpred
     db_out = float(np.sum(dpred))
     dH = np.outer(dpred, w_out)
     dC = np.zeros((B, M))
-    dW2 = np.zeros((N, 4 * M))
-    dU2 = np.zeros((M, 4 * M))
-    db2 = np.zeros(4 * M)
+    d_grid = np.zeros_like(grid)
+    da = np.empty((B, 4 * M))
+    V = np.zeros((B, grid.shape[0]))
+    V[:, -1] = 1.0
+    U2 = grid[N : N + M]
     for t in range(T - 1, -1, -1):
-        tc = np.tanh(Cs[t])
-        do = dH * tc
-        dC = dC + dH * o[t] * (1.0 - tc * tc)
-        C_prev = Cs[t - 1] if t > 0 else np.zeros((B, M))
-        h_prev = hs[t - 1] if t > 0 else np.zeros((B, M))
-        da = np.empty((B, 4 * M))
-        da[:, :M] = dC * g[t] * i[t] * (1.0 - i[t])
-        da[:, M : 2 * M] = dC * C_prev * f[t] * (1.0 - f[t])
-        da[:, 2 * M : 3 * M] = dC * i[t] * (1.0 - g[t] * g[t])
-        da[:, 3 * M :] = do * o[t] * (1.0 - o[t])
-        dW2 += X[:, t, :].T @ da
-        dU2 += h_prev.T @ da
-        db2 += da.sum(axis=0)
-        dH = da @ U2.T
-        dC = dC * f[t]
-
-    dW = dW2.reshape(N, 4, M).transpose(1, 0, 2).copy()
-    dU = dU2.reshape(M, 4, M).transpose(1, 0, 2).copy()
-    db = db2.reshape(4, M).copy()
-    return loss, dW, dU, db, dw_out, db_out
-
-
-def _crossbar_unroll_numpy(g_plus, g_minus, k_scale, X, noise):
-    B, T, N = X.shape
-    R, C4 = g_plus.shape
-    M = C4 // 4
-    diff = g_plus - g_minus
-    h_all = np.empty((B, T, M))
-    reads = np.empty((B, T, C4))
-    H = np.zeros((B, M))
-    C = np.zeros((B, M))
-    V = np.empty((B, R))
-    V[:, R - 1] = 1.0
-    for t in range(T):
+        i, f, g, o = (acts[t][:, k * M : (k + 1) * M] for k in range(4))
+        tc = np.tanh(C[t])
+        dC = dC + dH * o * (1.0 - tc * tc)
+        C_prev = C[t - 1] if t > 0 else 0.0
+        da[:, :M] = dC * g * i * (1.0 - i)
+        da[:, M : 2 * M] = dC * C_prev * f * (1.0 - f)
+        da[:, 2 * M : 3 * M] = dC * i * (1.0 - g * g)
+        da[:, 3 * M :] = dH * tc * o * (1.0 - o)
         V[:, :N] = X[:, t, :]
-        V[:, N : N + M] = H
-        A = (V @ diff) * k_scale
-        A *= 1.0 + noise[:, t, :]
-        reads[:, t, :] = A
-        i = sigmoid(A[:, :M])
-        f = sigmoid(A[:, M : 2 * M])
-        g = np.tanh(A[:, 2 * M : 3 * M])
-        o = sigmoid(A[:, 3 * M :])
-        C = f * C + i * g
-        H = o * np.tanh(C)
-        h_all[:, t, :] = H
-    return h_all, reads
-
-
-if USE_NUMBA:
-    batch_last_predictions = _batch_last_predictions_loop
-    batch_loss_and_grads = _batch_loss_and_grads_loop
-    crossbar_unroll = _crossbar_unroll_loop
-else:
-    batch_last_predictions = _batch_last_predictions_numpy
-    batch_loss_and_grads = _batch_loss_and_grads_numpy
-    crossbar_unroll = _crossbar_unroll_numpy
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs so timed runs stay honest."""
-    W = np.zeros((4, 1, 2))
-    U = np.zeros((4, 2, 2))
-    b = np.zeros((4, 2))
-    X = np.zeros((1, 1, 1))
-    batch_last_predictions(W, U, b, np.zeros(2), 0.0, X)
-    batch_loss_and_grads(W, U, b, np.zeros(2), 0.0, X, np.zeros(1))
-    crossbar_unroll(np.full((4, 8), 1e-6), np.full((4, 8), 1e-6), 1.0, X, np.zeros((1, 1, 8)))
+        V[:, N : N + M] = h[t - 1] if t > 0 else 0.0
+        d_grid += V.T @ da
+        dH = da @ U2.T
+        dC = dC * f
+    return loss, d_grid, dw_out, db_out

@@ -75,7 +75,8 @@ def _batch_arrays(batch):
 def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray:
     """Last-step prediction of every window, each run from the zero state."""
     X, _ = _batch_arrays(batch)
-    return kernels.batch_last_predictions(params.W, params.U, params.b, out.w_out, out.b_out, X)
+    h, *_ = kernels.crossbar_unroll(params.grid(), X)
+    return h[-1] @ out.w_out + out.b_out
 
 
 def bptt_gradients(params: LstmParams, out: OutputLayer, batch):
@@ -85,13 +86,10 @@ def bptt_gradients(params: LstmParams, out: OutputLayer, batch):
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    if params.dims.n_inputs != 1:
-        raise ValueError(f"windowed batches feed one value per step; params expect n_inputs={params.dims.n_inputs}")
     X, y = _batch_arrays(batch)
-    loss, dW, dU, db, dw_out, db_out = kernels.batch_loss_and_grads(
-        params.W, params.U, params.b, out.w_out, out.b_out, X, y
-    )
-    return GradientSet(dW, dU, db, dw_out, db_out), float(loss)
+    loss, d_grid, dw_out, db_out = kernels.batch_loss_and_grads(params.grid(), out.w_out, out.b_out, X, y)
+    d = LstmParams.from_grid(d_grid)
+    return GradientSet(d.W, d.U, d.b, dw_out, db_out), float(loss)
 
 
 def init_parameters(dims: Dims, rng: np.random.Generator, clamp_low=-1.0, clamp_high=1.0):
@@ -127,9 +125,10 @@ def train(dims: Dims, dataset, cfg: TrainConfig):
     params, out = init_parameters(dims, rng, cfg.clamp_low, cfg.clamp_high)
     X, y = _batch_arrays(dataset)
 
-    groups = [params.W, params.U, params.b, out.w_out]
-    m_state = [np.zeros_like(g) for g in groups] + [0.0]
-    v_state = [np.zeros_like(g) for g in groups] + [0.0]
+    # Adam, SGD and the clamp are elementwise, so they run on the weight grid
+    tensors = [params.grid(), out.w_out, np.array([out.b_out])]
+    m_state = [np.zeros_like(p) for p in tensors]
+    v_state = [np.zeros_like(p) for p in tensors]
 
     loss_history = []
     for epoch in range(cfg.epochs):
@@ -138,14 +137,11 @@ def train(dims: Dims, dataset, cfg: TrainConfig):
             Xe, ye = np.ascontiguousarray(X[perm]), np.ascontiguousarray(y[perm])
         else:
             Xe, ye = X, y
-        loss, dW, dU, db, dw_out, db_out = kernels.batch_loss_and_grads(
-            params.W, params.U, params.b, out.w_out, out.b_out, Xe, ye
-        )
+        loss, *grads = kernels.batch_loss_and_grads(tensors[0], tensors[1], tensors[2][0], Xe, ye)
         if not np.isfinite(loss):
             raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
         loss_history.append(float(loss))
 
-        grads = [dW, dU, db, dw_out, db_out]
         if cfg.optimizer == "adam":
             t = epoch + 1
             bc1 = 1.0 - cfg.beta1**t
@@ -153,23 +149,16 @@ def train(dims: Dims, dataset, cfg: TrainConfig):
             for k, grad in enumerate(grads):
                 m_state[k] = cfg.beta1 * m_state[k] + (1.0 - cfg.beta1) * grad
                 v_state[k] = cfg.beta2 * v_state[k] + (1.0 - cfg.beta2) * grad**2
-                step = cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.eps)
-                if k < 4:
-                    groups[k] -= step
-                else:
-                    out.b_out -= float(step)
+                tensors[k] -= cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.eps)
         else:
-            for k, grad in enumerate(grads):
-                if k < 4:
-                    groups[k] -= cfg.learning_rate * grad
-                else:
-                    out.b_out -= cfg.learning_rate * float(grad)
+            for p, grad in zip(tensors, grads):
+                p -= cfg.learning_rate * grad
 
-        for g in groups:
-            np.clip(g, cfg.clamp_low, cfg.clamp_high, out=g)
-        out.b_out = float(min(max(out.b_out, cfg.clamp_low), cfg.clamp_high))
+        for p in tensors:
+            np.clip(p, cfg.clamp_low, cfg.clamp_high, out=p)
 
-    return params, out, loss_history
+    grid, w_out, b_out = tensors
+    return LstmParams.from_grid(grid), OutputLayer(w_out, b_out[0]), loss_history
 
 
 @dataclass
@@ -206,20 +195,18 @@ def finite_difference_check(params: LstmParams, out: OutputLayer, batch,
         gradients, _ = bptt_gradients(params, out, batch)
 
     X, y = _batch_arrays(batch)
-    p = params.copy()
-    o = out.copy()
-    b_out_box = np.array([o.b_out])
+    grid = params.grid()
+    w_out = out.w_out.copy()
+    b_out_box = np.array([out.b_out])
 
     def loss_at():
-        preds = kernels.batch_last_predictions(p.W, p.U, p.b, o.w_out, b_out_box[0], X)
-        return float(np.mean((preds - y) ** 2))
+        h, *_ = kernels.crossbar_unroll(grid, X)
+        return float(np.mean((h[-1] @ w_out + b_out_box[0] - y) ** 2))
 
-    errors = {}
-    worst = 0.0
-    for name, arr in (("W", p.W), ("U", p.U), ("b", p.b), ("w_out", o.w_out), ("b_out", b_out_box)):
-        analytic = gradients.groups()[name]
-        numeric = np.zeros_like(arr)
-        flat, nflat = arr.reshape(-1), numeric.reshape(-1)
+    numeric = {}
+    for name, arr in (("grid", grid), ("w_out", w_out), ("b_out", b_out_box)):
+        numeric[name] = np.zeros_like(arr)
+        flat, nflat = arr.reshape(-1), numeric[name].reshape(-1)
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + step
@@ -228,10 +215,16 @@ def finite_difference_check(params: LstmParams, out: OutputLayer, batch,
             down = loss_at()
             flat[idx] = keep
             nflat[idx] = (up - down) / (2.0 * step)
-        scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    d = LstmParams.from_grid(numeric.pop("grid"))
+    numeric.update(W=d.W, U=d.U, b=d.b)
+
+    errors = {}
+    worst = 0.0
+    for name, analytic in gradients.groups().items():
+        scale = np.maximum(np.abs(analytic), np.abs(numeric[name]))
         mask = scale > magnitude_floor
         rel = np.zeros_like(scale)
-        rel[mask] = np.abs(analytic - numeric)[mask] / scale[mask]
+        rel[mask] = np.abs(analytic - numeric[name])[mask] / scale[mask]
         errors[name] = float(rel.max()) if rel.size else 0.0
         worst = max(worst, errors[name])
     return FdCheckReport(errors, worst < tolerance, step, tolerance, magnitude_floor)

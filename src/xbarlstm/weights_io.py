@@ -75,6 +75,8 @@ def read_weights(path):
                 block[r] = [float(v) for v in values]
             except ValueError:
                 raise ValueError(f"{path}: matrix {name!r} row {r} contains a non-number") from None
+            if not np.all(np.isfinite(block[r])):
+                raise ValueError(f"{path}: matrix {name!r} row {r} contains a non-finite value")
         mats[name] = block
         pos += rows
     if pos != len(lines):

@@ -1,7 +1,7 @@
 """Hand-rolled reference implementations used as test oracles.
 
 Everything here is written scalar-by-scalar, independent of the vectorized
-and jitted production paths it is used to check.
+production paths it is used to check.
 """
 
 import math
@@ -59,18 +59,111 @@ def mse_loop(predictions, targets):
 
 
 def window_last_prediction(W, U, b, w_out, b_out, window):
-    """Forward a window (one scalar input per step) from zero state, loop math."""
+    """Forward a window from zero state, loop math; each step is a list of
+    n_inputs values or, for one input, a bare number."""
     m = len(b[0])
     h = [0.0] * m
     C = [0.0] * m
-    for value in window:
-        _, _, _, _, h, C = lstm_step_loops(W, U, b, [value], h, C)
+    for step in window:
+        x = list(step) if np.ndim(step) else [step]
+        _, _, _, _, h, C = lstm_step_loops(W, U, b, x, h, C)
     return dot_loop(w_out, h) + b_out
 
 
 def batch_mse_loops(W, U, b, w_out, b_out, windows, targets):
     preds = [window_last_prediction(W, U, b, w_out, b_out, w) for w in windows]
     return mse_loop(preds, targets)
+
+
+def batch_loss_and_grads_loop(W, U, b, w_out, b_out, X, y):
+    """Batch MSE of the last-step predictions and its BPTT gradients, one
+    window, step and unit at a time.
+
+    X: [B][T][n] nested lists, y: [B]. Returns (loss, dW, dU, db, dw_out,
+    db_out) with the gradients shaped like W [4, n, m], U [4, m, m], b [4, m].
+    """
+    B, T, n = len(X), len(X[0]), len(X[0][0])
+    m = len(b[0])
+    dW = np.zeros((4, n, m))
+    dU = np.zeros((4, m, m))
+    db = np.zeros((4, m))
+    dw_out = [0.0] * m
+    db_out = 0.0
+    loss = 0.0
+    for s in range(B):
+        # forward, keeping every step's gates and state
+        steps = []
+        h = [0.0] * m
+        C = [0.0] * m
+        for t in range(T):
+            i, f, g, o, h, C = lstm_step_loops(W, U, b, X[s][t], h, C)
+            steps.append((i, f, g, o, h, C))
+        err = dot_loop(w_out, h) + b_out - y[s]
+        loss += err * err
+        dpred = 2.0 * err / B
+        db_out += dpred
+        for k in range(m):
+            dw_out[k] += dpred * h[k]
+        dh = [dpred * w_out[k] for k in range(m)]
+        dC = [0.0] * m
+        for t in range(T - 1, -1, -1):
+            i, f, g, o, _, C = steps[t]
+            h_prev = steps[t - 1][4] if t > 0 else [0.0] * m
+            C_prev = steps[t - 1][5] if t > 0 else [0.0] * m
+            dh_next = [0.0] * m
+            for j in range(m):
+                tc = math.tanh(C[j])
+                dC[j] += dh[j] * o[j] * (1.0 - tc * tc)
+                da = (
+                    dC[j] * g[j] * i[j] * (1.0 - i[j]),
+                    dC[j] * C_prev[j] * f[j] * (1.0 - f[j]),
+                    dC[j] * i[j] * (1.0 - g[j] * g[j]),
+                    dh[j] * tc * o[j] * (1.0 - o[j]),
+                )
+                for gate in range(4):
+                    db[gate][j] += da[gate]
+                    for k in range(n):
+                        dW[gate][k][j] += X[s][t][k] * da[gate]
+                    for k in range(m):
+                        dU[gate][k][j] += h_prev[k] * da[gate]
+                        dh_next[k] += da[gate] * U[gate][k][j]
+                dC[j] *= f[j]
+            dh = dh_next
+    return loss / B, dW, dU, db, np.array(dw_out), db_out
+
+
+def crossbar_unroll_loop(g_plus, g_minus, k_scale, X, noise):
+    """Time-multiplexed crossbar unroll from the zero state, one column read
+    at a time: cycle m reads the four gate columns of unit m, and the new h
+    is latched only after all M cycles of a step.
+
+    Conductances [R, 4M] in siemens, X [B, T, n], noise [B, T, 4M]. Returns
+    (h [B, T, M], reads [B, T, 4M]).
+    """
+    B, T, n = X.shape
+    R, C4 = g_plus.shape
+    M = C4 // 4
+    h_all = np.empty((B, T, M))
+    reads = np.empty((B, T, C4))
+    for s in range(B):
+        h = [0.0] * M
+        C = [0.0] * M
+        for t in range(T):
+            v = list(X[s, t]) + h + [1.0]
+            for unit in range(M):
+                vals = []
+                for gate in range(4):
+                    col = gate * M + unit
+                    acc = 0.0
+                    for r in range(R):
+                        acc += v[r] * (g_plus[r, col] - g_minus[r, col])
+                    value = acc * k_scale * (1.0 + noise[s, t, col])
+                    reads[s, t, col] = value
+                    vals.append(value)
+                C[unit] = sigmoid_scalar(vals[1]) * C[unit] + sigmoid_scalar(vals[0]) * math.tanh(vals[2])
+                h_all[s, t, unit] = sigmoid_scalar(vals[3]) * math.tanh(C[unit])
+            h = list(h_all[s, t])
+    return h_all, reads
 
 
 def finite_difference_grads(loss_fn, arrays, step=1e-5):

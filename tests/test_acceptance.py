@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance and budget.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-PASS/FAIL lines. JIT warmup happens before any timing starts.
+PASS/FAIL lines.
 """
 
 import contextlib
@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from xbarlstm import kernels
 from xbarlstm.cli import LOSS_FILE, PREDICTIONS_FILE, PROGRAM_FILE, WEIGHTS_FILE, main as cli_main
 from xbarlstm.core import Dims, LstmParams, LstmState, OutputLayer, forward_sequence
 from xbarlstm.crossbar import (
@@ -38,11 +37,6 @@ from xbarlstm.training import TrainConfig, batch_predictions, finite_difference_
 from xbarlstm.weights_io import read_weights, write_weights
 
 EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    kernels.warmup()
 
 
 def report(number, ok, detail, elapsed):

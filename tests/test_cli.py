@@ -1,12 +1,15 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xbarlstm import kernels
+import xbarlstm
 from xbarlstm.data import BUNDLED_DATASET
 from xbarlstm.cli import (
+    EVAL_REPORT_FILE,
     LOSS_FILE,
     PLOT_LOSS_FILE,
     PLOT_PREDICTIONS_FILE,
@@ -20,11 +23,6 @@ from xbarlstm.cli import (
 )
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.weights_io import read_weights, write_weights
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    kernels.warmup()
 
 
 def run(*argv):
@@ -110,6 +108,23 @@ class TestQuantizeCommand:
         assert run("quantize", "--weights", bad, "--out-dir", tmp_path / "r") == 1
 
 
+@pytest.mark.parametrize("command", ["quantize", "evaluate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_weight_rejected(tmp_path, capsys, command, value):
+    wfile = tmp_path / "weights.txt"
+    write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+    lines = wfile.read_text().splitlines()
+    k = lines.index("U_c 4 4") + 2
+    lines[k] = " ".join([value] + lines[k].split()[1:])
+    wfile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r"
+    assert run(command, "--weights", wfile, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'U_c' row 1" in err and "Traceback" not in err
+    assert not (out / PROGRAM_FILE).exists()
+    assert not (out / EVAL_REPORT_FILE).exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -182,6 +197,15 @@ class TestEvaluateCommand:
         lines = [ln for ln in printed.splitlines() if "over 5 seeds" in ln]
         assert len(lines) == 2
         assert not any(ln.rstrip().endswith("+/- 0.0000") for ln in lines)
+
+    def test_n_inputs_mismatch_rejected(self, tmp_path, capsys):
+        wfile = tmp_path / "two_inputs.txt"
+        write_weights(LstmParams.zeros(Dims(2, 4)), OutputLayer.zeros(Dims(2, 4)), wfile)
+        out = tmp_path / "r"
+        assert run("evaluate", "--weights", wfile, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "n_inputs=2" in err and "1 feature" in err
+        assert not (out / EVAL_REPORT_FILE).exists()
 
     def test_dims_mismatch_program_rejected(self, trained, tmp_path, capsys):
         big = tmp_path / "big.txt"
@@ -259,10 +283,13 @@ class TestConfigFile:
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same xbarlstm as this process, installed or not
+    package_root = str(Path(xbarlstm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "xbarlstm.cli", "train", "--epochs", "2",
          "--out-dir", str(tmp_path / "run")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run" / WEIGHTS_FILE).exists()

@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm import kernels
 from xbarlstm.core import Dims, LstmParams, LstmState, OutputLayer, forward_sequence, lstm_step
 from xbarlstm.crossbar import (
     CrossbarConfig,
@@ -22,11 +23,6 @@ from xbarlstm.crossbar import (
 from xbarlstm.data import WindowedSeries
 
 from _oracles import dot_loop, nearest_level_exhaustive
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    kernels.warmup()
 
 
 def random_params(seed, n_inputs=1, n_hidden=4):
@@ -108,11 +104,46 @@ class TestMapWeightToPair:
     @pytest.mark.parametrize("spacing,index_space", [("uniform_conductance", True), ("uniform_resistance", False)])
     def test_matches_exhaustive_search(self, spacing, index_space):
         levels = build_level_set(spacing)
-        for w in np.linspace(-1, 1, 401):
+        # exact half-step ties under uniform conductance spacing; uniform
+        # resistance midpoints are not exact in floating point, so the oracle's
+        # weight-space scan and the quantizer may round them apart
+        ties = (np.arange(15) + 0.5) / 15
+        sweep = np.concatenate([
+            np.linspace(-1, 1, 401),
+            np.random.default_rng(0).uniform(-1, 1, 400),
+            [0.0, -0.0, 1.0, -1.0, 1.5, -1.5],
+            ties, -ties,
+        ])
+        # the same weights through program_crossbar, as the grid of a one-unit model
+        grid = np.zeros((len(sweep) // 4 + 3, 4))
+        grid.reshape(-1)[: len(sweep)] = sweep
+        program = program_crossbar(LstmParams.from_grid(grid), CrossbarConfig(levels=levels))
+        assert program.n_clamped == 2
+        level_plus, level_minus = program.level_plus.reshape(-1), program.level_minus.reshape(-1)
+        recon = reconstruct_weights(program, levels).grid().reshape(-1)
+        for k, w in enumerate(sweep):
             want_pair, want_recon = nearest_level_exhaustive(w, levels.conductances, index_space)
-            pair = map_weight_to_pair(w, levels)
-            assert pair == want_pair, f"w={w}"
-            assert quantize_weight(w, levels) == pytest.approx(want_recon, abs=1e-15)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pair = map_weight_to_pair(w, levels)
+                q = quantize_weight(w, levels)
+            assert len(caught) == (2 if abs(w) > 1 else 0), f"w={w}"
+            assert pair == want_pair == (level_plus[k], level_minus[k]), f"w={w}"
+            assert q == recon[k], f"w={w}"
+            assert q == pytest.approx(want_recon, abs=1e-15)
+
+    @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, spacing, bad):
+        cfg = CrossbarConfig(levels=build_level_set(spacing))
+        with pytest.raises(ValueError, match="non-finite"):
+            map_weight_to_pair(bad, cfg.levels)
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_weight(bad, cfg.levels)
+        params = LstmParams.zeros(Dims(1, 2))
+        params.U[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            program_crossbar(params, cfg)
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_quantizer_properties(self, spacing):

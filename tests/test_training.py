@@ -2,13 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm import kernels
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.data import WindowedSeries, fit_normalizer, load_series, make_windows, normalize, split
 from xbarlstm.data import BUNDLED_DATASET
 from xbarlstm.training import (
     GradientSet,
     TrainConfig,
+    batch_predictions,
     bptt_gradients,
     finite_difference_check,
     mse_loss,
@@ -16,11 +16,6 @@ from xbarlstm.training import (
 )
 
 from _oracles import finite_difference_grads, mse_loop
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    kernels.warmup()
 
 
 def random_model(seed, n_hidden=4, scale=0.8):
@@ -82,9 +77,7 @@ class TestBpttGradients:
         params, out = random_model(1)
         batch = random_batch(1)
         _, loss = bptt_gradients(params, out, batch)
-        preds = kernels.batch_last_predictions(
-            params.W, params.U, params.b, out.w_out, out.b_out, batch.x[:, :, None]
-        )
+        preds = batch_predictions(params, out, batch)
         assert abs(loss - mse_loss(preds, batch.y)) < 1e-14
 
     @pytest.mark.parametrize("seed,look_back", [(0, 1), (1, 2), (2, 3)])
@@ -93,13 +86,10 @@ class TestBpttGradients:
         batch = random_batch(seed, n_samples=4, look_back=look_back)
         grads, _ = bptt_gradients(params, out, batch)
 
-        X = batch.x[:, :, None]
         b_out_box = np.array([out.b_out])
 
         def loss_fn():
-            preds = kernels.batch_last_predictions(
-                params.W, params.U, params.b, out.w_out, b_out_box[0], X
-            )
+            preds = batch_predictions(params, OutputLayer(out.w_out, b_out_box[0]), batch)
             return float(np.mean((preds - batch.y) ** 2))
 
         numeric = finite_difference_grads(

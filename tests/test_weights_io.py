@@ -97,6 +97,18 @@ class TestMalformed:
         with pytest.raises(ValueError, match="U_i"):
             read_weights(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        params, out = random_model(5)
+        path = tmp_path / "w.txt"
+        write_weights(params, out, path)
+        lines = path.read_text().splitlines()
+        k = lines.index("U_f 4 4") + 3
+        lines[k] = " ".join(lines[k].split()[:-1] + [value])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="'U_f' row 2 contains a non-finite value"):
+            read_weights(path)
+
     def test_trailing_garbage(self, tmp_path):
         params, out = random_model(4)
         path = tmp_path / "w.txt"
