@@ -22,6 +22,7 @@ from .crossbar import (
     crossbar_lstm_step,
     map_weight_to_pair,
     program_crossbar,
+    quantize_output_layer,
     quantize_weight,
     read_program,
     reconstruct_weights,

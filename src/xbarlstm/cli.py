@@ -90,7 +90,6 @@ class RunConfig:
             read_noise_sigma=self.read_noise,
             level_variation_sigma=self.level_variation,
             seed=self.seed,
-            quantize_output_layer=self.quantize_output_layer,
         )
 
 
@@ -226,7 +225,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     program = program_crossbar(params, xbar_cfg)
     write_program(program, out_dir / PROGRAM_FILE)
 
-    quantized = reconstruct_weights(program, xbar_cfg.levels)
+    quantized = reconstruct_weights(program)
     out_q = quantize_output_layer(out, xbar_cfg.levels) if cfg.quantize_output_layer else None
     write_weights(quantized, out_q or out, out_dir / QUANTIZED_WEIGHTS_FILE)
 
@@ -266,22 +265,27 @@ def _noise_seed_list(base_seed: int, count: int):
 
 
 def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
+    """Float vs crossbar path on both splits. The device comes from the
+    program file when one is given, header spacing, sigmas and seed
+    included, else from the weights and cfg; each sweep seed re-draws it
+    from the same level map."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, out = read_weights(weights_path)
-    xbar_cfg = cfg.crossbar_config()
     if program_path is not None:
         program = read_program(program_path)
         if program.dims != params.dims:
             raise ValueError(f"program dims {program.dims} do not match weights dims {params.dims}")
     else:
-        program = program_crossbar(params, xbar_cfg)
+        program = program_crossbar(params, cfg.crossbar_config())
+    device = program.cfg
+    xbar_out = quantize_output_layer(out, device.levels) if cfg.quantize_output_layer else out
 
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
     n_train = len(train_part)
 
     float_preds = batch_predictions(params, out, windows)
-    xbar_preds = crossbar_window_predictions(program, out, windows, xbar_cfg)
+    xbar_preds = crossbar_window_predictions(program, xbar_out, windows)
 
     def split_rmse(preds):
         parts = {}
@@ -296,9 +300,9 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
         ("windows", f"{len(windows)} = {n_train} train + {len(test_part)} test"),
-        ("spacing", xbar_cfg.levels.spacing),
-        ("read noise sigma", _fmt(cfg.read_noise)),
-        ("level variation sigma", _fmt(cfg.level_variation)),
+        ("spacing", device.levels.spacing),
+        ("read noise sigma", _fmt(device.read_noise_sigma)),
+        ("level variation sigma", _fmt(device.level_variation_sigma)),
         ("program", str(program_path) if program_path else "derived from weights"),
     ]
     for name in ("train", "test"):
@@ -314,11 +318,8 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
 
     if cfg.noise_seeds > 1:
         per_split = {"train": [], "test": []}
-        for s in _noise_seed_list(cfg.seed, cfg.noise_seeds):
-            cfg_s = dataclasses.replace(xbar_cfg, seed=s)
-            program_s = program if program_path is not None else program_crossbar(params, cfg_s)
-            preds_s = crossbar_window_predictions(program_s, out, windows, cfg_s)
-            noisy = split_rmse(preds_s)
+        for s in _noise_seed_list(device.seed, cfg.noise_seeds):
+            noisy = split_rmse(crossbar_window_predictions(program.with_seed(s), xbar_out, windows))
             for name in ("train", "test"):
                 per_split[name].append(noisy[name][1])
         for name in ("train", "test"):

@@ -19,13 +19,14 @@ after all M cycles.
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
 multiplicative Gaussian current noise per column read (read_noise_sigma).
+A program carries its device config, and every forward reads that one.
 Peripheral CMOS stages (mirrors, converters, adders) are taken as ideal
-unit-gain, and the output layer stays at full precision unless
-quantize_output_layer is set.
+unit-gain. The output layer is not part of the program: a caller that maps
+it onto the crossbar too passes quantize_output_layer(out, levels).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,13 +107,14 @@ class CrossbarConfig:
     read_noise_sigma: float = 0.0
     level_variation_sigma: float = 0.0
     seed: int = 0
-    quantize_output_layer: bool = False
 
     def __post_init__(self):
         if self.levels is None:
             object.__setattr__(self, "levels", build_level_set())
-        if self.read_noise_sigma < 0 or self.level_variation_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        for name in ("read_noise_sigma", "level_variation_sigma"):
+            sigma = getattr(self, name)
+            if not (np.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
 
 
 def _nearest_level(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
@@ -178,10 +180,11 @@ def quantize_output_layer(out: OutputLayer, levels: LevelSet) -> OutputLayer:
     return OutputLayer(q[:-1], q[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossbarProgram:
-    """Programmed state of one crossbar: per-cell level indices plus, when
-    level variation is enabled, the perturbed conductances actually stored."""
+    """Programmed state of one crossbar: its device config, per-cell level
+    indices plus, when level variation is enabled, the perturbed
+    conductances actually stored."""
 
     dims: Dims
     cfg: CrossbarConfig
@@ -207,6 +210,23 @@ class CrossbarProgram:
             return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
         return (self.g_plus - self.g_minus) * self.cfg.levels.k_scale
 
+    def with_seed(self, seed: int) -> "CrossbarProgram":
+        """The same level map as device ``seed``: level variation re-drawn
+        from the seed, read noise seeded by it.
+
+        Reproducible from (seed, level_variation_sigma), which is what lets
+        an exported program rebuild the same device state on import.
+        """
+        cfg = replace(self.cfg, seed=seed)
+        sigma = cfg.level_variation_sigma
+        if sigma <= 0:
+            return replace(self, cfg=cfg, g_plus=None, g_minus=None)
+        ss_prog, _ = np.random.SeedSequence(seed).spawn(2)
+        pert = np.random.default_rng(ss_prog).standard_normal((2, self.n_rows, self.n_columns))
+        g = cfg.levels.conductances
+        return replace(self, cfg=cfg, g_plus=np.maximum(g[self.level_plus] * (1.0 + sigma * pert[0]), 0.0),
+                       g_minus=np.maximum(g[self.level_minus] * (1.0 + sigma * pert[1]), 0.0))
+
 
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:
     """Map every W, U, b entry onto a differential level pair.
@@ -217,33 +237,13 @@ def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram
     level indices.
     """
     level_plus, level_minus, n_clamped = quantize_levels(params.grid(), cfg.levels)
-    program = CrossbarProgram(params.dims, cfg, level_plus, level_minus, n_clamped=n_clamped)
-    _apply_level_variation(program)
-    return program
+    return CrossbarProgram(params.dims, cfg, level_plus, level_minus, n_clamped=n_clamped).with_seed(cfg.seed)
 
 
-def _apply_level_variation(program: CrossbarProgram) -> None:
-    """Store seeded multiplicative conductance perturbations on the program.
-
-    Reproducible from (seed, level_variation_sigma), which is what lets an
-    exported program rebuild the same device state on import.
-    """
-    cfg = program.cfg
-    if cfg.level_variation_sigma <= 0:
-        return
-    ss_prog, _ = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.default_rng(ss_prog)
-    g = cfg.levels.conductances
-    pert = rng.standard_normal((2, program.n_rows, program.n_columns))
-    sigma = cfg.level_variation_sigma
-    program.g_plus = np.maximum(g[program.level_plus] * (1.0 + sigma * pert[0]), 0.0)
-    program.g_minus = np.maximum(g[program.level_minus] * (1.0 + sigma * pert[1]), 0.0)
-
-
-def reconstruct_weights(program: CrossbarProgram, levels: LevelSet) -> LstmParams:
+def reconstruct_weights(program: CrossbarProgram) -> LstmParams:
     """Ideal quantized weights implied by the programmed level indices
     (programming perturbations are deliberately ignored)."""
-    return LstmParams.from_grid(level_weights(program.level_plus, program.level_minus, levels))
+    return LstmParams.from_grid(level_weights(program.level_plus, program.level_minus, program.cfg.levels))
 
 
 def _column_index(program: CrossbarProgram, gate, unit: int) -> int:
@@ -287,16 +287,15 @@ class CycleRead:
     value: float
 
 
-def crossbar_lstm_step(program: CrossbarProgram, x_t, prev: LstmState, cfg: CrossbarConfig,
-                       rng: np.random.Generator | None = None):
+def crossbar_lstm_step(program: CrossbarProgram, x_t, prev: LstmState, rng: np.random.Generator | None = None):
     """One time step on the crossbar: cycle m' reads the four gate columns of
     hidden unit m', applies the ideal activation circuits, and updates that
     unit's cell state and output.
 
     All M cycles see the h vector latched at the previous step, so the reads
-    of one step are computed together. Read noise uses cfg.read_noise_sigma,
-    one draw per read in cycle order. Returns (GateActivations, LstmState,
-    cycle_trace) with one CycleRead per read.
+    of one step are computed together. Read noise uses the program's
+    read_noise_sigma, one draw per read in cycle order. Returns
+    (GateActivations, LstmState, cycle_trace) with one CycleRead per read.
     """
     x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
     n, m = program.dims.n_inputs, program.dims.n_hidden
@@ -305,8 +304,9 @@ def crossbar_lstm_step(program: CrossbarProgram, x_t, prev: LstmState, cfg: Cros
     if prev.h.shape != (m,):
         raise ValueError(f"prev.h has shape {prev.h.shape}, expected ({m},)")
     reads = np.concatenate([x_t, prev.h, [1.0]]) @ program.grid()
-    if cfg.read_noise_sigma > 0 and rng is not None:
-        reads *= 1.0 + _read_noise(rng, (1, 1, m), cfg.read_noise_sigma)[0, 0]
+    sigma = program.cfg.read_noise_sigma
+    if sigma > 0 and rng is not None:
+        reads *= 1.0 + _read_noise(rng, (1, 1, m), sigma)[0, 0]
     acts, C_t, h_t = lstm_cell(reads, prev.C)
     trace = [CycleRead(unit, unit, GATES[g], float(reads[g * m + unit])) for unit in range(m) for g in range(4)]
     return GateActivations(*acts.reshape(4, m)), LstmState(h_t, C_t), trace
@@ -325,43 +325,42 @@ def _read_rng(cfg: CrossbarConfig) -> np.random.Generator:
     return np.random.default_rng(ss_read)
 
 
-def _unroll_program(program: CrossbarProgram, out: OutputLayer, X: np.ndarray, cfg: CrossbarConfig):
-    """Unroll X [B, T, N] on the programmed grid with cfg's seeded read noise;
-    returns h [T, B, M] and the output layer the readout applies."""
+def _unroll_program(program: CrossbarProgram, X: np.ndarray) -> np.ndarray:
+    """Unroll X [B, T, N] on the programmed grid with the program's seeded
+    read noise; returns h [T, B, M]."""
+    cfg = program.cfg
     noise = None
     if cfg.read_noise_sigma > 0:
         noise = _read_noise(_read_rng(cfg), X.shape[:2] + (program.dims.n_hidden,), cfg.read_noise_sigma)
     h, *_ = kernels.crossbar_unroll(program.grid(), X, noise)
-    if cfg.quantize_output_layer:
-        out = quantize_output_layer(out, cfg.levels)
-    return h, out
+    return h
 
 
-def crossbar_forward(program: CrossbarProgram, out: OutputLayer, inputs, cfg: CrossbarConfig):
+def crossbar_forward(program: CrossbarProgram, out: OutputLayer, inputs):
     """Run a sequence through the crossbar cell from the zero state, reading
-    out the (ideal, optionally quantized) affine output layer every step.
+    out the affine output layer ``out`` every step.
 
-    Read noise is seeded from cfg.seed, so a fixed config reproduces the
-    same noisy predictions. Returns the list of per-step predictions.
+    Read noise is seeded from the program's seed, so a fixed device
+    reproduces the same noisy predictions. Returns the list of per-step
+    predictions.
     """
     X = np.asarray(inputs, dtype=np.float64)
     if X.size == 0:
         return []
     if X.ndim == 1:
         X = X[:, None]
-    h, out = _unroll_program(program, out, X[None], cfg)
+    h = _unroll_program(program, X[None])
     return list(h[:, 0] @ out.w_out + out.b_out)
 
 
-def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, windows,
-                                cfg: CrossbarConfig) -> np.ndarray:
+def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, windows) -> np.ndarray:
     """Last-step crossbar prediction of every window, each from the zero state.
 
     One seeded noise stream covers the whole batch in window order; with the
     sigmas at zero this equals the float path on the reconstructed weights.
     """
     X = np.ascontiguousarray(windows.x[:, :, None], dtype=np.float64)
-    h, out = _unroll_program(program, out, X, cfg)
+    h = _unroll_program(program, X)
     return h[-1] @ out.w_out + out.b_out
 
 
@@ -371,24 +370,20 @@ def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, wind
 # ---------------------------------------------------------------------------
 
 _PROGRAM_MAGIC = "xbarlstm-program v1"
+# every header field, in the order written and required on read
+_HEADER_KEYS = ("rows", "logical_columns", "n_inputs", "n_hidden", "spacing", "read_noise_sigma",
+                "level_variation_sigma", "seed", "levels_siemens", "n_clamped")
 
 
 def write_program(program: CrossbarProgram, path) -> None:
     cfg = program.cfg
-    lines = [
-        _PROGRAM_MAGIC,
-        f"rows {program.n_rows}",
-        f"logical_columns {program.n_columns}",
-        f"n_inputs {program.dims.n_inputs}",
-        f"n_hidden {program.dims.n_hidden}",
-        f"spacing {cfg.levels.spacing}",
-        f"read_noise_sigma {cfg.read_noise_sigma:.17g}",
-        f"level_variation_sigma {cfg.level_variation_sigma:.17g}",
-        f"seed {cfg.seed}",
-        "levels_siemens " + " ".join(f"{g:.17g}" for g in cfg.levels.conductances),
-        f"n_clamped {program.n_clamped}",
-        "# one line per physical column: plus then minus per logical column",
-    ]
+    values = (
+        program.n_rows, program.n_columns, program.dims.n_inputs, program.dims.n_hidden,
+        cfg.levels.spacing, f"{cfg.read_noise_sigma:.17g}", f"{cfg.level_variation_sigma:.17g}", cfg.seed,
+        " ".join(f"{g:.17g}" for g in cfg.levels.conductances), program.n_clamped,
+    )
+    lines = [_PROGRAM_MAGIC, *(f"{key} {value}" for key, value in zip(_HEADER_KEYS, values)),
+             "# one line per physical column: plus then minus per logical column"]
     for col in range(program.n_columns):
         for side in (program.level_plus, program.level_minus):
             lines.append(" ".join(str(int(v)) for v in side[:, col]))
@@ -397,65 +392,35 @@ def write_program(program: CrossbarProgram, path) -> None:
 
 
 def read_program(path) -> CrossbarProgram:
-    """Parse a program map file; perturbed conductances are re-derived from
-    the recorded seed and level_variation_sigma."""
+    """Parse a program map file: every header field in write order, then the
+    column lines. Perturbed conductances are re-derived from the recorded
+    seed and level_variation_sigma."""
     with open(path) as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     if not lines or lines[0] != _PROGRAM_MAGIC:
         raise ValueError(f"{path}: not a crossbar program file")
-
-    header = {}
-    body_start = None
-    for k, ln in enumerate(lines[1:], start=1):
-        parts = ln.split(None, 1)
-        if parts[0] in ("rows", "logical_columns", "n_inputs", "n_hidden", "spacing",
-                        "read_noise_sigma", "level_variation_sigma", "seed",
-                        "levels_siemens", "n_clamped"):
-            header[parts[0]] = parts[1] if len(parts) > 1 else ""
-        else:
-            body_start = k
-            break
-    required = {"rows", "logical_columns", "n_inputs", "n_hidden", "spacing",
-                "read_noise_sigma", "level_variation_sigma", "seed"}
-    missing = required - header.keys()
-    if missing:
-        raise ValueError(f"{path}: missing header fields {sorted(missing)}")
+    fields = [ln.partition(" ") for ln in lines[1 : 1 + len(_HEADER_KEYS)]]
+    if tuple(key for key, _, _ in fields) != _HEADER_KEYS:
+        raise ValueError(f"{path}: header must hold the fields {', '.join(_HEADER_KEYS)} in that order")
+    header = {key: value for key, _, value in fields}
 
     dims = Dims(int(header["n_inputs"]), int(header["n_hidden"]))
     levels = build_level_set(header["spacing"])
-    if "levels_siemens" in header:
-        stored = np.array([float(v) for v in header["levels_siemens"].split()])
-        if stored.shape != levels.conductances.shape or not np.array_equal(stored, levels.conductances):
-            raise ValueError(f"{path}: level table does not match spacing {header['spacing']!r}")
-    cfg = CrossbarConfig(
-        levels=levels,
-        read_noise_sigma=float(header["read_noise_sigma"]),
-        level_variation_sigma=float(header["level_variation_sigma"]),
-        seed=int(header["seed"]),
-    )
+    stored = np.array([float(v) for v in header["levels_siemens"].split()])
+    if stored.shape != levels.conductances.shape or not np.array_equal(stored, levels.conductances):
+        raise ValueError(f"{path}: level table does not match spacing {header['spacing']!r}")
+    cfg = CrossbarConfig(levels, float(header["read_noise_sigma"]), float(header["level_variation_sigma"]),
+                         int(header["seed"]))
 
     n_rows = int(header["rows"])
     n_cols = int(header["logical_columns"])
     if n_rows != dims.n_inputs + dims.n_hidden + 1 or n_cols != 4 * dims.n_hidden:
         raise ValueError(f"{path}: header dimensions are inconsistent")
-    body = lines[body_start:] if body_start is not None else []
-    if len(body) != 2 * n_cols:
-        raise ValueError(f"{path}: expected {2 * n_cols} column lines, got {len(body)}")
-
-    level_plus = np.empty((n_rows, n_cols), dtype=np.int64)
-    level_minus = np.empty((n_rows, n_cols), dtype=np.int64)
-    for col in range(n_cols):
-        for side, dest in ((0, level_plus), (1, level_minus)):
-            values = body[2 * col + side].split()
-            if len(values) != n_rows:
-                raise ValueError(f"{path}: column line {2 * col + side} has {len(values)} entries, expected {n_rows}")
-            idx = np.array([int(v) for v in values])
-            if np.any((idx < 0) | (idx >= N_LEVELS)):
-                raise ValueError(f"{path}: level index out of range in column {col}")
-            dest[:, col] = idx
-
-    program = CrossbarProgram(dims, cfg, level_plus, level_minus,
-                              n_clamped=int(header.get("n_clamped", "0")))
-    _apply_level_variation(program)
-    return program
+    body = [ln.split() for ln in lines[1 + len(_HEADER_KEYS):]]
+    if len(body) != 2 * n_cols or any(len(values) != n_rows for values in body):
+        raise ValueError(f"{path}: expected {2 * n_cols} column lines of {n_rows} level indices each")
+    idx = np.array(body, dtype=np.int64).reshape(n_cols, 2, n_rows)
+    if np.any((idx < 0) | (idx >= N_LEVELS)):
+        raise ValueError(f"{path}: level index out of range")
+    program = CrossbarProgram(dims, cfg, idx[:, 0].T, idx[:, 1].T, n_clamped=int(header["n_clamped"]))
+    return program.with_seed(cfg.seed)

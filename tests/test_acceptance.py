@@ -68,7 +68,7 @@ def experiment_runs():
     t0 = time.perf_counter()
     for seed in EXPERIMENT_SEEDS:
         params, out, history = train(Dims(1, 4), train_part, TrainConfig(epochs=100, seed=seed))
-        recon = reconstruct_weights(program_crossbar(params, xbar_cfg), xbar_cfg.levels)
+        recon = reconstruct_weights(program_crossbar(params, xbar_cfg))
         run = {"seed": seed, "history": history}
         for name, part in (("train", train_part), ("test", test_part)):
             run[f"float_{name}"] = rmse(batch_predictions(params, out, part), part.y, denorm=norm)
@@ -106,9 +106,9 @@ def test_criterion_2_crossbar_oracle_equivalence():
         cfg = CrossbarConfig(levels=build_level_set(spacing))
         params, out = random_model(rng)
         program = program_crossbar(params, cfg)
-        recon = reconstruct_weights(program, cfg.levels)
+        recon = reconstruct_weights(program)
         xs = rng.uniform(-1, 1, (int(rng.integers(1, 21)), 1))
-        got = np.array(crossbar_forward(program, out, xs, cfg))
+        got = np.array(crossbar_forward(program, out, xs))
         want, _ = forward_sequence(recon, out, xs)
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     elapsed = time.perf_counter() - t0

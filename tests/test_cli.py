@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,30 @@ def test_non_finite_weight_rejected(tmp_path, capsys, command, value):
     assert not (out / EVAL_REPORT_FILE).exists()
 
 
+@pytest.mark.parametrize("case", [
+    *[(command, flag, value) for command in ("quantize", "evaluate")
+      for flag in ("--read-noise", "--level-variation") for value in ("nan", "inf")],
+    ("evaluate", "program header", "nan"),
+], ids=lambda case: "-".join(case).replace(" ", "_"))
+def test_non_finite_sigma_rejected(tmp_path, capsys, case):
+    command, flag, value = case
+    wfile = tmp_path / "weights.txt"
+    write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+    args = [flag, value]
+    if flag == "program header":
+        assert run("quantize", "--weights", wfile, "--out-dir", tmp_path / "q") == 0
+        program = tmp_path / "q" / PROGRAM_FILE
+        program.write_text(program.read_text().replace("level_variation_sigma 0\n", f"level_variation_sigma {value}\n"))
+        args = ["--program", program]
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert run(command, "--weights", wfile, "--out-dir", out, *args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err and "Traceback" not in err
+    assert not (out / PROGRAM_FILE).exists()
+    assert not (out / EVAL_REPORT_FILE).exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -160,6 +185,25 @@ class TestEvaluateCommand:
         db = (from_file / PREDICTIONS_FILE).read_text().splitlines()
         assert da == db
 
+    @pytest.mark.parametrize("extra", [[], ["--noise-seeds", 5]])
+    def test_program_header_sets_the_device(self, trained, tmp_path, capsys, extra):
+        device = ["--spacing", "uniform_resistance", "--level-variation", 0.05, "--read-noise", 0.02, "--seed", 7]
+        assert run("quantize", "--weights", trained / WEIGHTS_FILE, *device, "--out-dir", tmp_path / "q") == 0
+        from_file, derived = tmp_path / "fromfile", tmp_path / "derived"
+        capsys.readouterr()
+        assert run("evaluate", "--weights", trained / WEIGHTS_FILE, "--program", tmp_path / "q" / PROGRAM_FILE,
+                   *extra, "--out-dir", from_file) == 0
+        printed = capsys.readouterr().out
+        assert run("evaluate", "--weights", trained / WEIGHTS_FILE, *device, *extra, "--out-dir", derived) == 0
+        shown = dict(re.split(r"\s{2,}", ln, maxsplit=1) for ln in printed.splitlines())
+        assert shown["spacing"] == "uniform_resistance"
+        assert shown["read noise sigma"] == "0.02"
+        assert shown["level variation sigma"] == "0.050000000000000003"
+        assert (from_file / PREDICTIONS_FILE).read_bytes() == (derived / PREDICTIONS_FILE).read_bytes()
+        report_a, report_b = ([ln for ln in (d / EVAL_REPORT_FILE).read_text().splitlines()
+                               if not ln.startswith("program ")] for d in (from_file, derived))
+        assert report_a == report_b
+
     def test_zero_sigma_quantized_path_equals_float_path_on_reconstructed(self, trained, tmp_path):
         from xbarlstm.crossbar import CrossbarConfig, program_crossbar, reconstruct_weights
         from xbarlstm.data import denormalize, fit_normalizer, load_series, make_windows, normalize
@@ -172,7 +216,7 @@ class TestEvaluateCommand:
 
         params, out_layer = read_weights(trained / WEIGHTS_FILE)
         cfg = CrossbarConfig()
-        recon = reconstruct_weights(program_crossbar(params, cfg), cfg.levels)
+        recon = reconstruct_weights(program_crossbar(params, cfg))
         series = load_series(BUNDLED_DATASET)
         norm = fit_normalizer(series)
         windows = make_windows(normalize(series, norm), 1)

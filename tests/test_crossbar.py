@@ -1,4 +1,6 @@
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +17,7 @@ from xbarlstm.crossbar import (
     crossbar_window_predictions,
     map_weight_to_pair,
     program_crossbar,
+    quantize_output_layer,
     quantize_weight,
     read_program,
     reconstruct_weights,
@@ -120,7 +123,7 @@ class TestMapWeightToPair:
         program = program_crossbar(LstmParams.from_grid(grid), CrossbarConfig(levels=levels))
         assert program.n_clamped == 2
         level_plus, level_minus = program.level_plus.reshape(-1), program.level_minus.reshape(-1)
-        recon = reconstruct_weights(program, levels).grid().reshape(-1)
+        recon = reconstruct_weights(program).grid().reshape(-1)
         for k, w in enumerate(sweep):
             want_pair, want_recon = nearest_level_exhaustive(w, levels.conductances, index_space)
             with warnings.catch_warnings(record=True) as caught:
@@ -179,7 +182,7 @@ class TestProgramCrossbar:
     def test_reconstruction_is_entrywise_quantization(self, spacing):
         cfg = CrossbarConfig(levels=build_level_set(spacing))
         params = random_params(3)
-        recon = reconstruct_weights(program_crossbar(params, cfg), cfg.levels)
+        recon = reconstruct_weights(program_crossbar(params, cfg))
         for arr, ref in ((recon.W, params.W), (recon.U, params.U), (recon.b, params.b)):
             flat, rflat = arr.reshape(-1), ref.reshape(-1)
             for got, w in zip(flat, rflat):
@@ -191,15 +194,15 @@ class TestProgramCrossbar:
         params.U[1, 1, 1] = -3.0
         program = program_crossbar(params, CrossbarConfig())
         assert program.n_clamped == 2
-        recon = reconstruct_weights(program, program.cfg.levels)
+        recon = reconstruct_weights(program)
         assert recon.W[0, 0, 0] == 1.0
         assert recon.U[1, 1, 1] == -1.0
 
     def test_quantization_idempotent_through_program(self):
         cfg = CrossbarConfig()
         params = random_params(4)
-        once = reconstruct_weights(program_crossbar(params, cfg), cfg.levels)
-        twice = reconstruct_weights(program_crossbar(once, cfg), cfg.levels)
+        once = reconstruct_weights(program_crossbar(params, cfg))
+        twice = reconstruct_weights(program_crossbar(once, cfg))
         npt.assert_array_equal(once.W, twice.W)
         npt.assert_array_equal(once.U, twice.U)
         npt.assert_array_equal(once.b, twice.b)
@@ -215,6 +218,23 @@ class TestProgramCrossbar:
         npt.assert_array_equal(program.g_plus, again.g_plus)
         npt.assert_array_equal(program.g_minus, again.g_minus)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+    def test_with_seed_equals_programming_with_that_seed(self, sigma, seed):
+        params = random_params(44)
+        cfg = CrossbarConfig(levels=build_level_set("uniform_resistance"), read_noise_sigma=0.01,
+                             level_variation_sigma=sigma, seed=3)
+        got = program_crossbar(params, cfg).with_seed(seed)
+        want = program_crossbar(params, replace(cfg, seed=seed))
+        assert got.cfg == want.cfg
+        npt.assert_array_equal(got.level_plus, want.level_plus)
+        npt.assert_array_equal(got.level_minus, want.level_minus)
+        if sigma == 0:
+            assert got.g_plus is None and got.g_minus is None and want.g_plus is None
+        else:
+            npt.assert_array_equal(got.g_plus, want.g_plus)
+            npt.assert_array_equal(got.g_minus, want.g_minus)
+
 
 class TestCrossbarDot:
     def test_zero_inputs_zero_output(self):
@@ -227,7 +247,7 @@ class TestCrossbarDot:
         cfg = CrossbarConfig()
         params = random_params(7)
         program = program_crossbar(params, cfg)
-        recon = reconstruct_weights(program, cfg.levels)
+        recon = reconstruct_weights(program)
         rng = np.random.default_rng(0)
         v = np.concatenate([rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 4), [1.0]])
         for g, gate in enumerate("ifco"):
@@ -276,7 +296,7 @@ class TestCrossbarStep:
         dims = Dims(1, 4)
         cfg = CrossbarConfig()
         program = program_crossbar(LstmParams.zeros(dims), cfg)
-        gates, state, trace = crossbar_lstm_step(program, [0.7], LstmState.zeros(dims), cfg)
+        gates, state, trace = crossbar_lstm_step(program, [0.7], LstmState.zeros(dims))
         npt.assert_array_equal(gates.i, 0.5)
         npt.assert_array_equal(gates.f, 0.5)
         npt.assert_array_equal(gates.o, 0.5)
@@ -289,11 +309,11 @@ class TestCrossbarStep:
         cfg = CrossbarConfig()
         params = random_params(seed)
         program = program_crossbar(params, cfg)
-        recon = reconstruct_weights(program, cfg.levels)
+        recon = reconstruct_weights(program)
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, 1)
         prev = LstmState(rng.uniform(-0.9, 0.9, 4), rng.uniform(-1, 1, 4))
-        got_gates, got_state, _ = crossbar_lstm_step(program, x, prev, cfg)
+        got_gates, got_state, _ = crossbar_lstm_step(program, x, prev)
         want_gates, want_state = lstm_step(recon, x, prev)
         npt.assert_allclose(got_gates.i, want_gates.i, rtol=0, atol=1e-9)
         npt.assert_allclose(got_gates.f, want_gates.f, rtol=0, atol=1e-9)
@@ -305,7 +325,7 @@ class TestCrossbarStep:
     def test_schedule(self):
         cfg = CrossbarConfig()
         program = program_crossbar(random_params(11), cfg)
-        _, _, trace = crossbar_lstm_step(program, [0.2], LstmState.zeros(Dims(1, 4)), cfg)
+        _, _, trace = crossbar_lstm_step(program, [0.2], LstmState.zeros(Dims(1, 4)))
         assert len(trace) == 4 * 4
         seen = {(r.unit, r.gate) for r in trace}
         assert len(seen) == 16  # no column read twice within a step
@@ -317,24 +337,23 @@ class TestCrossbarForward:
         cfg = CrossbarConfig()
         program = program_crossbar(random_params(12), cfg)
         out = OutputLayer(np.ones(4), 0.0)
-        assert crossbar_forward(program, out, [], cfg) == []
+        assert crossbar_forward(program, out, []) == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_float_path_on_reconstructed_weights(self, seed):
         cfg = CrossbarConfig()
         params = random_params(seed + 20)
         program = program_crossbar(params, cfg)
-        recon = reconstruct_weights(program, cfg.levels)
+        recon = reconstruct_weights(program)
         rng = np.random.default_rng(seed)
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         xs = rng.uniform(-1, 1, (15, 1))
-        got = crossbar_forward(program, out, xs, cfg)
+        got = crossbar_forward(program, out, xs)
         want, _ = forward_sequence(recon, out, xs)
         npt.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_quantized_output_layer_changes_only_that_stage(self):
         cfg = CrossbarConfig()
-        cfg_q = CrossbarConfig(quantize_output_layer=True)
         params = random_params(30)
         program = program_crossbar(params, cfg)
         rng = np.random.default_rng(1)
@@ -344,9 +363,9 @@ class TestCrossbarForward:
             quantize_weight(out.b_out, cfg.levels),
         )
         xs = rng.uniform(-1, 1, (10, 1))
-        plain = crossbar_forward(program, out, xs, cfg)
-        quantized = crossbar_forward(program, out, xs, cfg_q)
-        explicit = crossbar_forward(program, out_q, xs, cfg)
+        plain = crossbar_forward(program, out, xs)
+        quantized = crossbar_forward(program, quantize_output_layer(out, cfg.levels), xs)
+        explicit = crossbar_forward(program, out_q, xs)
         npt.assert_allclose(quantized, explicit, rtol=0, atol=1e-15)
         assert not np.allclose(plain, quantized, atol=1e-12)
 
@@ -355,11 +374,10 @@ class TestCrossbarForward:
         out = OutputLayer(np.full(4, 0.5), 0.1)
         xs = np.random.default_rng(2).uniform(-1, 1, (8, 1))
         cfg_a = CrossbarConfig(read_noise_sigma=0.05, seed=77)
-        cfg_b = CrossbarConfig(read_noise_sigma=0.05, seed=78)
         program = program_crossbar(params, cfg_a)
-        one = crossbar_forward(program, out, xs, cfg_a)
-        two = crossbar_forward(program, out, xs, cfg_a)
-        other = crossbar_forward(program, out, xs, cfg_b)
+        one = crossbar_forward(program, out, xs)
+        two = crossbar_forward(program, out, xs)
+        other = crossbar_forward(program.with_seed(78), out, xs)
         assert one == two
         assert one != other
 
@@ -371,12 +389,12 @@ class TestCrossbarForward:
         program = program_crossbar(params, cfg)
         out = OutputLayer(np.array([0.3, -0.2, 0.5, 0.1]), 0.05)
         xs = np.random.default_rng(3).uniform(-1, 1, (6, 1))
-        preds = crossbar_forward(program, out, xs, cfg)
+        preds = crossbar_forward(program, out, xs)
         rng = _read_rng(cfg)
         state = LstmState.zeros(Dims(1, 4))
         manual = []
         for x in xs:
-            _, state, _ = crossbar_lstm_step(program, x, state, cfg, rng=rng)
+            _, state, _ = crossbar_lstm_step(program, x, state, rng=rng)
             manual.append(float(state.h @ out.w_out + out.b_out))
         npt.assert_allclose(preds, manual, rtol=0, atol=1e-12)
 
@@ -386,9 +404,9 @@ class TestCrossbarForward:
         xs = np.random.default_rng(4).uniform(-1, 1, (10, 1))
         ideal_cfg = CrossbarConfig(seed=1)
         vary_cfg = CrossbarConfig(level_variation_sigma=0.05, seed=1)
-        ideal = crossbar_forward(program_crossbar(params, ideal_cfg), out, xs, ideal_cfg)
-        vary1 = crossbar_forward(program_crossbar(params, vary_cfg), out, xs, vary_cfg)
-        vary2 = crossbar_forward(program_crossbar(params, vary_cfg), out, xs, vary_cfg)
+        ideal = crossbar_forward(program_crossbar(params, ideal_cfg), out, xs)
+        vary1 = crossbar_forward(program_crossbar(params, vary_cfg), out, xs)
+        vary2 = crossbar_forward(program_crossbar(params, vary_cfg), out, xs)
         assert vary1 == vary2
         assert not np.allclose(ideal, vary1, atol=1e-12)
 
@@ -399,9 +417,9 @@ class TestCrossbarForward:
         out = OutputLayer(np.array([0.2, 0.1, -0.3, 0.4]), -0.1)
         rng = np.random.default_rng(6)
         windows = WindowedSeries(rng.uniform(0, 1, (9, 3)), rng.uniform(0, 1, 9), 3)
-        batch = crossbar_window_predictions(program, out, windows, cfg)
+        batch = crossbar_window_predictions(program, out, windows)
         for k in range(9):
-            preds = crossbar_forward(program, out, windows.x[k][:, None], cfg)
+            preds = crossbar_forward(program, out, windows.x[k][:, None])
             assert batch[k] == pytest.approx(preds[-1], abs=1e-12)
 
 
@@ -438,10 +456,30 @@ class TestProgramFile:
         assert restored.cfg.levels.spacing == spacing
         npt.assert_array_equal(program.level_plus, restored.level_plus)
 
+    def test_v1_file_round_trips_byte_identically(self, tmp_path):
+        # written by the v1 writer: uniform resistance, both sigmas, seed 7, one clamped weight
+        original = Path(__file__).parent / "data" / "program_v1.txt"
+        path = tmp_path / "again.txt"
+        write_program(read_program(original), path)
+        assert path.read_bytes() == original.read_bytes()
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a program\n")
         with pytest.raises(ValueError, match="not a crossbar program"):
+            read_program(path)
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda lines: [ln for ln in lines if not ln.startswith("n_clamped")], "header"),
+        (lambda lines: [ln for ln in lines if not ln.startswith("levels_siemens")], "header"),
+        (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "header"),
+        (lambda lines: lines[:-1] + [lines[-1] + " 0"], "column lines"),
+    ], ids=["no-n_clamped", "no-levels_siemens", "swapped-header", "ragged-column"])
+    def test_rejects_malformed(self, tmp_path, mutate, match):
+        path = tmp_path / "bad.txt"
+        write_program(program_crossbar(random_params(45), CrossbarConfig(level_variation_sigma=0.02)), path)
+        path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=match):
             read_program(path)
 
     def test_rejects_bad_level_index(self, tmp_path):
