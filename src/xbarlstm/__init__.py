@@ -2,24 +2,16 @@
 
 from .core import (
     Dims,
-    GateActivations,
     LstmParams,
-    LstmState,
     OutputLayer,
-    dense_output,
-    forward_sequence,
-    lstm_step,
     sigmoid,
-    tanh,
 )
 from .crossbar import (
     CrossbarConfig,
     CrossbarProgram,
     LevelSet,
     build_level_set,
-    crossbar_dot,
     crossbar_forward,
-    crossbar_lstm_step,
     map_weight_to_pair,
     program_crossbar,
     quantize_output_layer,

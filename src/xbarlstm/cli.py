@@ -216,6 +216,14 @@ def _quantization_table(params: LstmParams, quantized: LstmParams, out: OutputLa
     return table
 
 
+def _warn_clamped(n_weights: int, n_output: int) -> None:
+    """One plain stderr line per stage whose out-of-range weights were clamped."""
+    if n_weights:
+        print(f"warning: {n_weights} weight(s) outside [-1, 1] were clamped", file=sys.stderr)
+    if n_output:
+        print(f"warning: {n_output} output-layer weight(s) outside [-1, 1] were clamped", file=sys.stderr)
+
+
 def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +234,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     write_program(program, out_dir / PROGRAM_FILE)
 
     quantized = reconstruct_weights(program)
-    out_q = quantize_output_layer(out, xbar_cfg.levels) if cfg.quantize_output_layer else None
+    out_q, n_out_clamped = quantize_output_layer(out, xbar_cfg.levels) if cfg.quantize_output_layer else (None, 0)
     write_weights(quantized, out_q or out, out_dir / QUANTIZED_WEIGHTS_FILE)
 
     table = _quantization_table(params, quantized, out, out_q)
@@ -245,8 +253,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     ]
     _write_text(out_dir / QUANTIZE_REPORT_FILE, header + body)
 
-    if program.n_clamped:
-        print(f"warning: {program.n_clamped} weight(s) outside [-1, 1] were clamped", file=sys.stderr)
+    _warn_clamped(program.n_clamped, n_out_clamped)
     pairs = [
         ("spacing", xbar_cfg.levels.spacing),
         ("entries", str(len(table))),
@@ -272,14 +279,15 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, out = read_weights(weights_path)
+    xbar_cfg = cfg.crossbar_config()  # validated even where the program header overrides it
     if program_path is not None:
         program = read_program(program_path)
         if program.dims != params.dims:
             raise ValueError(f"program dims {program.dims} do not match weights dims {params.dims}")
     else:
-        program = program_crossbar(params, cfg.crossbar_config())
+        program = program_crossbar(params, xbar_cfg)
     device = program.cfg
-    xbar_out = quantize_output_layer(out, device.levels) if cfg.quantize_output_layer else out
+    xbar_out, n_out_clamped = quantize_output_layer(out, device.levels) if cfg.quantize_output_layer else (out, 0)
 
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
     n_train = len(train_part)
@@ -331,6 +339,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
 
     lines = _report_lines(pairs, cfg.report)
     _write_text(out_dir / EVAL_REPORT_FILE, lines)
+    _warn_clamped(program.n_clamped, n_out_clamped)
     print("\n".join(lines))
 
     # full-precision prediction dump over the whole series, for plot-data

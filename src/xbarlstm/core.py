@@ -1,8 +1,10 @@
-"""Floating-point reference LSTM: cell step, dense output, sequence forward.
+"""The LSTM model: its dimensions, weights, output layer and cell equations.
 
-This is the exact double-precision path the crossbar model is checked
-against. Everything here is a pure function of immutable inputs; the
-crossbar and training modules own quantization and parameter updates.
+:func:`lstm_cell` is the one place the gate equations are written; the one
+unroll over a window batch, shared by the float and the crossbar path, is
+``kernels.crossbar_unroll``. Everything here is a pure function of its
+inputs; the crossbar and training modules own quantization and parameter
+updates.
 
 Gate axis order is (input, forget, cell, output) everywhere, matching the
 left-to-right column packing of :meth:`LstmParams.grid`, the one weight
@@ -12,8 +14,6 @@ layout that the training kernels and the crossbar share.
 from dataclasses import dataclass
 
 import numpy as np
-
-GATES = ("i", "f", "c", "o")
 
 
 @dataclass(frozen=True)
@@ -89,37 +89,6 @@ class LstmParams:
 
 
 @dataclass
-class LstmState:
-    """Hidden output h and cell state C carried between time steps."""
-
-    h: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.float64)
-        self.C = np.asarray(self.C, dtype=np.float64)
-        if self.h.shape != self.C.shape or self.h.ndim != 1:
-            raise ValueError(f"h and C must be equal-length vectors, got {self.h.shape} and {self.C.shape}")
-
-    @classmethod
-    def zeros(cls, dims: Dims) -> "LstmState":
-        return cls(np.zeros(dims.n_hidden), np.zeros(dims.n_hidden))
-
-    def copy(self) -> "LstmState":
-        return LstmState(self.h.copy(), self.C.copy())
-
-
-@dataclass
-class GateActivations:
-    """Post-activation gate values of one step: i, f, o in (0,1), c_tilde in (-1,1)."""
-
-    i: np.ndarray
-    f: np.ndarray
-    c_tilde: np.ndarray
-    o: np.ndarray
-
-
-@dataclass
 class OutputLayer:
     """Affine readout with no activation: prediction = w_out . h + b_out."""
 
@@ -141,21 +110,11 @@ class OutputLayer:
 
 
 def sigmoid(x):
-    """Logistic function, saturates gracefully for large |x|."""
+    """Logistic function, saturates gracefully for large |x|: exp only ever
+    sees -|x|, so it never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def tanh(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(x)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
@@ -178,41 +137,3 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray):
     i, f, c_tilde, o = (acts[..., g * m : (g + 1) * m] for g in range(4))
     C_t = f * C_prev + i * c_tilde
     return acts, C_t, o * np.tanh(C_t)
-
-
-def lstm_step(params: LstmParams, x_t: np.ndarray, prev: LstmState):
-    """One LSTM cell step on the float weights.
-
-    Returns (GateActivations, LstmState); gate internals are exposed so the
-    crossbar path can be cross-checked cycle by cycle.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    n, m = params.dims.n_inputs, params.dims.n_hidden
-    if x_t.shape != (n,):
-        raise ValueError(f"x_t has shape {x_t.shape}, expected ({n},) to match W")
-    if prev.h.shape != (m,):
-        raise ValueError(f"prev.h has shape {prev.h.shape}, expected ({m},) to match U")
-    acts, C_t, h_t = lstm_cell(np.concatenate([x_t, prev.h, [1.0]]) @ params.grid(), prev.C)
-    return GateActivations(*acts.reshape(4, m)), LstmState(h_t, C_t)
-
-
-def dense_output(h: np.ndarray, out: OutputLayer) -> float:
-    """Affine readout w_out . h + b_out, no nonlinearity."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != out.w_out.shape:
-        raise ValueError(f"h has shape {h.shape}, expected {out.w_out.shape} to match w_out")
-    return float(h @ out.w_out + out.b_out)
-
-
-def forward_sequence(params: LstmParams, out: OutputLayer, inputs, initial: LstmState | None = None):
-    """Run the cell over a sequence, reading out a prediction after every step.
-
-    Returns (predictions, final_state). With no initial state the run starts
-    from h = 0, C = 0, so the first step's cell state is i * c_tilde.
-    """
-    state = LstmState.zeros(params.dims) if initial is None else initial.copy()
-    predictions = []
-    for x_t in inputs:
-        _, state = lstm_step(params, np.atleast_1d(np.asarray(x_t, dtype=np.float64)), state)
-        predictions.append(dense_output(state.h, out))
-    return predictions, state

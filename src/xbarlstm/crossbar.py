@@ -14,7 +14,8 @@ gate order (i, f, c, o) - the layout of LstmParams.grid(), so the float
 path is this path on the ideal weight grid. Evaluation is time
 multiplexed: one hidden unit per cycle, four column reads per cycle, M
 cycles per time step, with the new h latched into the memory units only
-after all M cycles.
+after all M cycles. All M cycles of a step therefore see the same h, and
+kernels.crossbar_unroll computes a step's reads together.
 
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
@@ -22,7 +23,7 @@ multiplicative Gaussian current noise per column read (read_noise_sigma).
 A program carries its device config, and every forward reads that one.
 Peripheral CMOS stages (mirrors, converters, adders) are taken as ideal
 unit-gain. The output layer is not part of the program: a caller that maps
-it onto the crossbar too passes quantize_output_layer(out, levels).
+it onto the crossbar too passes the layer from quantize_output_layer.
 """
 
 import warnings
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .core import GATES, Dims, GateActivations, LstmParams, LstmState, OutputLayer, lstm_cell
+from .core import Dims, LstmParams, OutputLayer
 
 N_LEVELS = 16
 R_MIN_OHM = 200e3
@@ -115,6 +116,8 @@ class CrossbarConfig:
             sigma = getattr(self, name)
             if not (np.isfinite(sigma) and sigma >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _nearest_level(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
@@ -170,14 +173,13 @@ def quantize_weight(w: float, levels: LevelSet) -> float:
     return float(level_weights(lp, lm, levels))
 
 
-def quantize_output_layer(out: OutputLayer, levels: LevelSet) -> OutputLayer:
+def quantize_output_layer(out: OutputLayer, levels: LevelSet):
     """Output layer after the same round trip, for when it is mapped onto
-    the crossbar too; out-of-range entries are clamped with a warning."""
+    the crossbar too. Out-of-range entries are clamped and counted; returns
+    (OutputLayer, n_clamped)."""
     lp, lm, n_clamped = quantize_levels(np.append(out.w_out, out.b_out), levels)
-    if n_clamped:
-        warnings.warn(f"{n_clamped} output-layer weight(s) outside [-1, 1]; clamped", stacklevel=2)
     q = level_weights(lp, lm, levels)
-    return OutputLayer(q[:-1], q[-1])
+    return OutputLayer(q[:-1], q[-1]), n_clamped
 
 
 @dataclass(frozen=True)
@@ -246,75 +248,9 @@ def reconstruct_weights(program: CrossbarProgram) -> LstmParams:
     return LstmParams.from_grid(level_weights(program.level_plus, program.level_minus, program.cfg.levels))
 
 
-def _column_index(program: CrossbarProgram, gate, unit: int) -> int:
-    if isinstance(gate, str):
-        if gate not in GATES:
-            raise ValueError(f"unknown gate {gate!r}, expected one of {GATES}")
-        gate = GATES.index(gate)
-    if not 0 <= gate < 4:
-        raise ValueError(f"gate index {gate} out of range")
-    if not 0 <= unit < program.dims.n_hidden:
-        raise ValueError(f"unit {unit} out of range for n_hidden={program.dims.n_hidden}")
-    return gate * program.dims.n_hidden + unit
-
-
-def crossbar_dot(program: CrossbarProgram, input_voltages, gate, unit: int,
-                 rng: np.random.Generator | None = None) -> float:
-    """Weighted summation from one logical column, in weight units.
-
-    input_voltages covers every row including the bias row. With the
-    program's read_noise_sigma > 0 and an rng supplied, the current picks up
-    one multiplicative Gaussian error.
-    """
-    v = np.asarray(input_voltages, dtype=np.float64)
-    if v.shape != (program.n_rows,):
-        raise ValueError(f"input_voltages has shape {v.shape}, expected ({program.n_rows},)")
-    col = _column_index(program, gate, unit)
-    value = float(v @ program.grid()[:, col])
-    sigma = program.cfg.read_noise_sigma
-    if sigma > 0 and rng is not None:
-        value *= 1.0 + sigma * rng.standard_normal()
-    return value
-
-
-@dataclass
-class CycleRead:
-    """One column read of the time-multiplexed schedule."""
-
-    cycle: int
-    unit: int
-    gate: str
-    value: float
-
-
-def crossbar_lstm_step(program: CrossbarProgram, x_t, prev: LstmState, rng: np.random.Generator | None = None):
-    """One time step on the crossbar: cycle m' reads the four gate columns of
-    hidden unit m', applies the ideal activation circuits, and updates that
-    unit's cell state and output.
-
-    All M cycles see the h vector latched at the previous step, so the reads
-    of one step are computed together. Read noise uses the program's
-    read_noise_sigma, one draw per read in cycle order. Returns
-    (GateActivations, LstmState, cycle_trace) with one CycleRead per read.
-    """
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
-    n, m = program.dims.n_inputs, program.dims.n_hidden
-    if x_t.shape != (n,):
-        raise ValueError(f"x_t has shape {x_t.shape}, expected ({n},)")
-    if prev.h.shape != (m,):
-        raise ValueError(f"prev.h has shape {prev.h.shape}, expected ({m},)")
-    reads = np.concatenate([x_t, prev.h, [1.0]]) @ program.grid()
-    sigma = program.cfg.read_noise_sigma
-    if sigma > 0 and rng is not None:
-        reads *= 1.0 + _read_noise(rng, (1, 1, m), sigma)[0, 0]
-    acts, C_t, h_t = lstm_cell(reads, prev.C)
-    trace = [CycleRead(unit, unit, GATES[g], float(reads[g * m + unit])) for unit in range(m) for g in range(4)]
-    return GateActivations(*acts.reshape(4, m)), LstmState(h_t, C_t), trace
-
-
 def _read_noise(rng: np.random.Generator, shape_btm: tuple, sigma: float) -> np.ndarray:
-    """Noise factors laid out [B, T, 4M]; drawn in (window, step, cycle, gate)
-    order so a step-by-step replay consumes the identical stream."""
+    """Noise factors laid out [B, T, 4M], drawn in (window, step, cycle, gate)
+    order, the order of the reads on the device."""
     B, T, M = shape_btm
     draws = sigma * rng.standard_normal((B, T, M, 4))
     return np.ascontiguousarray(draws.transpose(0, 1, 3, 2).reshape(B, T, 4 * M))

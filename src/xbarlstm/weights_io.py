@@ -63,21 +63,23 @@ def read_weights(path):
             rows, cols = int(header[1]), int(header[2])
         except ValueError:
             raise ValueError(f"{path}: bad shape in header {lines[pos]!r}") from None
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: matrix {name!r} has shape ({rows}, {cols}), expected at least (1, 1)")
         pos += 1
         if pos + rows > len(lines):
             raise ValueError(f"{path}: truncated matrix {name!r}")
-        block = np.empty((rows, cols))
+        block = []
         for r in range(rows):
             values = lines[pos + r].split()
             if len(values) != cols:
                 raise ValueError(f"{path}: matrix {name!r} row {r} has {len(values)} values, expected {cols}")
             try:
-                block[r] = [float(v) for v in values]
+                block.append([float(v) for v in values])
             except ValueError:
                 raise ValueError(f"{path}: matrix {name!r} row {r} contains a non-number") from None
             if not np.all(np.isfinite(block[r])):
                 raise ValueError(f"{path}: matrix {name!r} row {r} contains a non-finite value")
-        mats[name] = block
+        mats[name] = np.array(block)
         pos += rows
     if pos != len(lines):
         raise ValueError(f"{path}: {len(lines) - pos} unexpected trailing lines")

@@ -58,16 +58,23 @@ def mse_loop(predictions, targets):
     return acc / len(predictions)
 
 
-def window_last_prediction(W, U, b, w_out, b_out, window):
-    """Forward a window from zero state, loop math; each step is a list of
-    n_inputs values or, for one input, a bare number."""
+def sequence_predictions_loop(W, U, b, w_out, b_out, window):
+    """Forward a window from zero state, loop math, reading out w_out . h + b_out
+    after every step; each step is a list of n_inputs values or, for one
+    input, a bare number."""
     m = len(b[0])
     h = [0.0] * m
     C = [0.0] * m
+    preds = []
     for step in window:
         x = list(step) if np.ndim(step) else [step]
         _, _, _, _, h, C = lstm_step_loops(W, U, b, x, h, C)
-    return dot_loop(w_out, h) + b_out
+        preds.append(dot_loop(w_out, h) + b_out)
+    return preds
+
+
+def window_last_prediction(W, U, b, w_out, b_out, window):
+    return sequence_predictions_loop(W, U, b, w_out, b_out, window)[-1]
 
 
 def batch_mse_loops(W, U, b, w_out, b_out, windows, targets):

@@ -25,9 +25,18 @@ from xbarlstm.cli import (
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.weights_io import read_weights, write_weights
 
+from _oracles import window_last_prediction
+
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env():
+    """Environment for a child process that imports the same xbarlstm as
+    this one, installed or not."""
+    package_root = str(Path(xbarlstm.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
 def train_args(out_dir, epochs=8, seed=0, extra=()):
@@ -130,24 +139,71 @@ def test_non_finite_weight_rejected(tmp_path, capsys, command, value):
     *[(command, flag, value) for command in ("quantize", "evaluate")
       for flag in ("--read-noise", "--level-variation") for value in ("nan", "inf")],
     ("evaluate", "program header", "nan"),
+    ("evaluate", "program and --read-noise", "nan"),
+    ("quantize", "--seed", "-1"),
+    ("evaluate", "program header seed", "-1"),
 ], ids=lambda case: "-".join(case).replace(" ", "_"))
 def test_non_finite_sigma_rejected(tmp_path, capsys, case):
     command, flag, value = case
     wfile = tmp_path / "weights.txt"
     write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
     args = [flag, value]
-    if flag == "program header":
+    if flag.startswith("program"):
         assert run("quantize", "--weights", wfile, "--out-dir", tmp_path / "q") == 0
         program = tmp_path / "q" / PROGRAM_FILE
-        program.write_text(program.read_text().replace("level_variation_sigma 0\n", f"level_variation_sigma {value}\n"))
         args = ["--program", program]
+        if flag == "program header":
+            program.write_text(program.read_text().replace("level_variation_sigma 0\n",
+                                                           f"level_variation_sigma {value}\n"))
+        elif flag == "program header seed":
+            program.write_text(program.read_text().replace("seed 0\n", f"seed {value}\n"))
+        else:  # the header supplies the device, but the flag is still checked
+            args += ["--read-noise", value]
     capsys.readouterr()
     out = tmp_path / "r"
     assert run(command, "--weights", wfile, "--out-dir", out, *args) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "finite" in err and "Traceback" not in err
+    assert "error:" in err and ("seed must be >= 0" if value == "-1" else "finite") in err and "Traceback" not in err
     assert not (out / PROGRAM_FILE).exists()
     assert not (out / EVAL_REPORT_FILE).exists()
+
+
+@pytest.mark.parametrize("command", ["quantize", "evaluate"])
+@pytest.mark.parametrize("header", ["W_i 1 10000000000000", "W_i -1 4"], ids=["huge-cols", "negative-rows"])
+def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
+    wfile = tmp_path / "weights.txt"
+    write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+    wfile.write_text(wfile.read_text().replace("W_i 1 4\n", header + "\n", 1))
+    out = tmp_path / "r"
+    assert run(command, "--weights", wfile, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(wfile) in err and "'W_i'" in err and "Traceback" not in err
+    assert not (out / PROGRAM_FILE).exists()
+    assert not (out / EVAL_REPORT_FILE).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--quantize-output-layer"],
+    ["evaluate", "--quantize-output-layer"],
+    ["evaluate", "--program", "q/program.txt"],
+], ids=["quantize", "evaluate", "evaluate-program"])
+def test_clamp_warnings_are_plain_lines(tmp_path, argv):
+    params, out = LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4))
+    params.U[2, 1, 3] = -2.5
+    out.w_out[0] = 1.75
+    wfile = tmp_path / "weights.txt"
+    write_weights(params, out, wfile)
+    assert run("quantize", "--weights", wfile, "--out-dir", tmp_path / "q") == 0
+    # a fresh process, so stderr is exactly what the command prints
+    result = subprocess.run(
+        [sys.executable, "-m", "xbarlstm.cli", *argv, "--weights", str(wfile), "--out-dir", "r"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    want = ["warning: 1 weight(s) outside [-1, 1] were clamped"]
+    if "--quantize-output-layer" in argv:
+        want.append("warning: 1 output-layer weight(s) outside [-1, 1] were clamped")
+    assert result.stderr.splitlines() == want
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +263,6 @@ class TestEvaluateCommand:
     def test_zero_sigma_quantized_path_equals_float_path_on_reconstructed(self, trained, tmp_path):
         from xbarlstm.crossbar import CrossbarConfig, program_crossbar, reconstruct_weights
         from xbarlstm.data import denormalize, fit_normalizer, load_series, make_windows, normalize
-        from xbarlstm.training import batch_predictions
 
         out = tmp_path / "eq"
         assert run("evaluate", "--weights", trained / WEIGHTS_FILE, "--out-dir", out) == 0
@@ -220,7 +275,9 @@ class TestEvaluateCommand:
         series = load_series(BUNDLED_DATASET)
         norm = fit_normalizer(series)
         windows = make_windows(normalize(series, norm), 1)
-        want = denormalize(batch_predictions(recon, out_layer, windows), norm)
+        oracle = [window_last_prediction(recon.W.tolist(), recon.U.tolist(), recon.b.tolist(),
+                                         out_layer.w_out.tolist(), out_layer.b_out, x.tolist()) for x in windows.x]
+        want = denormalize(np.array(oracle), norm)
         np.testing.assert_allclose(quant_column, want, rtol=0, atol=1e-9)
 
     def test_zero_sigma_seeds_zero_variance(self, trained, tmp_path, capsys):
@@ -327,13 +384,10 @@ class TestConfigFile:
 
 
 def test_console_entry_point(tmp_path):
-    # the child imports the same xbarlstm as this process, installed or not
-    package_root = str(Path(xbarlstm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "xbarlstm.cli", "train", "--epochs", "2",
          "--out-dir", str(tmp_path / "run")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run" / WEIGHTS_FILE).exists()

@@ -1,20 +1,15 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import (
-    Dims,
-    LstmParams,
-    LstmState,
-    OutputLayer,
-    dense_output,
-    forward_sequence,
-    lstm_step,
-    sigmoid,
-    tanh,
-)
+from xbarlstm.core import Dims, LstmParams, OutputLayer, lstm_cell, sigmoid
+from xbarlstm.data import WindowedSeries
+from xbarlstm.kernels import crossbar_unroll
+from xbarlstm.training import batch_predictions
 
-from _oracles import dot_loop, lstm_step_loops
+from _oracles import dot_loop, lstm_step_loops, sequence_predictions_loop, sigmoid_scalar
 
 
 def random_params(rng, n_inputs, n_hidden, scale=1.0):
@@ -25,12 +20,25 @@ def random_params(rng, n_inputs, n_hidden, scale=1.0):
     )
 
 
+def cell_step(params, x, h_prev, C_prev):
+    """One step of the one cell: drive the grid rows with [x, h_prev, 1]."""
+    return lstm_cell(np.concatenate([x, h_prev, [1.0]]) @ params.grid(), C_prev)
+
+
+def oracle_step(params, x, h_prev, C_prev):
+    return lstm_step_loops(params.W.tolist(), params.U.tolist(), params.b.tolist(),
+                           list(x), list(h_prev), list(C_prev))
+
+
 class TestActivations:
     def test_sigmoid_at_zero(self):
         assert sigmoid(0.0) == 0.5
 
     def test_tanh_at_zero(self):
-        assert tanh(0.0) == 0.0
+        # the candidate column of the cell is the tanh one
+        acts, _, _ = lstm_cell(np.zeros(4), np.zeros(1))
+        assert acts[2] == 0.0
+        npt.assert_array_equal(acts[[0, 1, 3]], 0.5)
 
     def test_sigmoid_symmetry(self):
         xs = np.linspace(-20, 20, 101)
@@ -39,33 +47,34 @@ class TestActivations:
     def test_saturation_is_graceful(self):
         assert sigmoid(1e4) == 1.0
         assert sigmoid(-1e4) == 0.0
-        assert tanh(1e4) == 1.0
 
     def test_monotone(self):
         xs = np.linspace(-6, 6, 200)
         assert np.all(np.diff(sigmoid(xs)) > 0)
-        assert np.all(np.diff(tanh(xs)) > 0)
+
+    def test_edge_values_match_scalar_oracle(self):
+        edges = [0.0, 5e-324, 1e-300, 36.7, 710.0, 745.2, math.inf]
+        xs = np.array(edges + [-x for x in edges] + [math.nan])
+        npt.assert_allclose(sigmoid(xs), [sigmoid_scalar(x) for x in xs], rtol=1e-15, atol=0)
 
 
 class TestLstmStep:
     def test_zero_params_zero_state(self):
-        dims = Dims(1, 4)
-        params = LstmParams.zeros(dims)
-        gates, state = lstm_step(params, np.array([0.37]), LstmState.zeros(dims))
-        npt.assert_array_equal(gates.i, 0.5)
-        npt.assert_array_equal(gates.f, 0.5)
-        npt.assert_array_equal(gates.o, 0.5)
-        npt.assert_array_equal(gates.c_tilde, 0.0)
-        npt.assert_array_equal(state.h, 0.0)
-        npt.assert_array_equal(state.C, 0.0)
+        params = LstmParams.zeros(Dims(1, 4))
+        acts, C, h = cell_step(params, [0.37], np.zeros(4), np.zeros(4))
+        i, f, c_tilde, o = acts.reshape(4, 4)
+        npt.assert_array_equal(i, 0.5)
+        npt.assert_array_equal(f, 0.5)
+        npt.assert_array_equal(o, 0.5)
+        npt.assert_array_equal(c_tilde, 0.0)
+        npt.assert_array_equal(h, 0.0)
+        npt.assert_array_equal(C, 0.0)
 
     def test_zero_params_nonzero_cell(self):
-        dims = Dims(1, 3)
-        params = LstmParams.zeros(dims)
-        prev = LstmState(np.zeros(3), np.ones(3))
-        _, state = lstm_step(params, np.array([2.0]), prev)
-        npt.assert_allclose(state.C, 0.5, rtol=0, atol=0)
-        npt.assert_allclose(state.h, 0.5 * np.tanh(0.5), rtol=0, atol=1e-16)
+        params = LstmParams.zeros(Dims(1, 3))
+        _, C, h = cell_step(params, [2.0], np.zeros(3), np.ones(3))
+        npt.assert_allclose(C, 0.5, rtol=0, atol=0)
+        npt.assert_allclose(h, 0.5 * np.tanh(0.5), rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_loop_oracle(self, seed):
@@ -73,133 +82,115 @@ class TestLstmStep:
         n_inputs, n_hidden = 1, 4
         params = random_params(rng, n_inputs, n_hidden)
         x = rng.uniform(-1, 1, n_inputs)
-        prev = LstmState(rng.uniform(-0.9, 0.9, n_hidden), rng.uniform(-2, 2, n_hidden))
-        gates, state = lstm_step(params, x, prev)
-        i, f, c_tilde, o, h, C = lstm_step_loops(
-            params.W.tolist(), params.U.tolist(), params.b.tolist(),
-            x.tolist(), prev.h.tolist(), prev.C.tolist(),
-        )
-        npt.assert_allclose(gates.i, i, rtol=0, atol=1e-12)
-        npt.assert_allclose(gates.f, f, rtol=0, atol=1e-12)
-        npt.assert_allclose(gates.c_tilde, c_tilde, rtol=0, atol=1e-12)
-        npt.assert_allclose(gates.o, o, rtol=0, atol=1e-12)
-        npt.assert_allclose(state.h, h, rtol=0, atol=1e-12)
-        npt.assert_allclose(state.C, C, rtol=0, atol=1e-12)
+        h_prev, C_prev = rng.uniform(-0.9, 0.9, n_hidden), rng.uniform(-2, 2, n_hidden)
+        acts, C, h = cell_step(params, x, h_prev, C_prev)
+        i, f, c_tilde, o, want_h, want_C = oracle_step(params, x, h_prev, C_prev)
+        npt.assert_allclose(acts, i + f + c_tilde + o, rtol=0, atol=1e-12)
+        npt.assert_allclose(h, want_h, rtol=0, atol=1e-12)
+        npt.assert_allclose(C, want_C, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_inputs,n_hidden", [(2, 3), (3, 8), (5, 2)])
     def test_oracle_agreement_other_dims(self, n_inputs, n_hidden):
         rng = np.random.default_rng(n_inputs * 100 + n_hidden)
         params = random_params(rng, n_inputs, n_hidden)
         x = rng.uniform(-1, 1, n_inputs)
-        prev = LstmState(rng.uniform(-0.9, 0.9, n_hidden), rng.uniform(-2, 2, n_hidden))
-        _, state = lstm_step(params, x, prev)
-        _, _, _, _, h, C = lstm_step_loops(
-            params.W.tolist(), params.U.tolist(), params.b.tolist(),
-            x.tolist(), prev.h.tolist(), prev.C.tolist(),
-        )
-        npt.assert_allclose(state.h, h, rtol=0, atol=1e-12)
-        npt.assert_allclose(state.C, C, rtol=0, atol=1e-12)
+        h_prev, C_prev = rng.uniform(-0.9, 0.9, n_hidden), rng.uniform(-2, 2, n_hidden)
+        _, C, h = cell_step(params, x, h_prev, C_prev)
+        _, _, _, _, want_h, want_C = oracle_step(params, x, h_prev, C_prev)
+        npt.assert_allclose(h, want_h, rtol=0, atol=1e-12)
+        npt.assert_allclose(C, want_C, rtol=0, atol=1e-12)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             params = random_params(rng, 1, 4, scale=3.0)
             x = rng.uniform(-5, 5, 1)
-            prev = LstmState(rng.uniform(-0.99, 0.99, 4), rng.uniform(-3, 3, 4))
-            gates, state = lstm_step(params, x, prev)
-            assert np.all((gates.i > 0) & (gates.i < 1))
-            assert np.all((gates.f > 0) & (gates.f < 1))
-            assert np.all((gates.o > 0) & (gates.o < 1))
-            assert np.all((gates.c_tilde > -1) & (gates.c_tilde < 1))
-            assert np.all(np.abs(state.h) < 1)
-            assert np.all(np.abs(state.C) <= np.abs(prev.C) + 1)
-
-    def test_shape_mismatch_names_operand(self):
-        dims = Dims(2, 4)
-        params = LstmParams.zeros(dims)
-        with pytest.raises(ValueError, match="x_t"):
-            lstm_step(params, np.zeros(3), LstmState.zeros(dims))
-        with pytest.raises(ValueError, match="prev.h"):
-            lstm_step(params, np.zeros(2), LstmState(np.zeros(5), np.zeros(5)))
+            C_prev = rng.uniform(-3, 3, 4)
+            acts, C, h = cell_step(params, x, rng.uniform(-0.99, 0.99, 4), C_prev)
+            i, f, c_tilde, o = acts.reshape(4, 4)
+            assert np.all((i > 0) & (i < 1))
+            assert np.all((f > 0) & (f < 1))
+            assert np.all((o > 0) & (o < 1))
+            assert np.all((c_tilde > -1) & (c_tilde < 1))
+            assert np.all(np.abs(h) < 1)
+            assert np.all(np.abs(C) <= np.abs(C_prev) + 1)
 
 
 class TestDenseOutput:
+    """The affine readout w_out . h + b_out that every forward applies."""
+
     def test_bias_passthrough(self):
-        out = OutputLayer(np.zeros(4), 0.7)
-        assert dense_output(np.zeros(4), out) == 0.7
+        # zero weights keep h at 0, so only the bias reaches the prediction
+        windows = WindowedSeries(np.full((3, 2), 0.4), np.zeros(3), 2)
+        preds = batch_predictions(LstmParams.zeros(Dims(1, 4)), OutputLayer(np.ones(4), 0.7), windows)
+        npt.assert_array_equal(preds, 0.7)
 
     def test_selector(self):
-        out = OutputLayer(np.array([1.0, 0, 0, 0]), 0.0)
-        assert dense_output(np.array([0.3, 0.9, -0.5, 0.1]), out) == 0.3
+        rng = np.random.default_rng(1)
+        params = random_params(rng, 1, 4)
+        windows = WindowedSeries(rng.uniform(0, 1, (5, 3)), np.zeros(5), 3)
+        h, *_ = crossbar_unroll(params.grid(), windows.x[:, :, None])
+        preds = batch_predictions(params, OutputLayer(np.array([1.0, 0, 0, 0]), 0.0), windows)
+        npt.assert_array_equal(preds, h[-1, :, 0])
 
     def test_matches_loop_dot(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            w = rng.uniform(-1, 1, 6)
-            h = rng.uniform(-1, 1, 6)
-            b = rng.uniform(-1, 1)
-            got = dense_output(h, OutputLayer(w, b))
-            want = dot_loop(w.tolist(), h.tolist()) + b
-            assert abs(got - want) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="w_out"):
-            dense_output(np.zeros(3), OutputLayer(np.zeros(4), 0.0))
+            params = random_params(rng, 1, 6)
+            out = OutputLayer(rng.uniform(-1, 1, 6), rng.uniform(-1, 1))
+            windows = WindowedSeries(rng.uniform(0, 1, (4, 2)), np.zeros(4), 2)
+            h, *_ = crossbar_unroll(params.grid(), windows.x[:, :, None])
+            got = batch_predictions(params, out, windows)
+            want = [dot_loop(out.w_out.tolist(), h[-1, s].tolist()) + out.b_out for s in range(4)]
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestForwardSequence:
-    def test_empty_sequence(self):
-        dims = Dims(1, 4)
-        params = LstmParams.zeros(dims)
-        out = OutputLayer(np.ones(4), 0.25)
-        initial = LstmState(np.full(4, 0.1), np.full(4, -0.2))
-        preds, final = forward_sequence(params, out, [], initial)
-        assert preds == []
-        npt.assert_array_equal(final.h, initial.h)
-        npt.assert_array_equal(final.C, initial.C)
+    """The float path over a sequence: the one unroll on params.grid()."""
 
     def test_single_step_is_step_plus_dense(self):
         rng = np.random.default_rng(3)
         params = random_params(rng, 1, 4)
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         x = rng.uniform(-1, 1, 1)
-        preds, final = forward_sequence(params, out, [x])
-        _, state = lstm_step(params, x, LstmState.zeros(Dims(1, 4)))
-        assert preds == [dense_output(state.h, out)]
-        npt.assert_array_equal(final.h, state.h)
+        h, _, _, C = crossbar_unroll(params.grid(), x[None, None, :])
+        _, _, _, _, want_h, want_C = oracle_step(params, x, [0.0] * 4, [0.0] * 4)
+        npt.assert_allclose(h[0, 0], want_h, rtol=0, atol=1e-12)
+        npt.assert_allclose(C[0, 0], want_C, rtol=0, atol=1e-12)
+        want = dot_loop(out.w_out.tolist(), want_h) + out.b_out
+        assert h[0, 0] @ out.w_out + out.b_out == pytest.approx(want, abs=1e-12)
 
     def test_two_steps_equal_manual_chaining(self):
         rng = np.random.default_rng(11)
         params = random_params(rng, 2, 3)
         out = OutputLayer(rng.uniform(-1, 1, 3), 0.1)
-        xs = [rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)]
-        preds, final = forward_sequence(params, out, xs)
-        state = LstmState.zeros(Dims(2, 3))
-        _, state = lstm_step(params, xs[0], state)
-        p0 = dense_output(state.h, out)
-        _, state = lstm_step(params, xs[1], state)
-        p1 = dense_output(state.h, out)
-        assert preds == [p0, p1]
-        npt.assert_array_equal(final.C, state.C)
+        xs = rng.uniform(-1, 1, (2, 2))
+        h, _, _, C = crossbar_unroll(params.grid(), xs[None])
+        state = ([0.0] * 3, [0.0] * 3)
+        for t in range(2):
+            *_, want_h, want_C = oracle_step(params, xs[t], *state)
+            state = (want_h, want_C)
+            npt.assert_allclose(h[t, 0], want_h, rtol=0, atol=1e-12)
+            npt.assert_allclose(C[t, 0], want_C, rtol=0, atol=1e-12)
+        want = sequence_predictions_loop(params.W.tolist(), params.U.tolist(), params.b.tolist(),
+                                         out.w_out.tolist(), out.b_out, xs.tolist())
+        npt.assert_allclose(h[:, 0] @ out.w_out + out.b_out, want, rtol=0, atol=1e-12)
 
     def test_zero_fixed_point(self):
-        dims = Dims(1, 4)
-        params = LstmParams.zeros(dims)
-        out = OutputLayer(np.zeros(4), 0.0)
+        params = LstmParams.zeros(Dims(1, 4))
         rng = np.random.default_rng(5)
-        preds, final = forward_sequence(params, out, rng.uniform(-9, 9, (12, 1)))
-        assert preds == [0.0] * 12
-        npt.assert_array_equal(final.h, 0.0)
-        npt.assert_array_equal(final.C, 0.0)
+        h, _, _, C = crossbar_unroll(params.grid(), rng.uniform(-9, 9, (1, 12, 1)))
+        npt.assert_array_equal(h, 0.0)
+        npt.assert_array_equal(C, 0.0)
 
     def test_stateless_between_calls(self):
         rng = np.random.default_rng(9)
         params = random_params(rng, 1, 4)
-        out = OutputLayer(rng.uniform(-1, 1, 4), 0.0)
-        xs = rng.uniform(-1, 1, (5, 1))
-        a, _ = forward_sequence(params, out, xs)
-        b, _ = forward_sequence(params, out, xs)
-        assert a == b
+        xs = rng.uniform(-1, 1, (1, 5, 1))
+        a = crossbar_unroll(params.grid(), xs)
+        b = crossbar_unroll(params.grid(), xs)
+        for x, y in zip(a, b):
+            npt.assert_array_equal(x, y)
 
 
 class TestValidation:

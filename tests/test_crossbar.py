@@ -6,14 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import Dims, LstmParams, LstmState, OutputLayer, forward_sequence, lstm_step
+from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     CrossbarConfig,
     LevelSet,
     build_level_set,
-    crossbar_dot,
     crossbar_forward,
-    crossbar_lstm_step,
     crossbar_window_predictions,
     map_weight_to_pair,
     program_crossbar,
@@ -24,8 +22,15 @@ from xbarlstm.crossbar import (
     write_program,
 )
 from xbarlstm.data import WindowedSeries
+from xbarlstm.kernels import crossbar_unroll
 
-from _oracles import dot_loop, nearest_level_exhaustive
+from _oracles import (
+    crossbar_unroll_loop,
+    dot_loop,
+    lstm_step_loops,
+    nearest_level_exhaustive,
+    sequence_predictions_loop,
+)
 
 
 def random_params(seed, n_inputs=1, n_hidden=4):
@@ -236,12 +241,23 @@ class TestProgramCrossbar:
             npt.assert_array_equal(got.g_minus, want.g_minus)
 
 
+def oracle_predictions(params, out, xs):
+    """Per-step predictions of the scalar loop oracle on params."""
+    return sequence_predictions_loop(params.W.tolist(), params.U.tolist(), params.b.tolist(),
+                                     out.w_out.tolist(), out.b_out, np.asarray(xs).tolist())
+
+
 class TestCrossbarDot:
+    """Column reads of the programmed grid, as the unroll returns them."""
+
     def test_zero_inputs_zero_output(self):
         program = program_crossbar(random_params(6), CrossbarConfig())
-        for gate in "ifco":
-            for unit in range(4):
-                assert crossbar_dot(program, np.zeros(6), gate, unit) == 0.0
+        # with x and h at zero, only the bias row drives the columns
+        _, reads, _, _ = crossbar_unroll(program.grid(), np.zeros((1, 1, 1)))
+        npt.assert_array_equal(reads[0, 0], program.grid()[-1])
+        program = program_crossbar(LstmParams.zeros(Dims(1, 4)), CrossbarConfig())
+        _, reads, _, _ = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.8))
+        npt.assert_array_equal(reads, 0.0)
 
     def test_matches_reconstructed_dot_product(self):
         cfg = CrossbarConfig()
@@ -249,60 +265,57 @@ class TestCrossbarDot:
         program = program_crossbar(params, cfg)
         recon = reconstruct_weights(program)
         rng = np.random.default_rng(0)
-        v = np.concatenate([rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 4), [1.0]])
-        for g, gate in enumerate("ifco"):
-            for unit in range(4):
-                column_weights = np.concatenate([recon.W[g][:, unit], recon.U[g][:, unit], [recon.b[g][unit]]])
-                want = dot_loop(v.tolist(), column_weights.tolist())
-                assert crossbar_dot(program, v, gate, unit) == pytest.approx(want, abs=1e-12)
+        X = rng.uniform(-1, 1, (1, 2, 1))
+        h, reads, _, _ = crossbar_unroll(program.grid(), X)
+        # step 0 drives [x, 0, 1]; step 1 drives [x, h_0, 1]
+        for t, h_prev in ((0, np.zeros(4)), (1, h[0, 0])):
+            v = np.concatenate([X[0, t], h_prev, [1.0]])
+            for g in range(4):
+                for unit in range(4):
+                    column_weights = np.concatenate([recon.W[g][:, unit], recon.U[g][:, unit], [recon.b[g][unit]]])
+                    want = dot_loop(v.tolist(), column_weights.tolist())
+                    assert reads[t, 0, g * 4 + unit] == pytest.approx(want, abs=1e-12)
 
     def test_read_noise_reproducible(self):
         cfg = CrossbarConfig(read_noise_sigma=0.02, seed=3)
-        program = program_crossbar(random_params(8), cfg)
-        v = np.array([0.4, 0.1, -0.2, 0.3, 0.0, 1.0])
-        a = crossbar_dot(program, v, "c", 1, rng=np.random.default_rng(5))
-        b = crossbar_dot(program, v, "c", 1, rng=np.random.default_rng(5))
-        c = crossbar_dot(program, v, "c", 1, rng=np.random.default_rng(6))
-        clean = crossbar_dot(program, v, "c", 1)
-        assert a == b
-        assert a != c
-        assert a != clean
+        params = random_params(8)
+        program = program_crossbar(params, cfg)
+        out = OutputLayer(np.array([0.4, 0.1, -0.2, 0.3]), 0.0)
+        windows = WindowedSeries(np.random.default_rng(1).uniform(0, 1, (5, 2)), np.zeros(5), 2)
+        a = crossbar_window_predictions(program, out, windows)
+        b = crossbar_window_predictions(program, out, windows)
+        c = crossbar_window_predictions(program.with_seed(6), out, windows)
+        clean = crossbar_window_predictions(program_crossbar(params, replace(cfg, read_noise_sigma=0.0)), out, windows)
+        npt.assert_array_equal(a, b)
+        assert np.all(a != c)
+        assert np.all(a != clean)
 
     def test_noise_mean_converges_to_clean_value(self):
         cfg = CrossbarConfig(read_noise_sigma=0.01, seed=0)
-        program = program_crossbar(random_params(9), cfg)
-        v = np.array([0.8, 0.2, -0.4, 0.6, -0.1, 1.0])
-        clean = crossbar_dot(program, v, "o", 2)
+        params = random_params(9)
+        program = program_crossbar(params, cfg)
+        out = OutputLayer(np.array([0.0, 0.0, 1.0, 0.0]), 0.0)
+        # 10,000 copies of one window, each read with its own noise draws
+        windows = WindowedSeries(np.full((10_000, 1), 0.8), np.zeros(10_000), 1)
+        clean = crossbar_window_predictions(program_crossbar(params, replace(cfg, read_noise_sigma=0.0)),
+                                            out, windows)[0]
+        samples = crossbar_window_predictions(program, out, windows)
         assert abs(clean) > 0.05
-        samples = np.array([
-            crossbar_dot(program, v, "o", 2, rng=np.random.default_rng(seed))
-            for seed in range(10_000)
-        ])
+        assert samples.std() > 0
         assert abs(samples.mean() - clean) < 0.01 * abs(clean)
-
-    def test_bad_gate_and_unit(self):
-        program = program_crossbar(random_params(10), CrossbarConfig())
-        v = np.zeros(6)
-        with pytest.raises(ValueError, match="gate"):
-            crossbar_dot(program, v, "z", 0)
-        with pytest.raises(ValueError, match="unit"):
-            crossbar_dot(program, v, "i", 4)
-        with pytest.raises(ValueError, match="input_voltages"):
-            crossbar_dot(program, np.zeros(5), "i", 0)
 
 
 class TestCrossbarStep:
     def test_zero_program_matches_core_zero_case(self):
-        dims = Dims(1, 4)
-        cfg = CrossbarConfig()
-        program = program_crossbar(LstmParams.zeros(dims), cfg)
-        gates, state, trace = crossbar_lstm_step(program, [0.7], LstmState.zeros(dims))
-        npt.assert_array_equal(gates.i, 0.5)
-        npt.assert_array_equal(gates.f, 0.5)
-        npt.assert_array_equal(gates.o, 0.5)
-        npt.assert_array_equal(gates.c_tilde, 0.0)
-        npt.assert_array_equal(state.h, 0.0)
-        npt.assert_array_equal(state.C, 0.0)
+        program = program_crossbar(LstmParams.zeros(Dims(1, 4)), CrossbarConfig())
+        h, _, acts, C = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.7))
+        i, f, c_tilde, o = acts[0, 0].reshape(4, 4)
+        npt.assert_array_equal(i, 0.5)
+        npt.assert_array_equal(f, 0.5)
+        npt.assert_array_equal(o, 0.5)
+        npt.assert_array_equal(c_tilde, 0.0)
+        npt.assert_array_equal(h, 0.0)
+        npt.assert_array_equal(C, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_core_step_on_reconstructed_weights(self, seed):
@@ -311,25 +324,15 @@ class TestCrossbarStep:
         program = program_crossbar(params, cfg)
         recon = reconstruct_weights(program)
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-1, 1, 1)
-        prev = LstmState(rng.uniform(-0.9, 0.9, 4), rng.uniform(-1, 1, 4))
-        got_gates, got_state, _ = crossbar_lstm_step(program, x, prev)
-        want_gates, want_state = lstm_step(recon, x, prev)
-        npt.assert_allclose(got_gates.i, want_gates.i, rtol=0, atol=1e-9)
-        npt.assert_allclose(got_gates.f, want_gates.f, rtol=0, atol=1e-9)
-        npt.assert_allclose(got_gates.c_tilde, want_gates.c_tilde, rtol=0, atol=1e-9)
-        npt.assert_allclose(got_gates.o, want_gates.o, rtol=0, atol=1e-9)
-        npt.assert_allclose(got_state.h, want_state.h, rtol=0, atol=1e-9)
-        npt.assert_allclose(got_state.C, want_state.C, rtol=0, atol=1e-9)
-
-    def test_schedule(self):
-        cfg = CrossbarConfig()
-        program = program_crossbar(random_params(11), cfg)
-        _, _, trace = crossbar_lstm_step(program, [0.2], LstmState.zeros(Dims(1, 4)))
-        assert len(trace) == 4 * 4
-        seen = {(r.unit, r.gate) for r in trace}
-        assert len(seen) == 16  # no column read twice within a step
-        assert [r.cycle for r in trace] == sorted(r.cycle for r in trace)
+        xs = rng.uniform(-1, 1, (3, 1))
+        h, _, acts, C = crossbar_unroll(program.grid(), xs[None])
+        state = ([0.0] * 4, [0.0] * 4)
+        for t in range(3):
+            i, f, c_tilde, o, *state = lstm_step_loops(recon.W.tolist(), recon.U.tolist(), recon.b.tolist(),
+                                                       xs[t].tolist(), *state)
+            npt.assert_allclose(acts[t, 0], i + f + c_tilde + o, rtol=0, atol=1e-9)
+            npt.assert_allclose(h[t, 0], state[0], rtol=0, atol=1e-9)
+            npt.assert_allclose(C[t, 0], state[1], rtol=0, atol=1e-9)
 
 
 class TestCrossbarForward:
@@ -349,8 +352,7 @@ class TestCrossbarForward:
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         xs = rng.uniform(-1, 1, (15, 1))
         got = crossbar_forward(program, out, xs)
-        want, _ = forward_sequence(recon, out, xs)
-        npt.assert_allclose(got, want, rtol=0, atol=1e-9)
+        npt.assert_allclose(got, oracle_predictions(recon, out, xs), rtol=0, atol=1e-9)
 
     def test_quantized_output_layer_changes_only_that_stage(self):
         cfg = CrossbarConfig()
@@ -364,7 +366,7 @@ class TestCrossbarForward:
         )
         xs = rng.uniform(-1, 1, (10, 1))
         plain = crossbar_forward(program, out, xs)
-        quantized = crossbar_forward(program, quantize_output_layer(out, cfg.levels), xs)
+        quantized = crossbar_forward(program, quantize_output_layer(out, cfg.levels)[0], xs)
         explicit = crossbar_forward(program, out_q, xs)
         npt.assert_allclose(quantized, explicit, rtol=0, atol=1e-15)
         assert not np.allclose(plain, quantized, atol=1e-12)
@@ -382,21 +384,30 @@ class TestCrossbarForward:
         assert one != other
 
     def test_noisy_forward_equals_chained_steps(self):
-        from xbarlstm.crossbar import _read_rng
-
-        cfg = CrossbarConfig(read_noise_sigma=0.03, seed=5)
         params = random_params(32)
-        program = program_crossbar(params, cfg)
         out = OutputLayer(np.array([0.3, -0.2, 0.5, 0.1]), 0.05)
-        xs = np.random.default_rng(3).uniform(-1, 1, (6, 1))
-        preds = crossbar_forward(program, out, xs)
-        rng = _read_rng(cfg)
-        state = LstmState.zeros(Dims(1, 4))
-        manual = []
-        for x in xs:
-            _, state, _ = crossbar_lstm_step(program, x, state, rng=rng)
-            manual.append(float(state.h @ out.w_out + out.b_out))
-        npt.assert_allclose(preds, manual, rtol=0, atol=1e-12)
+        rng = np.random.default_rng(3)
+        windows = WindowedSeries(rng.uniform(-1, 1, (3, 6)), np.zeros(3), 6)
+        B, T, M = 3, 6, 4
+        for level_variation in (0.0, 0.04):
+            cfg = CrossbarConfig(read_noise_sigma=0.03, level_variation_sigma=level_variation, seed=5)
+            program = program_crossbar(params, cfg)
+            preds = crossbar_window_predictions(program, out, windows)
+            # the read stream is the second child of the seed, one draw per
+            # read in (window, step, cycle, gate) order
+            read_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+            noise = np.empty((B, T, 4 * M))
+            for b in range(B):
+                for t in range(T):
+                    for unit in range(M):
+                        for gate in range(4):
+                            noise[b, t, gate * M + unit] = 0.03 * read_rng.standard_normal()
+            g = cfg.levels.conductances
+            g_plus = g[program.level_plus] if program.g_plus is None else program.g_plus
+            g_minus = g[program.level_minus] if program.g_minus is None else program.g_minus
+            h, _ = crossbar_unroll_loop(g_plus, g_minus, cfg.levels.k_scale, windows.x[:, :, None], noise)
+            manual = [dot_loop(out.w_out.tolist(), h[b, -1].tolist()) + out.b_out for b in range(B)]
+            npt.assert_allclose(preds, manual, rtol=0, atol=1e-12)
 
     def test_level_variation_shifts_predictions_deterministically(self):
         params = random_params(33)
@@ -418,9 +429,12 @@ class TestCrossbarForward:
         rng = np.random.default_rng(6)
         windows = WindowedSeries(rng.uniform(0, 1, (9, 3)), rng.uniform(0, 1, 9), 3)
         batch = crossbar_window_predictions(program, out, windows)
+        recon = reconstruct_weights(program)
         for k in range(9):
             preds = crossbar_forward(program, out, windows.x[k][:, None])
-            assert batch[k] == pytest.approx(preds[-1], abs=1e-12)
+            want = oracle_predictions(recon, out, windows.x[k])[-1]
+            assert batch[k] == pytest.approx(want, abs=1e-12)
+            assert preds[-1] == pytest.approx(want, abs=1e-12)
 
 
 class TestProgramFile:

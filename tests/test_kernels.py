@@ -5,12 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from xbarlstm import kernels
-from xbarlstm.core import LstmParams, OutputLayer, forward_sequence
+from xbarlstm.core import LstmParams
 
 from _oracles import (
     batch_loss_and_grads_loop,
     batch_mse_loops,
     crossbar_unroll_loop,
+    sequence_predictions_loop,
     window_last_prediction,
 )
 
@@ -80,12 +81,11 @@ def test_predictions_match_scalar_oracle():
 
 def test_predictions_match_forward_sequence():
     W, U, b, w_out, b_out, X, _ = random_case(6, B=5, T=4, N=3, M=2)
-    params = LstmParams(W, U, b)
-    out = OutputLayer(w_out, b_out)
-    got = last_predictions(W, U, b, w_out, b_out, X)
+    h, *_ = kernels.crossbar_unroll(LstmParams(W, U, b).grid(), X)
+    got = h @ w_out + b_out  # every step's prediction, [T, B]
     for s in range(5):
-        preds, _ = forward_sequence(params, out, X[s])
-        assert abs(got[s] - preds[-1]) < 1e-12
+        want = sequence_predictions_loop(W.tolist(), U.tolist(), b.tolist(), w_out.tolist(), b_out, X[s].tolist())
+        npt.assert_allclose(got[:, s], want, rtol=0, atol=1e-12)
 
 
 def test_loss_matches_scalar_oracle():

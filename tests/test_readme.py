@@ -12,3 +12,4 @@ def test_library_use_example_runs():
     namespace = {}
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
     assert len(namespace["preds"]) == 1 and namespace["preds"] != namespace["other"]
+    assert namespace["n_clamped"] == 0  # training keeps every weight in [-1, 1]
