@@ -2,12 +2,15 @@
 
 Every command reads an optional flat ``key = value`` config file plus
 command-line overrides of the same names, runs deterministically for a
-fixed (config, seed), and exits nonzero on any validation failure. See
+fixed (config, seed), and exits nonzero on any validation failure. The
+fields of RunConfig are the one key table: one flag each, one coercion for
+flag and file values, one check by the config that owns the key. See
 README for the key reference and the produced files.
 """
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,42 +74,35 @@ class RunConfig:
             raise ValueError(f"noise_seeds must be >= 1, got {self.noise_seeds}")
         if self.hidden_units < 1:
             raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        self.train_config()
+        self.crossbar_config()
 
     @property
     def dims(self) -> Dims:
         return Dims(1, self.hidden_units)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, learning_rate=self.learning_rate, optimizer=self.optimizer,
-            beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            clamp_low=self.clamp_low, clamp_high=self.clamp_high,
-            seed=self.seed, shuffle=self.shuffle,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
 
     def crossbar_config(self) -> CrossbarConfig:
-        return CrossbarConfig(
-            levels=build_level_set(self.spacing),
-            read_noise_sigma=self.read_noise,
-            level_variation_sigma=self.level_variation,
-            seed=self.seed,
-        )
+        return CrossbarConfig(build_level_set(self.spacing), read_noise_sigma=self.read_noise,
+                              level_variation_sigma=self.level_variation, seed=self.seed)
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(field: dataclasses.Field, raw: str):
-    if field.type == "bool" or field.type is bool:
-        word = raw.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"key {field.name!r}: expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[word]
-    if field.type == "int" or field.type is int:
-        return int(raw)
-    if field.type == "float" or field.type is float:
-        return float(raw)
-    return raw.strip()
+    """A flag or config-file string as the field's type; errors name the key."""
+    try:
+        if field.type is bool:
+            word = raw.strip().lower()
+            if word not in _BOOL_WORDS:
+                raise ValueError(f"expected a boolean, got {raw!r}")
+            return _BOOL_WORDS[word]
+        return field.type(raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"key {field.name!r}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -136,9 +132,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         values.update(parse_config_file(args.config))
     for f in dataclasses.fields(RunConfig):
-        override = getattr(args, f.name, None)
+        override = getattr(args, f.name)
         if override is not None:
-            values[f.name] = override
+            values[f.name] = override if isinstance(override, bool) else _coerce(f, override)
     return RunConfig(**values)
 
 
@@ -169,10 +165,10 @@ def _write_text(path: Path, lines) -> None:
 
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
 
     params, out, history = train(cfg.dims, train_part, cfg.train_config())
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_weights(params, out, out_dir / WEIGHTS_FILE)
     _write_text(out_dir / LOSS_FILE, [f"{epoch + 1} {_fmt(loss)}" for epoch, loss in enumerate(history)])
 
@@ -226,11 +222,11 @@ def _warn_clamped(n_weights: int, n_output: int) -> None:
 
 def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, out = read_weights(weights_path)
     xbar_cfg = cfg.crossbar_config()
 
     program = program_crossbar(params, xbar_cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_program(program, out_dir / PROGRAM_FILE)
 
     quantized = reconstruct_weights(program)
@@ -277,15 +273,13 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     included, else from the weights and cfg; each sweep seed re-draws it
     from the same level map."""
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, out = read_weights(weights_path)
-    xbar_cfg = cfg.crossbar_config()  # validated even where the program header overrides it
     if program_path is not None:
         program = read_program(program_path)
         if program.dims != params.dims:
-            raise ValueError(f"program dims {program.dims} do not match weights dims {params.dims}")
+            raise ValueError(f"{program_path}: program dims {program.dims} do not match weights dims {params.dims}")
     else:
-        program = program_crossbar(params, xbar_cfg)
+        program = program_crossbar(params, cfg.crossbar_config())
     device = program.cfg
     xbar_out, n_out_clamped = quantize_output_layer(out, device.levels) if cfg.quantize_output_layer else (out, 0)
 
@@ -338,21 +332,17 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
             ))
 
     lines = _report_lines(pairs, cfg.report)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / EVAL_REPORT_FILE, lines)
     _warn_clamped(program.n_clamped, n_out_clamped)
     print("\n".join(lines))
 
-    # full-precision prediction dump over the whole series, for plot-data
-    look = cfg.look_back
+    # full-precision prediction dump over the whole series, for plot-data;
+    # the first look_back points have no prediction
+    pad = np.full(cfg.look_back, np.nan)
+    columns = zip(series.values, *(np.concatenate([pad, denormalize(p, norm)]) for p in (float_preds, xbar_preds)))
     rows = ["time_index,actual,prediction_float,prediction_quantized"]
-    denorm_float = denormalize(float_preds, norm)
-    denorm_xbar = denormalize(xbar_preds, norm)
-    for t in range(len(series)):
-        if t < look:
-            rows.append(f"{t},{_fmt(series.values[t])},nan,nan")
-        else:
-            k = t - look
-            rows.append(f"{t},{_fmt(series.values[t])},{_fmt(denorm_float[k])},{_fmt(denorm_xbar[k])}")
+    rows += [f"{t},{_fmt(v)},{_fmt(f)},{_fmt(q)}" for t, (v, f, q) in enumerate(columns)]
     _write_text(out_dir / PREDICTIONS_FILE, rows)
     return 0
 
@@ -366,14 +356,14 @@ def cmd_plotdata(cfg: RunConfig) -> int:
             raise FileNotFoundError(f"missing run output {needed}; run `train` and `evaluate` first")
 
     pred_lines = predictions.read_text().splitlines()
-    _write_text(out_dir / PLOT_PREDICTIONS_FILE, pred_lines)
-
     loss_rows = ["epoch,loss"]
     for lineno, line in enumerate(losses.read_text().splitlines(), start=1):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{losses}: line {lineno}: expected 'epoch loss'")
         loss_rows.append(f"{parts[0]},{parts[1]}")
+
+    _write_text(out_dir / PLOT_PREDICTIONS_FILE, pred_lines)
     _write_text(out_dir / PLOT_LOSS_FILE, loss_rows)
 
     print(f"wrote {out_dir / PLOT_PREDICTIONS_FILE} ({len(pred_lines) - 1} rows)")
@@ -382,47 +372,35 @@ def cmd_plotdata(cfg: RunConfig) -> int:
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """--config plus one flag per RunConfig field, --<name with _ -> ->; values
+    stay strings until build_run_config coerces them like file values."""
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    parser.add_argument("--dataset", type=str, default=None)
-    parser.add_argument("--hidden-units", dest="hidden_units", type=int, default=None)
-    parser.add_argument("--look-back", dest="look_back", type=int, default=None)
-    parser.add_argument("--split", type=float, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    parser.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--spacing", choices=("uniform_conductance", "uniform_resistance"), default=None)
-    parser.add_argument("--read-noise", dest="read_noise", type=float, default=None)
-    parser.add_argument("--level-variation", dest="level_variation", type=float, default=None)
-    parser.add_argument("--noise-seeds", dest="noise_seeds", type=int, default=None)
-    parser.add_argument("--quantize-output-layer", dest="quantize_output_layer",
-                        action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-    parser.add_argument("--report", choices=("table", "delimited"), default=None)
+    for f in dataclasses.fields(RunConfig):
+        kind = {"action": argparse.BooleanOptionalAction} if f.type is bool else {"metavar": f.type.__name__.upper()}
+        parser.add_argument("--" + f.name.replace("_", "-"), default=None,
+                            help=f"default: {f.default}".replace("%", "%%"), **kind)
 
 
+@functools.cache  # one parser per process; one per main call would linger as cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xbarlstm",
         description="Train a small LSTM forecaster and evaluate it on a behavioral 16-level memristive crossbar.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train the model, write weights and loss history")
-    _add_override_flags(p_train)
-
-    p_quant = sub.add_parser("quantize", help="program weights onto the crossbar and report quantization error")
-    _add_override_flags(p_quant)
-    p_quant.add_argument("--weights", type=Path, default=None, help="weight file (default: <out-dir>/weights.txt)")
-
-    p_eval = sub.add_parser("evaluate", help="compare float and crossbar paths on the train/test splits")
-    _add_override_flags(p_eval)
-    p_eval.add_argument("--weights", type=Path, default=None, help="weight file (default: <out-dir>/weights.txt)")
-    p_eval.add_argument("--program", type=Path, default=None, help="crossbar program file (default: derive from weights)")
-
-    p_plot = sub.add_parser("plot-data", help="emit delimited prediction and loss curves from prior run outputs")
-    _add_override_flags(p_plot)
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("train", "train the model, write weights and loss history"),
+        ("quantize", "program weights onto the crossbar and report quantization error"),
+        ("evaluate", "compare float and crossbar paths on the train/test splits"),
+        ("plot-data", "emit delimited prediction and loss curves from prior run outputs"),
+    )}
+    for command in commands.values():
+        _add_override_flags(command)
+    for name in ("quantize", "evaluate"):
+        commands[name].add_argument("--weights", type=Path, default=None,
+                                    help="weight file (default: <out-dir>/weights.txt)")
+    commands["evaluate"].add_argument("--program", type=Path, default=None,
+                                      help="crossbar program file (default: derive from weights)")
     return parser
 
 
@@ -433,15 +411,12 @@ def main(argv=None) -> int:
         cfg = build_run_config(args)
         if args.command == "train":
             return cmd_train(cfg)
-        if args.command == "quantize":
-            weights = args.weights or Path(cfg.out_dir) / WEIGHTS_FILE
-            return cmd_quantize(cfg, weights)
-        if args.command == "evaluate":
-            weights = args.weights or Path(cfg.out_dir) / WEIGHTS_FILE
-            return cmd_evaluate(cfg, weights, args.program)
         if args.command == "plot-data":
             return cmd_plotdata(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        weights = args.weights or Path(cfg.out_dir) / WEIGHTS_FILE
+        if args.command == "quantize":
+            return cmd_quantize(cfg, weights)
+        return cmd_evaluate(cfg, weights, args.program)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -330,33 +330,51 @@ def write_program(program: CrossbarProgram, path) -> None:
 def read_program(path) -> CrossbarProgram:
     """Parse a program map file: every header field in write order, then the
     column lines. Perturbed conductances are re-derived from the recorded
-    seed and level_variation_sigma."""
+    seed and level_variation_sigma. A bad file raises ValueError naming the
+    file and the field."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+    try:
+        return _parse_program(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_program(lines) -> CrossbarProgram:
     if not lines or lines[0] != _PROGRAM_MAGIC:
-        raise ValueError(f"{path}: not a crossbar program file")
+        raise ValueError("not a crossbar program file")
     fields = [ln.partition(" ") for ln in lines[1 : 1 + len(_HEADER_KEYS)]]
     if tuple(key for key, _, _ in fields) != _HEADER_KEYS:
-        raise ValueError(f"{path}: header must hold the fields {', '.join(_HEADER_KEYS)} in that order")
+        raise ValueError(f"header must hold the fields {', '.join(_HEADER_KEYS)} in that order")
     header = {key: value for key, _, value in fields}
 
-    dims = Dims(int(header["n_inputs"]), int(header["n_hidden"]))
-    levels = build_level_set(header["spacing"])
-    stored = np.array([float(v) for v in header["levels_siemens"].split()])
-    if stored.shape != levels.conductances.shape or not np.array_equal(stored, levels.conductances):
-        raise ValueError(f"{path}: level table does not match spacing {header['spacing']!r}")
-    cfg = CrossbarConfig(levels, float(header["read_noise_sigma"]), float(header["level_variation_sigma"]),
-                         int(header["seed"]))
+    def number(key, kind=int):
+        try:
+            return kind(header[key])
+        except ValueError:
+            raise ValueError(f"{key} is not {'an integer' if kind is int else 'numeric'}: {header[key]!r}") from None
 
-    n_rows = int(header["rows"])
-    n_cols = int(header["logical_columns"])
+    dims = Dims(number("n_inputs"), number("n_hidden"))
+    levels = build_level_set(header["spacing"])
+    stored = number("levels_siemens", lambda raw: np.array(raw.split(), dtype=np.float64))
+    if not np.array_equal(stored, levels.conductances):
+        raise ValueError(f"level table does not match spacing {header['spacing']!r}")
+    cfg = CrossbarConfig(levels, number("read_noise_sigma", float), number("level_variation_sigma", float),
+                         number("seed"))
+
+    n_rows, n_cols, n_clamped = number("rows"), number("logical_columns"), number("n_clamped")
     if n_rows != dims.n_inputs + dims.n_hidden + 1 or n_cols != 4 * dims.n_hidden:
-        raise ValueError(f"{path}: header dimensions are inconsistent")
+        raise ValueError("header dimensions are inconsistent")
+    if not 0 <= n_clamped <= n_rows * n_cols:
+        raise ValueError(f"n_clamped must be in [0, {n_rows * n_cols}], got {n_clamped}")
     body = [ln.split() for ln in lines[1 + len(_HEADER_KEYS):]]
     if len(body) != 2 * n_cols or any(len(values) != n_rows for values in body):
-        raise ValueError(f"{path}: expected {2 * n_cols} column lines of {n_rows} level indices each")
-    idx = np.array(body, dtype=np.int64).reshape(n_cols, 2, n_rows)
+        raise ValueError(f"expected {2 * n_cols} column lines of {n_rows} level indices each")
+    try:
+        idx = np.array(body, dtype=np.int64).reshape(n_cols, 2, n_rows)
+    except (ValueError, OverflowError):
+        raise ValueError("level index is not an integer") from None
     if np.any((idx < 0) | (idx >= N_LEVELS)):
-        raise ValueError(f"{path}: level index out of range")
-    program = CrossbarProgram(dims, cfg, idx[:, 0].T, idx[:, 1].T, n_clamped=int(header["n_clamped"]))
+        raise ValueError("level index out of range")
+    program = CrossbarProgram(dims, cfg, idx[:, 0].T, idx[:, 1].T, n_clamped=n_clamped)
     return program.with_seed(cfg.seed)

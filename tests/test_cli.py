@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -19,11 +20,14 @@ from xbarlstm.cli import (
     QUANTIZE_REPORT_FILE,
     QUANTIZED_WEIGHTS_FILE,
     WEIGHTS_FILE,
+    RunConfig,
+    build_parser,
+    build_run_config,
     main,
     parse_config_file,
 )
 from xbarlstm.core import Dims, LstmParams, OutputLayer
-from xbarlstm.weights_io import read_weights, write_weights
+from xbarlstm.weights_io import MATRIX_NAMES, read_weights, write_weights
 
 from _oracles import window_last_prediction
 
@@ -344,6 +348,17 @@ class TestPlotDataCommand:
         assert run("plot-data", "--out-dir", tmp_path / "empty") == 1
         assert "run `train` and `evaluate` first" in capsys.readouterr().err
 
+    def test_malformed_loss_history_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / PREDICTIONS_FILE).write_text("time_index,actual,prediction_float,prediction_quantized\n0,112,nan,nan\n")
+        (out / LOSS_FILE).write_text("1 0.5\n2\n")
+        assert run("plot-data", "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2" in err
+        assert not (out / PLOT_PREDICTIONS_FILE).exists()
+        assert not (out / PLOT_LOSS_FILE).exists()
+
 
 class TestConfigFile:
     def test_file_and_overrides(self, tmp_path):
@@ -381,6 +396,98 @@ class TestConfigFile:
         assert run(*train_args(out, extra=["--report", "delimited"])) == 0
         printed = capsys.readouterr().out
         assert "train_RMSE_passengers," in printed
+
+    def test_flag_and_file_give_the_same_config(self, tmp_path):
+        # one non-default value for every key
+        values = {
+            "dataset": "elsewhere.csv", "hidden_units": "3", "look_back": "2", "split": "0.5", "epochs": "7",
+            "learning_rate": "0.02", "optimizer": "sgd", "beta1": "0.8", "beta2": "0.99", "eps": "1e-7",
+            "clamp_low": "-0.5", "clamp_high": "0.5", "seed": "5", "shuffle": "true",
+            "spacing": "uniform_resistance", "read_noise": "0.01", "level_variation": "0.02", "noise_seeds": "3",
+            "quantize_output_layer": "true", "out_dir": "elsewhere", "report": "delimited",
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+        cfgfile = tmp_path / "all.cfg"
+        cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        flags = []
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            flags += [flag] if value == "true" else [flag, value]
+        from_file = build_run_config(build_parser().parse_args(["train", "--config", str(cfgfile)]))
+        from_flags = build_run_config(build_parser().parse_args(["train", *flags]))
+        assert from_file == from_flags
+        assert from_file != RunConfig() and from_file.beta1 == 0.8 and from_file.shuffle is True
+
+
+BAD_KEYS = [
+    ("optimizer", "lbfgs", "unknown optimizer 'lbfgs'"),
+    ("spacing", "foo", "unknown spacing 'foo'"),
+    ("report", "x", "report must be"),
+    ("seed", "abc", "key 'seed': invalid literal"),
+    ("seed", "-1", "seed must be >= 0"),
+    ("read_noise", "nan", "read_noise_sigma must be finite"),
+    ("learning_rate", "nan", "learning_rate must be finite"),
+    ("eps", "-1", "eps must be finite and > 0"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key, value, message", BAD_KEYS, ids=[f"{k}={v}" for k, v, _ in BAD_KEYS])
+def test_bad_key_rejected_before_the_out_dir(tmp_path, capsys, command, source, key, value, message):
+    if source == "flag":
+        args = ["--" + key.replace("_", "-"), value]
+    else:
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        args = ["--config", cfgfile]
+    out = tmp_path / "r"
+    assert run(command, "--out-dir", out, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "", "99999999999999999999"]
+
+
+def _mutations(lines, positions):
+    """(description, lines) with token j of line i replaced by each mutant;
+    j = None replaces everything after the first token."""
+    for i, j in positions:
+        for mutant in MUTANTS:
+            tokens = lines[i].split(" ")
+            tokens[1 if j is None else j:None if j is None else j + 1] = [mutant]
+            yield f"line {i + 1} token {j} -> {mutant!r}", lines[:i] + [" ".join(tokens)] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("target", [PROGRAM_FILE, WEIGHTS_FILE])
+def test_mutated_input_fails_cleanly(trained, tmp_path, capsys, target):
+    """Every header value and one body token of a real file, replaced one at
+    a time: evaluate exits 0 or 1, and a failure is one error line naming
+    the file."""
+    lines = (trained / target).read_text().splitlines()
+    if target == PROGRAM_FILE:
+        body = next(i for i, ln in enumerate(lines) if ln.startswith("#")) + 1
+        positions = [(i, None) for i in range(1, body - 1)] + [(body, 0)]
+    else:
+        headers = [i for i, ln in enumerate(lines) if ln.split()[0] in MATRIX_NAMES]
+        positions = [(i, j) for i in headers for j in (1, 2)] + [(headers[0] + 1, 0)]
+    mutated = tmp_path / target
+    problems = []
+    count = 0
+    for where, text in _mutations(lines, positions):
+        count += 1
+        mutated.write_text("\n".join(text) + "\n")
+        files = {PROGRAM_FILE: trained / PROGRAM_FILE, WEIGHTS_FILE: trained / WEIGHTS_FILE, target: mutated}
+        code = run("evaluate", "--weights", files[WEIGHTS_FILE], "--program", files[PROGRAM_FILE],
+                   "--out-dir", tmp_path / "r")
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        if code not in (0, 1) or (code == 1 and (len(errors) != 1 or str(mutated) not in errors[0])):
+            problems.append(f"{where}: exit {code}, stderr {err!r}")
+    assert count == len(positions) * len(MUTANTS)
+    assert not problems, "\n".join(problems)
 
 
 def test_console_entry_point(tmp_path):

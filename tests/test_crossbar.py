@@ -437,6 +437,11 @@ class TestCrossbarForward:
             assert preds[-1] == pytest.approx(want, abs=1e-12)
 
 
+def _set_header(key, value):
+    """A program-file mutation: header field ``key`` holds ``value``."""
+    return lambda lines: [f"{key} {value}" if ln.split(" ", 1)[0] == key else ln for ln in lines]
+
+
 class TestProgramFile:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = CrossbarConfig(seed=42)
@@ -488,13 +493,26 @@ class TestProgramFile:
         (lambda lines: [ln for ln in lines if not ln.startswith("levels_siemens")], "header"),
         (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "header"),
         (lambda lines: lines[:-1] + [lines[-1] + " 0"], "column lines"),
-    ], ids=["no-n_clamped", "no-levels_siemens", "swapped-header", "ragged-column"])
+        (_set_header("seed", "1.5"), "seed is not an integer: '1.5'"),
+        (_set_header("n_hidden", "four"), "n_hidden is not an integer: 'four'"),
+        (_set_header("read_noise_sigma", "x"), "read_noise_sigma is not numeric: 'x'"),
+        (_set_header("level_variation_sigma", "1e400"), "level_variation_sigma must be finite"),
+        (_set_header("spacing", "x"), "unknown spacing 'x'"),
+        (_set_header("levels_siemens", "x"), "levels_siemens is not numeric: 'x'"),
+        (_set_header("levels_siemens", "1.5"), "level table does not match"),
+        (_set_header("n_clamped", "-1"), r"n_clamped must be in \[0, 96\]"),
+        (lambda lines: lines[:-1] + ["99999999999999999999 " + lines[-1].split(" ", 1)[1]], "level index"),
+        (lambda lines: lines[:-1] + ["x " + lines[-1].split(" ", 1)[1]], "level index"),
+    ], ids=["no-n_clamped", "no-levels_siemens", "swapped-header", "ragged-column", "fractional-seed",
+            "word-n_hidden", "word-sigma", "overflowing-sigma", "unknown-spacing", "word-levels", "short-levels",
+            "negative-n_clamped", "overflowing-level", "word-level"])
     def test_rejects_malformed(self, tmp_path, mutate, match):
         path = tmp_path / "bad.txt"
         write_program(program_crossbar(random_params(45), CrossbarConfig(level_variation_sigma=0.02)), path)
         path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as excinfo:
             read_program(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
 
     def test_rejects_bad_level_index(self, tmp_path):
         cfg = CrossbarConfig()

@@ -1,9 +1,16 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and its CLI
+section and every command's --help cover every config key."""
 
+import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
+from xbarlstm.cli import RunConfig, main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def test_library_use_example_runs():
@@ -13,3 +20,16 @@ def test_library_use_example_runs():
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
     assert len(namespace["preds"]) == 1 and namespace["preds"] != namespace["other"]
     assert namespace["n_clamped"] == 0  # training keeps every weight in [-1, 1]
+
+
+@pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])
+def test_help_lists_a_flag_for_every_key(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert [key for key in KEYS if "--" + key.replace("_", "-") not in flags] == []
+
+
+def test_readme_names_every_key():
+    paragraph = README.read_text().split("Config keys and defaults:", 1)[1].split("\n\n", 1)[0]
+    assert [key for key in KEYS if not re.search(rf"\b{key}\b", paragraph)] == []

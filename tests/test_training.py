@@ -185,6 +185,20 @@ class TestTrain:
             TrainConfig(optimizer="lbfgs")
         with pytest.raises(ValueError):
             TrainConfig(clamp_low=1.0, clamp_high=-1.0)
+        for name in ("learning_rate", "eps"):
+            for value in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    TrainConfig(**{name: value})
+        for name in ("beta1", "beta2"):
+            for value in (-0.1, 1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\)"):
+                    TrainConfig(**{name: value})
+        for bounds in ({"clamp_low": -np.inf}, {"clamp_high": np.inf}, {"clamp_low": np.nan}):
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(**bounds)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+        TrainConfig(beta1=0.0, beta2=0.0, seed=0)  # the closed ends are valid
 
     def test_loss_trend_across_seeds(self):
         # median loss over the last 10 epochs beats the first 10 for >= 4 of 5 seeds
