@@ -13,6 +13,7 @@ from .crossbar import (
     build_level_set,
     crossbar_forward,
     map_weight_to_pair,
+    monte_carlo,
     program_crossbar,
     quantize_output_layer,
     quantize_weight,

@@ -22,6 +22,7 @@ from .crossbar import (
     CrossbarConfig,
     build_level_set,
     crossbar_window_predictions,
+    monte_carlo,
     program_crossbar,
     quantize_output_layer,
     read_program,
@@ -41,6 +42,10 @@ EVAL_REPORT_FILE = "eval_report.txt"
 PREDICTIONS_FILE = "predictions.csv"
 PLOT_PREDICTIONS_FILE = "plot_predictions.csv"
 PLOT_LOSS_FILE = "plot_loss.csv"
+# Seeds per monte_carlo call in an evaluate sweep; a block's predictions are
+# reduced to per-seed RMSE before the next, so no [seeds, windows] array of a
+# whole sweep is held.
+SWEEP_BLOCK = 256
 
 
 @dataclass
@@ -74,6 +79,10 @@ class RunConfig:
             raise ValueError(f"noise_seeds must be >= 1, got {self.noise_seeds}")
         if self.hidden_units < 1:
             raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        if self.look_back < 1:
+            raise ValueError(f"look_back must be >= 1, got {self.look_back}")
+        if not 0.0 < self.split < 1.0:
+            raise ValueError(f"split must be in (0, 1), got {self.split}")
         self.train_config()
         self.crossbar_config()
 
@@ -289,12 +298,11 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     float_preds = batch_predictions(params, out, windows)
     xbar_preds = crossbar_window_predictions(program, xbar_out, windows)
 
+    splits = {"train": slice(0, n_train), "test": slice(n_train, None)}
+
     def split_rmse(preds):
-        parts = {}
-        for name, sl, target in (("train", slice(0, n_train), train_part.y),
-                                 ("test", slice(n_train, None), test_part.y)):
-            parts[name] = (rmse(preds[sl], target), rmse(preds[sl], target, denorm=norm))
-        return parts
+        return {name: (rmse(preds[sl], windows.y[sl]), rmse(preds[sl], windows.y[sl], denorm=norm))
+                for name, sl in splits.items()}
 
     float_rmse = split_rmse(float_preds)
     xbar_rmse = split_rmse(xbar_preds)
@@ -319,13 +327,19 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
         ]
 
     if cfg.noise_seeds > 1:
-        per_split = {"train": [], "test": []}
-        for s in _noise_seed_list(device.seed, cfg.noise_seeds):
-            noisy = split_rmse(crossbar_window_predictions(program.with_seed(s), xbar_out, windows))
-            for name in ("train", "test"):
-                per_split[name].append(noisy[name][1])
-        for name in ("train", "test"):
-            arr = np.array(per_split[name])
+        seeds = _noise_seed_list(device.seed, cfg.noise_seeds)
+        targets = denormalize(windows.y, norm)
+        noisy = {name: np.empty(len(seeds)) for name in splits}
+        for start in range(0, len(seeds), SWEEP_BLOCK):
+            # per-seed passenger RMSE, reduced in place as data.rmse does it
+            block = monte_carlo(program, xbar_out, windows, seeds[start : start + SWEEP_BLOCK])
+            block *= norm.max - norm.min
+            block += norm.min
+            block -= targets
+            block **= 2
+            for name, sl in splits.items():
+                noisy[name][start : start + len(block)] = np.sqrt(block[:, sl].mean(axis=-1))
+        for name, arr in noisy.items():
             pairs.append((
                 f"{name} noisy RMSE passengers over {cfg.noise_seeds} seeds",
                 f"{arr.mean():.4f} +/- {arr.std():.4f}",
@@ -404,9 +418,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reads_as_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv):
+    """'--key -1e-9' as '--key=-1e-9'. argparse takes a token that starts
+    with '-' for an option unless it is a plain decimal, so a negative value
+    in exponent form or -inf would never reach the check of its key."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _reads_as_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = build_run_config(args)
         if args.command == "train":

@@ -114,7 +114,7 @@ def sigmoid(x):
     sees -|x|, so it never overflows."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -132,6 +132,8 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray):
     Returns (acts, C_t, h_t) with acts the post-activation gates in a's layout.
     """
     m = C_prev.shape[-1]
+    # one sigmoid over all 4M columns, c's included and then overwritten: at
+    # these widths that is cheaper than skipping the c block
     acts = sigmoid(a)
     acts[..., 2 * m : 3 * m] = np.tanh(a[..., 2 * m : 3 * m])
     i, f, c_tilde, o = (acts[..., g * m : (g + 1) * m] for g in range(4))

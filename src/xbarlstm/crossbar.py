@@ -15,7 +15,9 @@ path is this path on the ideal weight grid. Evaluation is time
 multiplexed: one hidden unit per cycle, four column reads per cycle, M
 cycles per time step, with the new h latched into the memory units only
 after all M cycles. All M cycles of a step therefore see the same h, and
-kernels.crossbar_unroll computes a step's reads together.
+kernels.crossbar_unroll computes a step's reads together. A Monte-Carlo
+sweep over device seeds (monte_carlo) stacks the devices on the kernel's
+leading axis, a chunk at a time.
 
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
@@ -39,6 +41,10 @@ R_MIN_OHM = 200e3
 R_MAX_OHM = 2000e3
 
 SPACINGS = ("uniform_conductance", "uniform_resistance")
+# Devices per stacked unroll in monte_carlo. Eight keeps each per-step array
+# of a 143-window, 4-unit sweep ([8, 143, 16], ~146 KB) in cache; chunks of
+# 256 ran slower and took ~50 MB more memory.
+MC_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -150,10 +156,15 @@ def quantize_levels(weights, levels: LevelSet):
     return np.where(positive, idx, 0), np.where(positive, 0, idx), n_clamped
 
 
+def _pair_weights(g_plus, g_minus, levels: LevelSet) -> np.ndarray:
+    """Weights read out from differential conductance pairs given in siemens."""
+    return (g_plus - g_minus) * levels.k_scale
+
+
 def level_weights(level_plus, level_minus, levels: LevelSet) -> np.ndarray:
     """Weights read out from ideal differential level pairs."""
     g = levels.conductances
-    return (g[level_plus] - g[level_minus]) * levels.k_scale
+    return _pair_weights(g[level_plus], g[level_minus], levels)
 
 
 def map_weight_to_pair(w: float, levels: LevelSet):
@@ -210,7 +221,26 @@ class CrossbarProgram:
         level variation, ideal level values otherwise."""
         if self.g_plus is None:
             return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
-        return (self.g_plus - self.g_minus) * self.cfg.levels.k_scale
+        return _pair_weights(self.g_plus, self.g_minus, self.cfg.levels)
+
+    @property
+    def _variation_shape(self) -> tuple:
+        """One device's level-variation draws: plus side, then minus side."""
+        return (2, self.n_rows, self.n_columns)
+
+    def _read_shape(self, batch: int, steps: int) -> tuple:
+        """One device's read-noise draws for [batch, steps] of windows, in
+        (window, step, cycle, gate) order, the order of the reads on the
+        device; _read_noise lays them out."""
+        return (batch, steps, self.dims.n_hidden, 4)
+
+    def _varied(self, pert: np.ndarray):
+        """Conductances (g_plus, g_minus) of this level map under level
+        variation, from standard normal draws pert [..., 2, rows, 4M]."""
+        sigma = self.cfg.level_variation_sigma
+        g = self.cfg.levels.conductances
+        return (np.maximum(g[self.level_plus] * (1.0 + sigma * pert[..., 0, :, :]), 0.0),
+                np.maximum(g[self.level_minus] * (1.0 + sigma * pert[..., 1, :, :]), 0.0))
 
     def with_seed(self, seed: int) -> "CrossbarProgram":
         """The same level map as device ``seed``: level variation re-drawn
@@ -220,14 +250,16 @@ class CrossbarProgram:
         an exported program rebuild the same device state on import.
         """
         cfg = replace(self.cfg, seed=seed)
-        sigma = cfg.level_variation_sigma
-        if sigma <= 0:
+        if cfg.level_variation_sigma <= 0:
             return replace(self, cfg=cfg, g_plus=None, g_minus=None)
-        ss_prog, _ = np.random.SeedSequence(seed).spawn(2)
-        pert = np.random.default_rng(ss_prog).standard_normal((2, self.n_rows, self.n_columns))
-        g = cfg.levels.conductances
-        return replace(self, cfg=cfg, g_plus=np.maximum(g[self.level_plus] * (1.0 + sigma * pert[0]), 0.0),
-                       g_minus=np.maximum(g[self.level_minus] * (1.0 + sigma * pert[1]), 0.0))
+        ss_prog, _ = _seed_streams(seed)
+        g_plus, g_minus = self._varied(np.random.default_rng(ss_prog).standard_normal(self._variation_shape))
+        return replace(self, cfg=cfg, g_plus=g_plus, g_minus=g_minus)
+
+
+def _seed_streams(seed: int):
+    """A device seed's two child seeds: level variation, then read noise."""
+    return np.random.SeedSequence(seed).spawn(2)
 
 
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:
@@ -248,17 +280,17 @@ def reconstruct_weights(program: CrossbarProgram) -> LstmParams:
     return LstmParams.from_grid(level_weights(program.level_plus, program.level_minus, program.cfg.levels))
 
 
-def _read_noise(rng: np.random.Generator, shape_btm: tuple, sigma: float) -> np.ndarray:
-    """Noise factors laid out [B, T, 4M], drawn in (window, step, cycle, gate)
-    order, the order of the reads on the device."""
-    B, T, M = shape_btm
-    draws = sigma * rng.standard_normal((B, T, M, 4))
-    return np.ascontiguousarray(draws.transpose(0, 1, 3, 2).reshape(B, T, 4 * M))
+def _read_noise(draws: np.ndarray, sigma: float) -> np.ndarray:
+    """Noise factors laid out [..., B, T, 4M] like the grid's columns, from
+    standard normal draws [..., B, T, M, 4] made in (window, step, cycle,
+    gate) order: cycle m reads the four gate columns of unit m."""
+    *lead, M, _ = draws.shape
+    return np.ascontiguousarray((sigma * draws).swapaxes(-1, -2).reshape(*lead, 4 * M))
 
 
-def _read_rng(cfg: CrossbarConfig) -> np.random.Generator:
-    _, ss_read = np.random.SeedSequence(cfg.seed).spawn(2)
-    return np.random.default_rng(ss_read)
+def _window_inputs(windows) -> np.ndarray:
+    """Windows as the kernel's X [B, T, 1], one series value per step."""
+    return np.ascontiguousarray(windows.x[:, :, None], dtype=np.float64)
 
 
 def _unroll_program(program: CrossbarProgram, X: np.ndarray) -> np.ndarray:
@@ -267,7 +299,9 @@ def _unroll_program(program: CrossbarProgram, X: np.ndarray) -> np.ndarray:
     cfg = program.cfg
     noise = None
     if cfg.read_noise_sigma > 0:
-        noise = _read_noise(_read_rng(cfg), X.shape[:2] + (program.dims.n_hidden,), cfg.read_noise_sigma)
+        _, ss_read = _seed_streams(cfg.seed)
+        draws = np.random.default_rng(ss_read).standard_normal(program._read_shape(*X.shape[:2]))
+        noise = _read_noise(draws, cfg.read_noise_sigma)
     h, *_ = kernels.crossbar_unroll(program.grid(), X, noise)
     return h
 
@@ -295,9 +329,45 @@ def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, wind
     One seeded noise stream covers the whole batch in window order; with the
     sigmas at zero this equals the float path on the reconstructed weights.
     """
-    X = np.ascontiguousarray(windows.x[:, :, None], dtype=np.float64)
-    h = _unroll_program(program, X)
+    h = _unroll_program(program, _window_inputs(windows))
     return h[-1] @ out.w_out + out.b_out
+
+
+def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> np.ndarray:
+    """Last-step crossbar predictions of every window on one device per seed,
+    [S, B]: row k is crossbar_window_predictions(program.with_seed(seeds[k]),
+    out, windows), bit for bit.
+
+    Each seed's streams are drawn as with_seed and the per-device read noise
+    draw them, and MC_CHUNK devices at a time run as one stacked unroll.
+    """
+    X = _window_inputs(windows)
+    B, T = X.shape[:2]
+    cfg = program.cfg
+    vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0
+    pert = np.empty((MC_CHUNK, *program._variation_shape))
+    draws = np.empty((MC_CHUNK, *program._read_shape(B, T)))
+    grid = level_weights(program.level_plus, program.level_minus, cfg.levels)
+    noise = None
+    preds = np.empty((len(seeds), B))
+    for start in range(0, len(seeds), MC_CHUNK):
+        chunk = seeds[start : start + MC_CHUNK]
+        for k, seed in enumerate(chunk):
+            if seed < 0:  # the check and message of with_seed's CrossbarConfig
+                raise ValueError(f"seed must be >= 0, got {seed}")
+            ss_prog, ss_read = _seed_streams(seed)
+            if vary:
+                np.random.default_rng(ss_prog).standard_normal(out=pert[k])
+            if read:
+                np.random.default_rng(ss_read).standard_normal(out=draws[k])
+        n = len(chunk)
+        if vary:
+            grid = _pair_weights(*program._varied(pert[:n]), cfg.levels)
+        if read:
+            noise = _read_noise(draws[:n], cfg.read_noise_sigma)
+        h, *_ = kernels.crossbar_unroll(grid, X, noise)
+        preds[start : start + n] = h[-1] @ out.w_out + out.b_out
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ check these kernels live with the tests, in ``tests/_oracles.py``.
 
 Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and
 column g * M + m carrying gate g of hidden unit m, gate order (i, f, c, o);
-window batches X [B, T, N]; results laid out [T, B, .].
+window batches X [B, T, N]; results laid out [T, B, .]. The forward also
+takes a stack of devices on leading axes of the grid and the noise, and
+then lays its results out [T, ..., B, .].
 """
 
 import numpy as np
@@ -24,27 +26,34 @@ def crossbar_unroll(grid, X, noise=None):
     scaled by 1 + noise[b, t, col]. Returns (h, reads, acts, C): hidden
     outputs and cell states [T, B, M], column reads and post-activation
     gates [T, B, 4M].
+
+    Leading device axes on grid [..., R, 4M] and noise [..., B, T, 4M]
+    broadcast against each other; the windows are shared, and the results
+    gain the broadcast axes after T, as [T, ..., B, .]. Each device's
+    results equal those of its own call bit for bit.
     """
     B, T, N = X.shape
-    R, C4 = grid.shape
+    *lead, R, C4 = grid.shape
+    if noise is not None:
+        lead = np.broadcast_shapes(tuple(lead), noise.shape[:-3])
     M = C4 // 4
     if R != N + M + 1:
         raise ValueError(f"weights have n_inputs={R - M - 1} but the windows carry {N} feature(s) per step")
-    h = np.empty((T, B, M))
-    C = np.empty((T, B, M))
-    reads = np.empty((T, B, C4))
-    acts = np.empty((T, B, C4))
-    V = np.zeros((B, R))
-    V[:, R - 1] = 1.0
-    C_t = np.zeros((B, M))
+    h = np.empty((T, *lead, B, M))
+    C = np.empty((T, *lead, B, M))
+    reads = np.empty((T, *lead, B, C4))
+    acts = np.empty((T, *lead, B, C4))
+    V = np.zeros((*lead, B, R))
+    V[..., R - 1] = 1.0
+    C_t = np.zeros((*lead, B, M))
     for t in range(T):
-        V[:, :N] = X[:, t, :]
+        V[..., :N] = X[:, t, :]
         np.matmul(V, grid, out=reads[t])
         if noise is not None:
-            reads[t] *= 1.0 + noise[:, t, :]
+            reads[t] *= 1.0 + noise[..., t, :]
         acts[t], C_t, h[t] = lstm_cell(reads[t], C_t)
         C[t] = C_t
-        V[:, N : N + M] = h[t]
+        V[..., N : N + M] = h[t]
     return h, reads, acts, C
 
 

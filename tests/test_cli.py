@@ -31,6 +31,8 @@ from xbarlstm.weights_io import MATRIX_NAMES, read_weights, write_weights
 
 from _oracles import window_last_prediction
 
+TEST_DATA = Path(__file__).resolve().parent / "data"
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -303,6 +305,20 @@ class TestEvaluateCommand:
         assert len(lines) == 2
         assert not any(ln.rstrip().endswith("+/- 0.0000") for ln in lines)
 
+    def test_sweep_report_matches_the_pinned_one(self, tmp_path):
+        """A 300-seed level-variation and read-noise sweep on pinned weights
+        gives the pinned report line for line, bar the dataset line, which
+        names a path. A change to the per-seed streams, the order of their
+        draws or the RMSE reduction moves the noisy mean and spread."""
+        out = tmp_path / "sweep"
+        assert run("evaluate", "--weights", TEST_DATA / WEIGHTS_FILE, "--level-variation", 0.05,
+                   "--read-noise", 0.01, "--noise-seeds", 300, "--report", "delimited", "--out-dir", out) == 0
+
+        def lines(path):
+            return [ln for ln in path.read_text().splitlines() if not ln.startswith("dataset,")]
+
+        assert lines(out / EVAL_REPORT_FILE) == lines(TEST_DATA / "eval_report_sweep300.txt")
+
     def test_n_inputs_mismatch_rejected(self, tmp_path, capsys):
         wfile = tmp_path / "two_inputs.txt"
         write_weights(LstmParams.zeros(Dims(2, 4)), OutputLayer.zeros(Dims(2, 4)), wfile)
@@ -428,15 +444,22 @@ BAD_KEYS = [
     ("read_noise", "nan", "read_noise_sigma must be finite"),
     ("learning_rate", "nan", "learning_rate must be finite"),
     ("eps", "-1", "eps must be finite and > 0"),
+    ("eps", "-1e-9", "eps must be finite and > 0"),
+    ("read_noise", "-inf", "read_noise_sigma must be finite"),
+    ("look_back", "0", "look_back must be >= 1"),
+    ("split", "7", "split must be in (0, 1)"),
 ]
 
 
 @pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])
-@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("source", ["flag", "flag=", "file"])
 @pytest.mark.parametrize("key, value, message", BAD_KEYS, ids=[f"{k}={v}" for k, v, _ in BAD_KEYS])
 def test_bad_key_rejected_before_the_out_dir(tmp_path, capsys, command, source, key, value, message):
+    flag = "--" + key.replace("_", "-")
     if source == "flag":
-        args = ["--" + key.replace("_", "-"), value]
+        args = [flag, value]
+    elif source == "flag=":
+        args = [f"{flag}={value}"]
     else:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"{key} = {value}\n")

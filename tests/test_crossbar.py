@@ -8,12 +8,15 @@ import pytest
 
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.crossbar import (
+    MC_CHUNK,
+    SPACINGS,
     CrossbarConfig,
     LevelSet,
     build_level_set,
     crossbar_forward,
     crossbar_window_predictions,
     map_weight_to_pair,
+    monte_carlo,
     program_crossbar,
     quantize_output_layer,
     quantize_weight,
@@ -435,6 +438,38 @@ class TestCrossbarForward:
             want = oracle_predictions(recon, out, windows.x[k])[-1]
             assert batch[k] == pytest.approx(want, abs=1e-12)
             assert preds[-1] == pytest.approx(want, abs=1e-12)
+
+
+SWEEP_SEEDS = [int(s) for s in np.random.SeedSequence(2024).generate_state(300, np.uint64)]
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+@pytest.mark.parametrize("look_back", [1, 3])
+@pytest.mark.parametrize("level_variation, read_noise", [(0, 0), (0.05, 0), (0, 0.01), (0.05, 0.01)])
+def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_variation, read_noise):
+    """Row k is device seeds[k]'s own forward, bit for bit, for sweeps shorter
+    than a chunk, one past a chunk and with a short last chunk."""
+    rng = np.random.default_rng(look_back)
+    windows = WindowedSeries(rng.uniform(0, 1, (25, look_back)), rng.uniform(0, 1, 25), look_back)
+    out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
+    cfg = CrossbarConfig(build_level_set(spacing), read_noise, level_variation, seed=3)
+    program = program_crossbar(random_params(50), cfg)
+    want = np.array([crossbar_window_predictions(program.with_seed(s), out, windows) for s in SWEEP_SEEDS])
+    for count in (0, 1, MC_CHUNK - 1, MC_CHUNK + 1, len(SWEEP_SEEDS)):
+        got = monte_carlo(program, out, windows, SWEEP_SEEDS[:count])
+        assert got.shape == (count, len(windows))
+        assert np.array_equal(got, want[:count])
+    assert len(SWEEP_SEEDS) % MC_CHUNK != 0
+    assert (len(np.unique(want, axis=0)) == 1) == (level_variation == read_noise == 0)
+
+
+def test_monte_carlo_rejects_a_negative_seed_as_with_seed_does():
+    program = program_crossbar(random_params(51), CrossbarConfig(read_noise_sigma=0.01))
+    windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
+    out = OutputLayer(np.ones(4), 0.0)
+    for call in (lambda: program.with_seed(-1), lambda: monte_carlo(program, out, windows, [3, -1])):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            call()
 
 
 def _set_header(key, value):

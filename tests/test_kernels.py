@@ -69,6 +69,35 @@ def test_crossbar_loop_vs_numpy(seed):
     npt.assert_allclose(ra, rb.transpose(1, 0, 2), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid_lead, noise_lead", [((3,), (3,)), ((3,), None), ((), (3,)), ((2, 1), (3,))])
+def test_device_axes_equal_per_device_calls(grid_lead, noise_lead):
+    """Stacked devices on leading axes of the grid and the noise broadcast;
+    each device's results equal its own call exactly and the read-by-read
+    oracle to 1e-12."""
+    rng = np.random.default_rng(300)
+    R, M, B, T = 6, 4, 3, 4
+    gp = rng.uniform(0.5e-6, 5e-6, (*grid_lead, R, 4 * M))
+    gm = rng.uniform(0.5e-6, 5e-6, (*grid_lead, R, 4 * M))
+    X = rng.uniform(-1, 1, (B, T, 1))
+    noise = None if noise_lead is None else 0.01 * rng.standard_normal((*noise_lead, B, T, 4 * M))
+    k = 1.0 / 4.5e-6
+    grid = (gp - gm) * k
+    lead = np.broadcast_shapes(grid_lead, () if noise is None else noise_lead)
+    stacked = kernels.crossbar_unroll(grid, X, noise)
+    assert [a.shape for a in stacked] == [(T, *lead, B, n) for n in (M, 4 * M, 4 * M, M)]
+    for device in np.ndindex(lead):
+        g_index = tuple(i if n > 1 else 0 for i, n in zip(device[len(lead) - len(grid_lead):], grid_lead))
+        n_index = None if noise is None else device[len(lead) - len(noise_lead):]
+        one_noise = None if noise is None else noise[n_index]
+        one = kernels.crossbar_unroll(grid[g_index], X, one_noise)
+        for a, b in zip(stacked, one):
+            assert np.array_equal(a[(slice(None), *device)], b)
+        h, reads = crossbar_unroll_loop(gp[g_index], gm[g_index], k, X,
+                                        np.zeros((B, T, 4 * M)) if one_noise is None else one_noise)
+        npt.assert_allclose(h, stacked[0][(slice(None), *device)].transpose(1, 0, 2), rtol=0, atol=1e-12)
+        npt.assert_allclose(reads, stacked[1][(slice(None), *device)].transpose(1, 0, 2), rtol=0, atol=1e-12)
+
+
 def test_predictions_match_scalar_oracle():
     W, U, b, w_out, b_out, X, _ = random_case(5, B=4, T=2, N=1, M=4)
     got = last_predictions(W, U, b, w_out, b_out, X)

@@ -20,6 +20,7 @@ def test_library_use_example_runs():
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
     assert len(namespace["preds"]) == 1 and namespace["preds"] != namespace["other"]
     assert namespace["n_clamped"] == 0  # training keeps every weight in [-1, 1]
+    assert namespace["sweep"].shape == (200, len(namespace["test_part"]))
 
 
 @pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])
