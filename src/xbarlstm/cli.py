@@ -395,9 +395,17 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"default: {f.default}".replace("%", "%%"), **kind)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError instead of printing usage and exiting
+    2, so main reports it like any other bad input: one error line, exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache  # one parser per process; one per main call would linger as cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xbarlstm",
         description="Train a small LSTM forecaster and evaluate it on a behavioral 16-level memristive crossbar.",
     )
@@ -418,21 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reads_as_number(token: str) -> bool:
+def _is_negative_number(token: str) -> bool:
     try:
         float(token)
     except ValueError:
         return False
-    return True
+    return token.startswith("-")
 
 
 def _attach_negative_values(argv):
     """'--key -1e-9' as '--key=-1e-9'. argparse takes a token that starts
     with '-' for an option unless it is a plain decimal, so a negative value
-    in exponent form or -inf would never reach the check of its key."""
+    in exponent form or -inf would never reach the check of its key. Other
+    tokens stay apart, so an error names them as they were typed."""
     joined = []
     for token in argv:
-        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _reads_as_number(token):
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _is_negative_number(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -440,9 +449,8 @@ def _attach_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         cfg = build_run_config(args)
         if args.command == "train":
             return cmd_train(cfg)

@@ -109,18 +109,25 @@ class OutputLayer:
         return OutputLayer(self.w_out.copy(), self.b_out)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function, saturates gracefully for large |x|: exp only ever
-    sees -|x|, so it never overflows."""
+    sees -|x|, so it never overflows. With out given the result is written
+    there, numpy-style; a scalar x gives a float."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    e = np.empty_like(x)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if out is None:
+        out = np.empty_like(x)
+    np.add(e, 1.0, out=out)
+    # e where x < 0, else 1 (e <= 1 there); NaN stays NaN
+    np.maximum(e, x >= 0, out=e)
+    np.divide(e, out, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
-def lstm_cell(a: np.ndarray, C_prev: np.ndarray):
+def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None):
     """The LSTM cell equations, the only place they are written.
 
     a holds gate pre-activations [..., 4M] in grid column order (gate g of
@@ -129,13 +136,24 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray):
     i, f, o = sigma(a_i, a_f, a_o),  c_tilde = tanh(a_c),
     C_t = f * C_prev + i * c_tilde,  h_t = o * tanh(C_t).
 
-    Returns (acts, C_t, h_t) with acts the post-activation gates in a's layout.
+    Returns (acts, C_t, h_t) with acts the post-activation gates in a's
+    layout. out, numpy-style, is an (acts, C_t, h_t) tuple of arrays to
+    write them into; C_t may be C_prev itself. Without out they are
+    allocated.
     """
     m = C_prev.shape[-1]
+    if out is None:
+        state = np.broadcast_shapes(a.shape[:-1] + (m,), C_prev.shape)
+        out = np.empty(a.shape), np.empty(state), np.empty(state)
+    acts, C_t, h_t = out
     # one sigmoid over all 4M columns, c's included and then overwritten: at
     # these widths that is cheaper than skipping the c block
-    acts = sigmoid(a)
-    acts[..., 2 * m : 3 * m] = np.tanh(a[..., 2 * m : 3 * m])
-    i, f, c_tilde, o = (acts[..., g * m : (g + 1) * m] for g in range(4))
-    C_t = f * C_prev + i * c_tilde
-    return acts, C_t, o * np.tanh(C_t)
+    sigmoid(a, out=acts)
+    i, f, c_tilde, o = acts[..., :m], acts[..., m : 2 * m], acts[..., 2 * m : 3 * m], acts[..., 3 * m :]
+    np.tanh(a[..., 2 * m : 3 * m], out=c_tilde)
+    np.multiply(i, c_tilde, out=h_t)  # h_t holds i * c_tilde until C_t is done
+    np.multiply(f, C_prev, out=C_t)
+    C_t += h_t
+    np.tanh(C_t, out=h_t)
+    h_t *= o
+    return acts, C_t, h_t

@@ -45,52 +45,82 @@ def crossbar_unroll(grid, X, noise=None):
     acts = np.empty((T, *lead, B, C4))
     V = np.zeros((*lead, B, R))
     V[..., R - 1] = 1.0
-    C_t = np.zeros((*lead, B, M))
+    C_prev = np.zeros((*lead, B, M))
+    scale = None if noise is None else 1.0 + noise
     for t in range(T):
         V[..., :N] = X[:, t, :]
         np.matmul(V, grid, out=reads[t])
-        if noise is not None:
-            reads[t] *= 1.0 + noise[..., t, :]
-        acts[t], C_t, h[t] = lstm_cell(reads[t], C_t)
-        C[t] = C_t
+        if scale is not None:
+            reads[t] *= scale[..., t, :]
+        lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]))
+        C_prev = C[t]
         V[..., N : N + M] = h[t]
     return h, reads, acts, C
 
 
-def batch_loss_and_grads(grid, w_out, b_out, X, y):
+def batch_loss_and_grads(grid, w_out, b_out, X, y, out=None):
     """Batch MSE of the last-step predictions and its exact gradients.
 
-    Returns (loss, d_grid, d_w_out, d_b_out) with d_grid shaped like grid.
+    Returns (loss, d_grid, d_w_out, d_b_out): d_grid shaped like grid,
+    d_b_out a 0-d array. out, numpy-style, is a (d_grid, d_w_out, d_b_out)
+    tuple of arrays to write the gradients into; without it they are
+    allocated.
     """
     B, T, N = X.shape
     M = w_out.shape[0]
+    if out is None:
+        out = np.empty(grid.shape), np.empty(M), np.empty(())
+    d_grid, d_w_out, d_b_out = out
     h, _, acts, C = crossbar_unroll(grid, X)
 
-    errs = h[-1] @ w_out + b_out - y
-    loss = float(np.mean(errs**2))
-    dpred = 2.0 * errs / B
+    errs = h[-1] @ w_out
+    errs += b_out
+    errs -= y
+    loss = float((errs * errs).sum() / B)
+    errs *= 2.0
+    errs /= B  # now d loss / d prediction
 
-    dw_out = h[-1].T @ dpred
-    db_out = float(np.sum(dpred))
-    dH = np.outer(dpred, w_out)
+    np.matmul(h[-1].T, errs, out=d_w_out)
+    d_b_out[...] = errs.sum()
+    dH = errs[:, None] * w_out
     dC = np.zeros((B, M))
-    d_grid = np.zeros_like(grid)
+    d_grid[...] = 0.0
+    # every step's slope factors at once: d_tc = 1 - tanh(C)**2, d_acts = 1 - a
+    # on the sigmoid gates and 1 - c_tilde**2 on the c block
+    tc = np.tanh(C)
+    d_tc = tc * tc
+    np.subtract(1.0, d_tc, out=d_tc)
+    d_acts = np.subtract(1.0, acts)
+    d_c = d_acts[..., 2 * M : 3 * M]
+    np.multiply(acts[..., 2 * M : 3 * M], acts[..., 2 * M : 3 * M], out=d_c)
+    np.subtract(1.0, d_c, out=d_c)
     da = np.empty((B, 4 * M))
+    da_i, da_f, da_g, da_o = da[:, :M], da[:, M : 2 * M], da[:, 2 * M : 3 * M], da[:, 3 * M :]
+    tmp = np.empty((B, M))
     V = np.zeros((B, grid.shape[0]))
     V[:, -1] = 1.0
     U2 = grid[N : N + M]
     for t in range(T - 1, -1, -1):
-        i, f, g, o = (acts[t][:, k * M : (k + 1) * M] for k in range(4))
-        tc = np.tanh(C[t])
-        dC = dC + dH * o * (1.0 - tc * tc)
-        C_prev = C[t - 1] if t > 0 else 0.0
-        da[:, :M] = dC * g * i * (1.0 - i)
-        da[:, M : 2 * M] = dC * C_prev * f * (1.0 - f)
-        da[:, 2 * M : 3 * M] = dC * i * (1.0 - g * g)
-        da[:, 3 * M :] = dH * tc * o * (1.0 - o)
+        a, s = acts[t], d_acts[t]
+        i, f, g, o = a[:, :M], a[:, M : 2 * M], a[:, 2 * M : 3 * M], a[:, 3 * M :]
+        np.multiply(dH, o, out=tmp)
+        tmp *= d_tc[t]
+        dC += tmp
+        np.multiply(dC, g, out=da_i)
+        da_i *= i
+        da_i *= s[:, :M]
+        np.multiply(dC, C[t - 1] if t > 0 else 0.0, out=da_f)
+        da_f *= f
+        da_f *= s[:, M : 2 * M]
+        np.multiply(dC, i, out=da_g)
+        da_g *= s[:, 2 * M : 3 * M]
+        np.multiply(dH, tc[t], out=da_o)
+        da_o *= o
+        da_o *= s[:, 3 * M :]
         V[:, :N] = X[:, t, :]
         V[:, N : N + M] = h[t - 1] if t > 0 else 0.0
         d_grid += V.T @ da
-        dH = da @ U2.T
-        dC = dC * f
-    return loss, d_grid, dw_out, db_out
+        if t > 0:
+            dH = da @ U2.T
+            dC *= f
+    return loss, d_grid, d_w_out, d_b_out

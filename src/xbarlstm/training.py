@@ -7,7 +7,8 @@ each update. Gradient correctness is checkable against central finite
 differences via :func:`finite_difference_check`.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +96,10 @@ def bptt_gradients(params: LstmParams, out: OutputLayer, batch):
     X, y = _batch_arrays(batch)
     loss, d_grid, dw_out, db_out = kernels.batch_loss_and_grads(params.grid(), out.w_out, out.b_out, X, y)
     d = LstmParams.from_grid(d_grid)
-    return GradientSet(d.W, d.U, d.b, dw_out, db_out), float(loss)
+    return GradientSet(d.W, d.U, d.b, dw_out, float(db_out)), loss
 
 
-def init_parameters(dims: Dims, rng: np.random.Generator, clamp_low=-1.0, clamp_high=1.0):
+def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
     """Seeded init: uniform Glorot input/output weights, orthogonal recurrent
     weights, zero biases except a forget-gate bias of one."""
     n, m = dims.n_inputs, dims.n_hidden
@@ -131,40 +132,60 @@ def train(dims: Dims, dataset, cfg: TrainConfig):
     params, out = init_parameters(dims, rng, cfg.clamp_low, cfg.clamp_high)
     X, y = _batch_arrays(dataset)
 
-    # Adam, SGD and the clamp are elementwise, so they run on the weight grid
-    tensors = [params.grid(), out.w_out, np.array([out.b_out])]
-    m_state = [np.zeros_like(p) for p in tensors]
-    v_state = [np.zeros_like(p) for p in tensors]
+    # Adam, SGD and the clamp are elementwise, so they run once per epoch on
+    # one flat vector theta = [grid, w_out, b_out]; the kernel reads and
+    # writes its parts through views.
+    grid = params.grid()
+    theta = np.concatenate([grid.ravel(), out.w_out, [out.b_out]])
+    grad = np.empty_like(theta)
+    views, grad_views = _parts(theta, grid.shape), _parts(grad, grid.shape)
+    m_state, v_state = np.zeros(theta.shape), np.zeros(theta.shape)
+    step, scratch = np.empty(theta.shape), np.empty(theta.shape)
 
     loss_history = []
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
             perm = rng.permutation(len(y))
-            Xe, ye = np.ascontiguousarray(X[perm]), np.ascontiguousarray(y[perm])
+            Xe, ye = X[perm], y[perm]
         else:
             Xe, ye = X, y
-        loss, *grads = kernels.batch_loss_and_grads(tensors[0], tensors[1], tensors[2][0], Xe, ye)
-        if not np.isfinite(loss):
+        loss, *_ = kernels.batch_loss_and_grads(*views, Xe, ye, out=grad_views)
+        if not math.isfinite(loss):
             raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
-        loss_history.append(float(loss))
+        loss_history.append(loss)
 
         if cfg.optimizer == "adam":
             t = epoch + 1
             bc1 = 1.0 - cfg.beta1**t
             bc2 = 1.0 - cfg.beta2**t
-            for k, grad in enumerate(grads):
-                m_state[k] = cfg.beta1 * m_state[k] + (1.0 - cfg.beta1) * grad
-                v_state[k] = cfg.beta2 * v_state[k] + (1.0 - cfg.beta2) * grad**2
-                tensors[k] -= cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.eps)
+            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2
+            m_state *= cfg.beta1
+            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
+            m_state += scratch
+            v_state *= cfg.beta2
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - cfg.beta2
+            v_state += scratch
+            # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m_state, bc1, out=step)
+            step *= cfg.learning_rate
+            np.divide(v_state, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += cfg.eps
+            step /= scratch
         else:
-            for p, grad in zip(tensors, grads):
-                p -= cfg.learning_rate * grad
+            np.multiply(grad, cfg.learning_rate, out=step)
+        theta -= step
+        np.clip(theta, cfg.clamp_low, cfg.clamp_high, out=theta)
 
-        for p in tensors:
-            np.clip(p, cfg.clamp_low, cfg.clamp_high, out=p)
+    grid, w_out, b_out = views
+    return LstmParams.from_grid(grid), OutputLayer(w_out, b_out), loss_history
 
-    grid, w_out, b_out = tensors
-    return LstmParams.from_grid(grid), OutputLayer(w_out, b_out[0]), loss_history
+
+def _parts(flat, grid_shape):
+    """Views (grid, w_out, b_out) of a flat [grid, w_out, b_out] vector; b_out is 0-d."""
+    n = grid_shape[0] * grid_shape[1]
+    return flat[:n].reshape(grid_shape), flat[n:-1], flat[-1:].reshape(())
 
 
 @dataclass

@@ -16,6 +16,14 @@ def sigmoid_scalar(x):
     return e / (1.0 + e)
 
 
+def sigmoid_where(x):
+    """The logistic function as numpy once computed it, a where() picking
+    the numerator; the production sigmoid must equal it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def lstm_step_loops(W, U, b, x, h_prev, C_prev):
     """One cell step with explicit python loops over units and inputs.
 

@@ -77,6 +77,16 @@ class TestTrainCommand:
         run(*train_args(b, seed=2))
         assert (a / WEIGHTS_FILE).read_bytes() != (b / WEIGHTS_FILE).read_bytes()
 
+    @pytest.mark.parametrize("flags, suffix", [((), ""), (("--shuffle",), "_shuffle"),
+                                               (("--optimizer", "sgd"), "_sgd")], ids=["adam", "shuffle", "sgd"])
+    def test_train_reproduces_pinned_weights(self, tmp_path, flags, suffix):
+        """Each of the three parameter-update branches rewrites the files
+        that `train --seed 0` plus flags wrote when they were pinned."""
+        out = tmp_path / "run"
+        assert run("train", "--seed", 0, *flags, "--out-dir", out) == 0
+        assert (out / WEIGHTS_FILE).read_bytes() == (TEST_DATA / f"weights{suffix}.txt").read_bytes()
+        assert (out / LOSS_FILE).read_bytes() == (TEST_DATA / f"loss_history{suffix}.txt").read_bytes()
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = run("train", "--dataset", tmp_path / "nope.csv", "--out-dir", tmp_path / "r")
         assert code == 1
@@ -469,6 +479,36 @@ def test_bad_key_rejected_before_the_out_dir(tmp_path, capsys, command, source, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+USAGE_ERRORS = [
+    (["train", "--shuffle", "-1"], "ignored explicit argument '-1'"),
+    (["train", "--seed"], "argument --seed: expected one argument"),
+    (["train", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["evaluate", "--bogus"], "unrecognized arguments: --bogus"),
+    (["quantize", "stray"], "unrecognized arguments: stray"),
+    (["plot-data", "--seed", "1", "stray"], "unrecognized arguments: stray"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_error_is_one_error_line(tmp_path, capsys, argv, message):
+    """argparse's own errors exit 1 with one `error:` line, like every other
+    bad input, and make no out-dir."""
+    out = tmp_path / "r"
+    assert run(argv[0], "--out-dir", out, *argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """numpy loads numpy.random on first use; importing the CLI must not
+    use it, so commands that draw nothing do not pay for it."""
+    probe = "import sys, xbarlstm.cli; sys.exit('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr or "numpy.random was imported"
 
 
 MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "", "99999999999999999999"]

@@ -9,7 +9,10 @@ from xbarlstm.data import WindowedSeries
 from xbarlstm.kernels import crossbar_unroll
 from xbarlstm.training import batch_predictions
 
-from _oracles import dot_loop, lstm_step_loops, sequence_predictions_loop, sigmoid_scalar
+from _oracles import dot_loop, lstm_step_loops, sequence_predictions_loop, sigmoid_scalar, sigmoid_where
+
+EDGES = [0.0, 5e-324, 1e-300, 36.7, 710.0, 745.2, math.inf]
+EDGE_VALUES = np.array(EDGES + [-x for x in EDGES] + [math.nan])
 
 
 def random_params(rng, n_inputs, n_hidden, scale=1.0):
@@ -53,9 +56,35 @@ class TestActivations:
         assert np.all(np.diff(sigmoid(xs)) > 0)
 
     def test_edge_values_match_scalar_oracle(self):
-        edges = [0.0, 5e-324, 1e-300, 36.7, 710.0, 745.2, math.inf]
-        xs = np.array(edges + [-x for x in edges] + [math.nan])
-        npt.assert_allclose(sigmoid(xs), [sigmoid_scalar(x) for x in xs], rtol=1e-15, atol=0)
+        npt.assert_allclose(sigmoid(EDGE_VALUES), [sigmoid_scalar(x) for x in EDGE_VALUES], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape", [None, (95, 16), (8, 143, 16)], ids=["edges", "train", "sweep"])
+    @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
+    def test_sigmoid_equals_the_where_form_exactly(self, shape, into):
+        """Edge values and the cell's shapes in train and in a stacked sweep,
+        written to a fresh array or to out=: the same bits as the where()
+        form, NaN positions included."""
+        if shape is None:
+            xs = EDGE_VALUES
+        else:
+            xs = 12.0 * np.random.default_rng(len(shape)).standard_normal(shape)
+            xs.reshape(-1)[: len(EDGE_VALUES)] = EDGE_VALUES
+        out = np.full(xs.shape, 7.0) if into else None
+        got = sigmoid(xs, out=out)
+        assert got is out or out is None
+        assert np.array_equal(got, sigmoid_where(xs), equal_nan=True)
+
+    def test_cell_writes_into_out(self):
+        """out= targets receive what the allocating call returns, also when
+        the new cell state overwrites the previous one."""
+        rng = np.random.default_rng(4)
+        a, C_prev = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 5, 2))
+        want = lstm_cell(a, C_prev)
+        out = np.empty_like(a), C_prev.copy(), np.empty_like(C_prev)
+        got = lstm_cell(a, out[1], out=out)
+        assert all(g is o for g, o in zip(got, out))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestLstmStep:

@@ -25,8 +25,9 @@ def test_library_use_example_runs():
 
 @pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])
 def test_help_lists_a_flag_for_every_key(capsys, command):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
+    assert exc.value.code == 0
     flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
     assert [key for key in KEYS if "--" + key.replace("_", "-") not in flags] == []
 
