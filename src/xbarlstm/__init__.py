@@ -12,11 +12,9 @@ from .crossbar import (
     LevelSet,
     build_level_set,
     crossbar_forward,
-    map_weight_to_pair,
     monte_carlo,
     program_crossbar,
     quantize_output_layer,
-    quantize_weight,
     read_program,
     reconstruct_weights,
     write_program,
@@ -34,11 +32,9 @@ from .data import (
     split,
 )
 from .training import (
-    GradientSet,
     TrainConfig,
     bptt_gradients,
     finite_difference_check,
-    mse_loss,
     train,
 )
 from .weights_io import read_weights, write_weights

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dims, LstmParams, OutputLayer
+from .core import Dims, LstmParams, OutputLayer, gate_blocks
 from .crossbar import (
     CrossbarConfig,
     build_level_set,
@@ -207,10 +207,9 @@ def _quantization_table(params: LstmParams, quantized: LstmParams, out: OutputLa
     """Per-entry (name, row, col, original, quantized, abs_error) rows, the
     error taken against the clamped original; output layer entries are
     included only when it is quantized too."""
-    pairs = []
-    for g, gate in enumerate("ifco"):
-        pairs += [(f"W_{gate}", params.W[g], quantized.W[g]), (f"U_{gate}", params.U[g], quantized.U[g]),
-                  (f"b_{gate}", params.b[g][None, :], quantized.b[g][None, :])]
+    blocks, q_blocks = gate_blocks(params), gate_blocks(quantized)
+    pairs = [(f"{kind}_{gate}", blocks[f"{kind}_{gate}"], q_blocks[f"{kind}_{gate}"])
+             for gate in "ifco" for kind in "WUb"]
     if out_q is not None:
         pairs += [("w_out", out.w_out[:, None], out_q.w_out[:, None]),
                   ("b_out", np.array([[out.b_out]]), np.array([[out_q.b_out]]))]

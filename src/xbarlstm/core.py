@@ -7,8 +7,9 @@ inputs; the crossbar and training modules own quantization and parameter
 updates.
 
 Gate axis order is (input, forget, cell, output) everywhere, matching the
-left-to-right column packing of :meth:`LstmParams.grid`, the one weight
-layout that the training kernels and the crossbar share.
+left-to-right column packing of ``LstmParams.grid``, the one weight layout
+that the training kernels and the crossbar share; :func:`gate_blocks` slices
+it into the per-gate blocks of the weight file.
 """
 
 from dataclasses import dataclass
@@ -32,60 +33,36 @@ class Dims:
 
 @dataclass
 class LstmParams:
-    """Gate weights of one LSTM layer, stacked on a leading gate axis.
+    """Gate weights of one LSTM layer as the crossbar holds them.
 
-    W: [4, n_inputs, n_hidden] input weights, U: [4, n_hidden, n_hidden]
-    recurrent weights, b: [4, n_hidden] biases; gate order (i, f, c, o).
+    grid: [n_inputs + n_hidden + 1, 4 * n_hidden], rows [x; h; bias] by
+    columns g * M + m carrying gate g of hidden unit m, gate order
+    (i, f, c, o). This is the crossbar's row and column order, so
+    [x_t, h_prev, 1] @ grid gives every gate pre-activation of one step.
     """
 
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
+    grid: np.ndarray
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.U = np.asarray(self.U, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        n, m = self.dims.n_inputs, self.dims.n_hidden
-        if self.W.shape != (4, n, m):
-            raise ValueError(f"W must be [4, n_inputs, n_hidden], got {self.W.shape}")
-        if self.U.shape != (4, m, m):
-            raise ValueError(f"U must be [4, n_hidden, n_hidden], got {self.U.shape}")
-        if self.b.shape != (4, m):
-            raise ValueError(f"b must be [4, n_hidden], got {self.b.shape}")
+        self.grid = np.asarray(self.grid, dtype=np.float64)
+        rows, cols = self.grid.shape if self.grid.ndim == 2 else (0, 0)
+        if cols < 4 or cols % 4 or rows < cols // 4 + 2:
+            raise ValueError(f"grid of shape {self.grid.shape} is not [n_inputs + n_hidden + 1, 4 * n_hidden]")
 
     @property
     def dims(self) -> Dims:
-        return Dims(self.W.shape[1], self.W.shape[2])
+        rows, cols = self.grid.shape
+        return Dims(rows - cols // 4 - 1, cols // 4)
 
-    @classmethod
-    def zeros(cls, dims: Dims) -> "LstmParams":
-        n, m = dims.n_inputs, dims.n_hidden
-        return cls(np.zeros((4, n, m)), np.zeros((4, m, m)), np.zeros((4, m)))
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(self.W.copy(), self.U.copy(), self.b.copy())
-
-    def grid(self) -> np.ndarray:
-        """The one weight layout: rows [x; h; bias] by 4M columns, column
-        g * M + m carrying gate g of hidden unit m. This is the crossbar's
-        row and column order, so [x_t, h_prev, 1] @ grid gives every gate
-        pre-activation of one step."""
-        n, m = self.dims.n_inputs, self.dims.n_hidden
-        stacked = np.concatenate([self.W, self.U, self.b[:, None, :]], axis=1)
-        return stacked.transpose(1, 0, 2).reshape(n + m + 1, 4 * m)
-
-    @classmethod
-    def from_grid(cls, grid) -> "LstmParams":
-        """Inverse of :meth:`grid`; the dims follow from the grid's shape."""
-        grid = np.asarray(grid, dtype=np.float64)
-        rows, cols = grid.shape
-        m = cols // 4
-        n = rows - m - 1
-        if cols != 4 * m or n < 1:
-            raise ValueError(f"grid of shape {grid.shape} is not [n_inputs + n_hidden + 1, 4 * n_hidden]")
-        gates = grid.reshape(rows, 4, m).transpose(1, 0, 2)
-        return cls(gates[:, :n].copy(), gates[:, n : n + m].copy(), gates[:, n + m].copy())
+def gate_blocks(params: LstmParams) -> dict:
+    """Per-gate views of the grid, named and shaped as in the weight file:
+    W_g [N, M], U_g [M, M] and b_g [1, M] for each gate g, the W blocks
+    first, then U, then b."""
+    n, m = params.dims.n_inputs, params.dims.n_hidden
+    rows = {"W": slice(0, n), "U": slice(n, n + m), "b": slice(n + m, None)}
+    return {f"{kind}_{gate}": params.grid[rows[kind], g * m : (g + 1) * m]
+            for kind in "WUb" for g, gate in enumerate("ifco")}
 
 
 @dataclass
@@ -100,13 +77,6 @@ class OutputLayer:
         self.b_out = float(self.b_out)
         if self.w_out.ndim != 1:
             raise ValueError(f"w_out must be a vector, got shape {self.w_out.shape}")
-
-    @classmethod
-    def zeros(cls, dims: Dims) -> "OutputLayer":
-        return cls(np.zeros(dims.n_hidden), 0.0)
-
-    def copy(self) -> "OutputLayer":
-        return OutputLayer(self.w_out.copy(), self.b_out)
 
 
 def sigmoid(x, out=None):

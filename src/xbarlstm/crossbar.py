@@ -10,7 +10,7 @@ weight units.
 
 Rows are ordered [x inputs, h inputs, bias]; the bias row is driven with a
 constant 1. Logical column g * M + m carries gate g of hidden unit m, in
-gate order (i, f, c, o) - the layout of LstmParams.grid(), so the float
+gate order (i, f, c, o) - the layout of LstmParams.grid, so the float
 path is this path on the ideal weight grid. Evaluation is time
 multiplexed: one hidden unit per cycle, four column reads per cycle, M
 cycles per time step, with the new h latched into the memory units only
@@ -28,7 +28,6 @@ unit-gain. The output layer is not part of the program: a caller that maps
 it onto the crossbar too passes the layer from quantize_output_layer.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -167,23 +166,6 @@ def level_weights(level_plus, level_minus, levels: LevelSet) -> np.ndarray:
     return _pair_weights(g[level_plus], g[level_minus], levels)
 
 
-def map_weight_to_pair(w: float, levels: LevelSet):
-    """Differential-pair level indices (level_plus, level_minus) for one weight.
-
-    Weights outside [-1, 1] are clamped with a warning.
-    """
-    lp, lm, n_clamped = quantize_levels([w], levels)
-    if n_clamped:
-        warnings.warn(f"weight {float(w):g} outside [-1, 1]; clamped", stacklevel=2)
-    return int(lp[0]), int(lm[0])
-
-
-def quantize_weight(w: float, levels: LevelSet) -> float:
-    """Weight after a round trip through the differential pair mapping."""
-    lp, lm = map_weight_to_pair(w, levels)
-    return float(level_weights(lp, lm, levels))
-
-
 def quantize_output_layer(out: OutputLayer, levels: LevelSet):
     """Output layer after the same round trip, for when it is mapped onto
     the crossbar too. Out-of-range entries are clamped and counted; returns
@@ -217,7 +199,7 @@ class CrossbarProgram:
 
     def grid(self) -> np.ndarray:
         """What reads see, (G_plus - G_minus) * k in weight units, laid out
-        like LstmParams.grid(): perturbed conductances if programmed with
+        like LstmParams.grid: perturbed conductances if programmed with
         level variation, ideal level values otherwise."""
         if self.g_plus is None:
             return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
@@ -263,21 +245,21 @@ def _seed_streams(seed: int):
 
 
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:
-    """Map every W, U, b entry onto a differential level pair.
+    """Map every entry of the weight grid onto a differential level pair.
 
     Out-of-range weights are clamped and counted on the returned program.
     With level_variation_sigma > 0 each device's conductance is perturbed
     multiplicatively with a seeded Gaussian and stored alongside the ideal
     level indices.
     """
-    level_plus, level_minus, n_clamped = quantize_levels(params.grid(), cfg.levels)
+    level_plus, level_minus, n_clamped = quantize_levels(params.grid, cfg.levels)
     return CrossbarProgram(params.dims, cfg, level_plus, level_minus, n_clamped=n_clamped).with_seed(cfg.seed)
 
 
 def reconstruct_weights(program: CrossbarProgram) -> LstmParams:
     """Ideal quantized weights implied by the programmed level indices
     (programming perturbations are deliberately ignored)."""
-    return LstmParams.from_grid(level_weights(program.level_plus, program.level_minus, program.cfg.levels))
+    return LstmParams(level_weights(program.level_plus, program.level_minus, program.cfg.levels))
 
 
 def _read_noise(draws: np.ndarray, sigma: float) -> np.ndarray:
@@ -286,11 +268,6 @@ def _read_noise(draws: np.ndarray, sigma: float) -> np.ndarray:
     gate) order: cycle m reads the four gate columns of unit m."""
     *lead, M, _ = draws.shape
     return np.ascontiguousarray((sigma * draws).swapaxes(-1, -2).reshape(*lead, 4 * M))
-
-
-def _window_inputs(windows) -> np.ndarray:
-    """Windows as the kernel's X [B, T, 1], one series value per step."""
-    return np.ascontiguousarray(windows.x[:, :, None], dtype=np.float64)
 
 
 def _unroll_program(program: CrossbarProgram, X: np.ndarray) -> np.ndarray:
@@ -329,7 +306,7 @@ def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, wind
     One seeded noise stream covers the whole batch in window order; with the
     sigmas at zero this equals the float path on the reconstructed weights.
     """
-    h = _unroll_program(program, _window_inputs(windows))
+    h = _unroll_program(program, windows.inputs())
     return h[-1] @ out.w_out + out.b_out
 
 
@@ -341,7 +318,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     Each seed's streams are drawn as with_seed and the per-device read noise
     draw them, and MC_CHUNK devices at a time run as one stacked unroll.
     """
-    X = _window_inputs(windows)
+    X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
     vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0

@@ -67,6 +67,10 @@ class WindowedSeries:
     def take(self, start, stop):
         return WindowedSeries(self.x[start:stop], self.y[start:stop], self.look_back)
 
+    def inputs(self) -> np.ndarray:
+        """The windows as the kernels' input X [B, T, 1], one series value per step."""
+        return np.ascontiguousarray(self.x[:, :, None])
+
 
 def load_series(path) -> TimeSeries:
     """Read a passenger-count CSV; raises with the line number on bad rows."""

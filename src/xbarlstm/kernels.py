@@ -1,7 +1,7 @@
 """The one unroll of the LSTM cell over a window batch, and its BPTT.
 
 Both the float path and the crossbar path run here: the float path passes
-``LstmParams.grid()`` and no noise, the crossbar path
+``LstmParams.grid`` and no noise, the crossbar path
 ``CrossbarProgram.grid()``, the differential column currents in weight
 units, with its per-read noise factors. The scalar loop versions that
 check these kernels live with the tests, in ``tests/_oracles.py``.

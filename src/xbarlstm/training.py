@@ -46,75 +46,41 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class GradientSet:
-    """Gradients, shape-congruent to LstmParams plus the output layer."""
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-    w_out: np.ndarray
-    b_out: float
-
-    def groups(self):
-        return {"W": self.W, "U": self.U, "b": self.b, "w_out": self.w_out,
-                "b_out": np.array([self.b_out])}
-
-
-def mse_loss(predictions, targets) -> float:
-    """Mean of squared differences."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape} predictions vs {t.shape} targets")
-    if p.size == 0:
-        raise ValueError("mse_loss of empty sequences is undefined")
-    return float(np.mean((p - t) ** 2))
-
-
-def _batch_arrays(batch):
-    """WindowedSeries -> (X [B, T, 1], y [B]); each window value is one step."""
-    X = np.ascontiguousarray(batch.x[:, :, None], dtype=np.float64)
-    y = np.ascontiguousarray(batch.y, dtype=np.float64)
-    return X, y
-
-
 def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray:
     """Last-step prediction of every window, each run from the zero state."""
-    X, _ = _batch_arrays(batch)
-    h, *_ = kernels.crossbar_unroll(params.grid(), X)
+    h, *_ = kernels.crossbar_unroll(params.grid, batch.inputs())
     return h[-1] @ out.w_out + out.b_out
 
 
 def bptt_gradients(params: LstmParams, out: OutputLayer, batch):
     """Exact gradients of the batch MSE through all time steps.
 
-    Returns (GradientSet, loss).
+    Returns (loss, d_grid, d_w_out, d_b_out), the gradients shaped like
+    params.grid, out.w_out and out.b_out (d_b_out a 0-d array).
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    X, y = _batch_arrays(batch)
-    loss, d_grid, dw_out, db_out = kernels.batch_loss_and_grads(params.grid(), out.w_out, out.b_out, X, y)
-    d = LstmParams.from_grid(d_grid)
-    return GradientSet(d.W, d.U, d.b, dw_out, float(db_out)), loss
+    return kernels.batch_loss_and_grads(params.grid, out.w_out, out.b_out, batch.inputs(), batch.y)
 
 
 def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
     """Seeded init: uniform Glorot input/output weights, orthogonal recurrent
-    weights, zero biases except a forget-gate bias of one."""
+    weights, zero biases except a forget-gate bias of one. The input weights
+    and biases are clamped, the recurrent weights are left as drawn."""
     n, m = dims.n_inputs, dims.n_hidden
+    grid = np.zeros((n + m + 1, 4 * m))
+    gates = grid.reshape(n + m + 1, 4, m).transpose(1, 0, 2)  # gates[g]: gate g's [R, M] columns
     limit_w = min(np.sqrt(6.0 / (n + m)), clamp_high)
-    W = rng.uniform(-limit_w, limit_w, (4, n, m))
-    U = np.empty((4, m, m))
+    gates[:, :n] = rng.uniform(-limit_w, limit_w, (4, n, m))
     for g in range(4):
         q, r = np.linalg.qr(rng.standard_normal((m, m)))
-        U[g] = q * np.sign(np.diag(r))
-    b = np.zeros((4, m))
-    b[1, :] = 1.0  # forget gate starts open
+        gates[g, n : n + m] = q * np.sign(np.diag(r))
+    gates[1, n + m] = 1.0  # forget gate starts open
+    for rows in (grid[:n], grid[n + m :]):
+        np.clip(rows, clamp_low, clamp_high, out=rows)
     limit_out = min(np.sqrt(6.0 / (m + 1)), clamp_high)
     w_out = rng.uniform(-limit_out, limit_out, m)
-    params = LstmParams(np.clip(W, clamp_low, clamp_high), U, np.clip(b, clamp_low, clamp_high))
-    return params, OutputLayer(np.clip(w_out, clamp_low, clamp_high), 0.0)
+    return LstmParams(grid), OutputLayer(np.clip(w_out, clamp_low, clamp_high), 0.0)
 
 
 def train(dims: Dims, dataset, cfg: TrainConfig):
@@ -130,15 +96,14 @@ def train(dims: Dims, dataset, cfg: TrainConfig):
         raise ValueError("training dataset is empty")
     rng = np.random.default_rng(cfg.seed)
     params, out = init_parameters(dims, rng, cfg.clamp_low, cfg.clamp_high)
-    X, y = _batch_arrays(dataset)
+    X, y = dataset.inputs(), dataset.y
 
     # Adam, SGD and the clamp are elementwise, so they run once per epoch on
     # one flat vector theta = [grid, w_out, b_out]; the kernel reads and
     # writes its parts through views.
-    grid = params.grid()
-    theta = np.concatenate([grid.ravel(), out.w_out, [out.b_out]])
+    theta = np.concatenate([params.grid.ravel(), out.w_out, [out.b_out]])
     grad = np.empty_like(theta)
-    views, grad_views = _parts(theta, grid.shape), _parts(grad, grid.shape)
+    views, grad_views = _parts(theta, params.grid.shape), _parts(grad, params.grid.shape)
     m_state, v_state = np.zeros(theta.shape), np.zeros(theta.shape)
     step, scratch = np.empty(theta.shape), np.empty(theta.shape)
 
@@ -179,7 +144,7 @@ def train(dims: Dims, dataset, cfg: TrainConfig):
         np.clip(theta, cfg.clamp_low, cfg.clamp_high, out=theta)
 
     grid, w_out, b_out = views
-    return LstmParams.from_grid(grid), OutputLayer(w_out, b_out), loss_history
+    return LstmParams(grid), OutputLayer(w_out, b_out), loss_history
 
 
 def _parts(flat, grid_shape):
@@ -208,32 +173,30 @@ class FdCheckReport:
 
 def finite_difference_check(params: LstmParams, out: OutputLayer, batch,
                             step: float = 1e-5, tolerance: float = 1e-4,
-                            gradients: GradientSet | None = None,
-                            magnitude_floor: float = 1e-8) -> FdCheckReport:
+                            gradients=None, magnitude_floor: float = 1e-8) -> FdCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Relative error is reported where either gradient magnitude exceeds
-    magnitude_floor; a supplied GradientSet is checked instead of a freshly
-    computed one (handy as a negative control).
+    Relative error is reported per group (grid, w_out, b_out) where either
+    gradient magnitude exceeds magnitude_floor; a supplied (d_grid, d_w_out,
+    d_b_out) triple is checked instead of a freshly computed one (handy as a
+    negative control).
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if gradients is None:
-        gradients, _ = bptt_gradients(params, out, batch)
+        _, *gradients = bptt_gradients(params, out, batch)
 
-    X, y = _batch_arrays(batch)
-    grid = params.grid()
-    w_out = out.w_out.copy()
-    b_out_box = np.array([out.b_out])
+    X, y = batch.inputs(), batch.y
+    wrt = {"grid": params.grid.copy(), "w_out": out.w_out.copy(), "b_out": np.array(out.b_out)}
 
     def loss_at():
-        h, *_ = kernels.crossbar_unroll(grid, X)
-        return float(np.mean((h[-1] @ w_out + b_out_box[0] - y) ** 2))
+        h, *_ = kernels.crossbar_unroll(wrt["grid"], X)
+        return float(np.mean((h[-1] @ wrt["w_out"] + wrt["b_out"] - y) ** 2))
 
-    numeric = {}
-    for name, arr in (("grid", grid), ("w_out", w_out), ("b_out", b_out_box)):
-        numeric[name] = np.zeros_like(arr)
-        flat, nflat = arr.reshape(-1), numeric[name].reshape(-1)
+    errors = {}
+    for (name, arr), analytic in zip(wrt.items(), gradients, strict=True):
+        numeric = np.zeros(arr.shape)
+        flat, nflat = arr.reshape(-1), numeric.reshape(-1)
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + step
@@ -242,16 +205,10 @@ def finite_difference_check(params: LstmParams, out: OutputLayer, batch,
             down = loss_at()
             flat[idx] = keep
             nflat[idx] = (up - down) / (2.0 * step)
-    d = LstmParams.from_grid(numeric.pop("grid"))
-    numeric.update(W=d.W, U=d.U, b=d.b)
-
-    errors = {}
-    worst = 0.0
-    for name, analytic in gradients.groups().items():
-        scale = np.maximum(np.abs(analytic), np.abs(numeric[name]))
+        scale = np.maximum(np.abs(analytic), np.abs(numeric))
         mask = scale > magnitude_floor
         rel = np.zeros_like(scale)
-        rel[mask] = np.abs(analytic - numeric[name])[mask] / scale[mask]
-        errors[name] = float(rel.max()) if rel.size else 0.0
-        worst = max(worst, errors[name])
+        rel[mask] = np.abs(analytic - numeric)[mask] / scale[mask]
+        errors[name] = float(rel.max())
+    worst = max(errors.values())
     return FdCheckReport(errors, worst < tolerance, step, tolerance, magnitude_floor)

@@ -3,14 +3,15 @@
 Fourteen named matrices in a fixed order, each introduced by a header line
 ``name rows cols`` followed by that many rows of space-separated decimals
 with 17 significant digits (lossless for doubles, so export -> import ->
-export is byte-identical). The per-gate blocks pack side by side into the
-concatenated [1,4M] / [M,4M] / [1,4M] matrices plus the [M,1] output
-weights and single bias, which lets weights trained elsewhere be imported.
+export is byte-identical). The per-gate blocks are slices of the weight
+grid (core.gate_blocks): side by side they form its [N,4M] / [M,4M] /
+[1,4M] row bands, and the [M,1] output weights and single bias follow,
+which lets weights trained elsewhere be imported.
 """
 
 import numpy as np
 
-from .core import Dims, LstmParams, OutputLayer
+from .core import Dims, LstmParams, OutputLayer, gate_blocks
 
 MATRIX_NAMES = (
     "W_i", "W_f", "W_c", "W_o",
@@ -21,11 +22,7 @@ MATRIX_NAMES = (
 
 
 def _matrices(params: LstmParams, out: OutputLayer):
-    mats = {}
-    for g, name in enumerate(("i", "f", "c", "o")):
-        mats[f"W_{name}"] = params.W[g]
-        mats[f"U_{name}"] = params.U[g]
-        mats[f"b_{name}"] = params.b[g][None, :]
+    mats = gate_blocks(params)
     mats["w_out"] = out.w_out[:, None]
     mats["b_out"] = np.array([[out.b_out]])
     return mats
@@ -85,23 +82,16 @@ def read_weights(path):
         raise ValueError(f"{path}: {len(lines) - pos} unexpected trailing lines")
 
     n_inputs, n_hidden = mats["W_i"].shape
-    for prefix, want in (("W", (n_inputs, n_hidden)), ("U", (n_hidden, n_hidden)), ("b", (1, n_hidden))):
-        for gate in "ifco":
-            got = mats[f"{prefix}_{gate}"].shape
-            if got != want:
-                raise ValueError(f"{path}: {prefix}_{gate} has shape {got}, expected {want}")
+    params = LstmParams(np.zeros((n_inputs + n_hidden + 1, 4 * n_hidden)))
+    for name, block in gate_blocks(params).items():  # fills the grid through its views
+        if mats[name].shape != block.shape:
+            raise ValueError(f"{path}: {name} has shape {mats[name].shape}, expected {block.shape}")
+        block[...] = mats[name]
     if mats["w_out"].shape != (n_hidden, 1):
         raise ValueError(f"{path}: w_out has shape {mats['w_out'].shape}, expected ({n_hidden}, 1)")
     if mats["b_out"].shape != (1, 1):
         raise ValueError(f"{path}: b_out has shape {mats['b_out'].shape}, expected (1, 1)")
-
-    params = LstmParams(
-        np.stack([mats[f"W_{g}"] for g in "ifco"]),
-        np.stack([mats[f"U_{g}"] for g in "ifco"]),
-        np.stack([mats[f"b_{g}"][0] for g in "ifco"]),
-    )
-    out = OutputLayer(mats["w_out"][:, 0], mats["b_out"][0, 0])
-    return params, out
+    return params, OutputLayer(mats["w_out"][:, 0], mats["b_out"][0, 0])
 
 
 def packed_shapes(dims: Dims):

@@ -24,6 +24,39 @@ def sigmoid_where(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def grid_from_gates(W, U, b):
+    """The weight grid [n + m + 1, 4m] filled entry by entry from per-gate
+    blocks W [4][n][m], U [4][m][m] and b [4][m]: rows [x; h; bias], column
+    g * m + j carrying gate g of unit j."""
+    n, m = len(W[0]), len(b[0])
+    grid = np.zeros((n + m + 1, 4 * m))
+    for g in range(4):
+        for j in range(m):
+            for k in range(n):
+                grid[k][g * m + j] = W[g][k][j]
+            for k in range(m):
+                grid[n + k][g * m + j] = U[g][k][j]
+            grid[n + m][g * m + j] = b[g][j]
+    return grid
+
+
+def gates_from_grid(grid):
+    """The per-gate blocks (W [4, n, m], U [4, m, m], b [4, m]) read entry by
+    entry out of a weight grid [n + m + 1, 4m]; the inverse of grid_from_gates."""
+    rows, cols = len(grid), len(grid[0])
+    m = cols // 4
+    n = rows - m - 1
+    W, U, b = np.zeros((4, n, m)), np.zeros((4, m, m)), np.zeros((4, m))
+    for g in range(4):
+        for j in range(m):
+            for k in range(n):
+                W[g][k][j] = grid[k][g * m + j]
+            for k in range(m):
+                U[g][k][j] = grid[n + k][g * m + j]
+            b[g][j] = grid[n + m][g * m + j]
+    return W, U, b
+
+
 def lstm_step_loops(W, U, b, x, h_prev, C_prev):
     """One cell step with explicit python loops over units and inputs.
 

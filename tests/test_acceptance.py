@@ -17,8 +17,9 @@ from xbarlstm.crossbar import (
     CrossbarConfig,
     build_level_set,
     crossbar_forward,
+    level_weights,
     program_crossbar,
-    quantize_weight,
+    quantize_levels,
     read_program,
     reconstruct_weights,
     write_program,
@@ -36,7 +37,7 @@ from xbarlstm.data import (
 from xbarlstm.training import TrainConfig, batch_predictions, finite_difference_check, train
 from xbarlstm.weights_io import read_weights, write_weights
 
-from _oracles import sequence_predictions_loop
+from _oracles import gates_from_grid, grid_from_gates, sequence_predictions_loop
 
 EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -48,11 +49,11 @@ def report(number, ok, detail, elapsed):
 
 
 def random_model(rng, n_hidden=4):
-    params = LstmParams(
+    params = LstmParams(grid_from_gates(
         rng.uniform(-1, 1, (4, 1, n_hidden)),
         rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
         rng.uniform(-1, 1, (4, n_hidden)),
-    )
+    ))
     out = OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
     return params, out
 
@@ -111,8 +112,8 @@ def test_criterion_2_crossbar_oracle_equivalence():
         recon = reconstruct_weights(program)
         xs = rng.uniform(-1, 1, (int(rng.integers(1, 21)), 1))
         got = np.array(crossbar_forward(program, out, xs))
-        want = sequence_predictions_loop(recon.W.tolist(), recon.U.tolist(), recon.b.tolist(),
-                                         out.w_out.tolist(), out.b_out, xs.tolist())
+        W, U, b = (a.tolist() for a in gates_from_grid(recon.grid))
+        want = sequence_predictions_loop(W, U, b, out.w_out.tolist(), out.b_out, xs.tolist())
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -126,13 +127,13 @@ def test_criterion_3_quantizer_bound():
     ok = True
     for spacing in ("uniform_conductance", "uniform_resistance"):
         levels = build_level_set(spacing)
-        recon = np.array([quantize_weight(w, levels) for w in sweep])
+        recon = level_weights(*quantize_levels(sweep, levels)[:2], levels)
         max_err = float(np.max(np.abs(recon - sweep)))
         bound = levels.max_weight_step / 2 + 1e-12
         if spacing == "uniform_conductance":
             bound = 1 / 30 + 1e-12
         monotone = bool(np.all(np.diff(recon) >= 0))
-        idempotent = all(quantize_weight(r, levels) == r for r in recon)
+        idempotent = np.array_equal(level_weights(*quantize_levels(recon, levels)[:2], levels), recon)
         ok = ok and max_err <= bound and monotone and idempotent
         details.append(f"{spacing}: max err {max_err:.5f} <= {bound:.5f}")
     elapsed = time.perf_counter() - t0

@@ -29,7 +29,7 @@ from xbarlstm.cli import (
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, read_weights, write_weights
 
-from _oracles import window_last_prediction
+from _oracles import gates_from_grid, grid_from_gates, window_last_prediction
 
 TEST_DATA = Path(__file__).resolve().parent / "data"
 
@@ -43,6 +43,13 @@ def child_env():
     this one, installed or not."""
     package_root = str(Path(xbarlstm.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def zero_model(n_inputs=1, n_hidden=4, gates=None):
+    """An all-zero model, or one whose LSTM weights are the per-gate blocks
+    (W, U, b) laid out by the oracle, with a zero output layer."""
+    grid = np.zeros((n_inputs + n_hidden + 1, 4 * n_hidden)) if gates is None else grid_from_gates(*gates)
+    return LstmParams(grid), OutputLayer(np.zeros(n_hidden), 0.0)
 
 
 def train_args(out_dir, epochs=8, seed=0, extra=()):
@@ -62,7 +69,7 @@ class TestTrainCommand:
         assert "RMSE passengers" in printed and "RMSE normalized" in printed
         params, out_layer = read_weights(out / WEIGHTS_FILE)
         assert params.dims == Dims(1, 4)
-        assert np.all(np.abs(params.W) <= 1) and np.all(np.abs(params.U) <= 1)
+        assert np.all(np.abs(params.grid) <= 1)
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -96,7 +103,7 @@ class TestTrainCommand:
 class TestQuantizeCommand:
     def test_zero_weights_zero_program(self, tmp_path, capsys):
         wfile = tmp_path / "zero.txt"
-        write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+        write_weights(*zero_model(), wfile)
         out = tmp_path / "run"
         assert run("quantize", "--weights", wfile, "--out-dir", out) == 0
         report = (out / QUANTIZE_REPORT_FILE).read_text().splitlines()
@@ -121,10 +128,10 @@ class TestQuantizeCommand:
         assert float(report2[3].split()[1]) == 0.0
 
     def test_out_of_range_warns(self, tmp_path, capsys):
-        params = LstmParams.zeros(Dims(1, 4))
-        params.W[0, 0, 0] = 2.5
+        W, U, b = np.zeros((4, 1, 4)), np.zeros((4, 4, 4)), np.zeros((4, 4))
+        W[0, 0, 0] = 2.5
         wfile = tmp_path / "hot.txt"
-        write_weights(params, OutputLayer.zeros(Dims(1, 4)), wfile)
+        write_weights(*zero_model(gates=(W, U, b)), wfile)
         assert run("quantize", "--weights", wfile, "--out-dir", tmp_path / "r") == 0
         assert "clamped" in capsys.readouterr().err
 
@@ -138,7 +145,7 @@ class TestQuantizeCommand:
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_weight_rejected(tmp_path, capsys, command, value):
     wfile = tmp_path / "weights.txt"
-    write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+    write_weights(*zero_model(), wfile)
     lines = wfile.read_text().splitlines()
     k = lines.index("U_c 4 4") + 2
     lines[k] = " ".join([value] + lines[k].split()[1:])
@@ -162,7 +169,7 @@ def test_non_finite_weight_rejected(tmp_path, capsys, command, value):
 def test_non_finite_sigma_rejected(tmp_path, capsys, case):
     command, flag, value = case
     wfile = tmp_path / "weights.txt"
-    write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+    write_weights(*zero_model(), wfile)
     args = [flag, value]
     if flag.startswith("program"):
         assert run("quantize", "--weights", wfile, "--out-dir", tmp_path / "q") == 0
@@ -188,7 +195,7 @@ def test_non_finite_sigma_rejected(tmp_path, capsys, case):
 @pytest.mark.parametrize("header", ["W_i 1 10000000000000", "W_i -1 4"], ids=["huge-cols", "negative-rows"])
 def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
     wfile = tmp_path / "weights.txt"
-    write_weights(LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4)), wfile)
+    write_weights(*zero_model(), wfile)
     wfile.write_text(wfile.read_text().replace("W_i 1 4\n", header + "\n", 1))
     out = tmp_path / "r"
     assert run(command, "--weights", wfile, "--out-dir", out) == 1
@@ -204,8 +211,9 @@ def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
     ["evaluate", "--program", "q/program.txt"],
 ], ids=["quantize", "evaluate", "evaluate-program"])
 def test_clamp_warnings_are_plain_lines(tmp_path, argv):
-    params, out = LstmParams.zeros(Dims(1, 4)), OutputLayer.zeros(Dims(1, 4))
-    params.U[2, 1, 3] = -2.5
+    W, U, b = np.zeros((4, 1, 4)), np.zeros((4, 4, 4)), np.zeros((4, 4))
+    U[2, 1, 3] = -2.5
+    params, out = zero_model(gates=(W, U, b))
     out.w_out[0] = 1.75
     wfile = tmp_path / "weights.txt"
     write_weights(params, out, wfile)
@@ -291,8 +299,9 @@ class TestEvaluateCommand:
         series = load_series(BUNDLED_DATASET)
         norm = fit_normalizer(series)
         windows = make_windows(normalize(series, norm), 1)
-        oracle = [window_last_prediction(recon.W.tolist(), recon.U.tolist(), recon.b.tolist(),
-                                         out_layer.w_out.tolist(), out_layer.b_out, x.tolist()) for x in windows.x]
+        W, U, b = (a.tolist() for a in gates_from_grid(recon.grid))
+        oracle = [window_last_prediction(W, U, b, out_layer.w_out.tolist(), out_layer.b_out, x.tolist())
+                  for x in windows.x]
         want = denormalize(np.array(oracle), norm)
         np.testing.assert_allclose(quant_column, want, rtol=0, atol=1e-9)
 
@@ -331,7 +340,7 @@ class TestEvaluateCommand:
 
     def test_n_inputs_mismatch_rejected(self, tmp_path, capsys):
         wfile = tmp_path / "two_inputs.txt"
-        write_weights(LstmParams.zeros(Dims(2, 4)), OutputLayer.zeros(Dims(2, 4)), wfile)
+        write_weights(*zero_model(n_inputs=2), wfile)
         out = tmp_path / "r"
         assert run("evaluate", "--weights", wfile, "--out-dir", out) == 1
         err = capsys.readouterr().err
@@ -341,9 +350,9 @@ class TestEvaluateCommand:
     def test_dims_mismatch_program_rejected(self, trained, tmp_path, capsys):
         big = tmp_path / "big.txt"
         rng = np.random.default_rng(0)
-        params = LstmParams(
+        params = LstmParams(grid_from_gates(
             rng.uniform(-1, 1, (4, 1, 6)), rng.uniform(-1, 1, (4, 6, 6)), rng.uniform(-1, 1, (4, 6))
-        )
+        ))
         write_weights(params, OutputLayer(rng.uniform(-1, 1, 6), 0.0), big)
         code = run("evaluate", "--weights", big, "--program", trained / PROGRAM_FILE,
                    "--out-dir", tmp_path / "r", "--hidden-units", 6)

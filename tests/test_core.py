@@ -4,33 +4,49 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import Dims, LstmParams, OutputLayer, lstm_cell, sigmoid
+from xbarlstm.core import Dims, LstmParams, OutputLayer, gate_blocks, lstm_cell, sigmoid
 from xbarlstm.data import WindowedSeries
 from xbarlstm.kernels import crossbar_unroll
 from xbarlstm.training import batch_predictions
 
-from _oracles import dot_loop, lstm_step_loops, sequence_predictions_loop, sigmoid_scalar, sigmoid_where
+from _oracles import (
+    dot_loop,
+    gates_from_grid,
+    grid_from_gates,
+    lstm_step_loops,
+    sequence_predictions_loop,
+    sigmoid_scalar,
+    sigmoid_where,
+)
 
 EDGES = [0.0, 5e-324, 1e-300, 36.7, 710.0, 745.2, math.inf]
 EDGE_VALUES = np.array(EDGES + [-x for x in EDGES] + [math.nan])
 
 
 def random_params(rng, n_inputs, n_hidden, scale=1.0):
-    return LstmParams(
+    return LstmParams(grid_from_gates(
         scale * rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
         scale * rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
         scale * rng.uniform(-1, 1, (4, n_hidden)),
-    )
+    ))
+
+
+def zero_params(n_inputs, n_hidden):
+    return LstmParams(np.zeros((n_inputs + n_hidden + 1, 4 * n_hidden)))
+
+
+def oracle_gates(params):
+    """The per-gate blocks of params as nested lists, read by the loop oracle."""
+    return [a.tolist() for a in gates_from_grid(params.grid)]
 
 
 def cell_step(params, x, h_prev, C_prev):
     """One step of the one cell: drive the grid rows with [x, h_prev, 1]."""
-    return lstm_cell(np.concatenate([x, h_prev, [1.0]]) @ params.grid(), C_prev)
+    return lstm_cell(np.concatenate([x, h_prev, [1.0]]) @ params.grid, C_prev)
 
 
 def oracle_step(params, x, h_prev, C_prev):
-    return lstm_step_loops(params.W.tolist(), params.U.tolist(), params.b.tolist(),
-                           list(x), list(h_prev), list(C_prev))
+    return lstm_step_loops(*oracle_gates(params), list(x), list(h_prev), list(C_prev))
 
 
 class TestActivations:
@@ -89,7 +105,7 @@ class TestActivations:
 
 class TestLstmStep:
     def test_zero_params_zero_state(self):
-        params = LstmParams.zeros(Dims(1, 4))
+        params = zero_params(1, 4)
         acts, C, h = cell_step(params, [0.37], np.zeros(4), np.zeros(4))
         i, f, c_tilde, o = acts.reshape(4, 4)
         npt.assert_array_equal(i, 0.5)
@@ -100,7 +116,7 @@ class TestLstmStep:
         npt.assert_array_equal(C, 0.0)
 
     def test_zero_params_nonzero_cell(self):
-        params = LstmParams.zeros(Dims(1, 3))
+        params = zero_params(1, 3)
         _, C, h = cell_step(params, [2.0], np.zeros(3), np.ones(3))
         npt.assert_allclose(C, 0.5, rtol=0, atol=0)
         npt.assert_allclose(h, 0.5 * np.tanh(0.5), rtol=0, atol=1e-16)
@@ -151,14 +167,14 @@ class TestDenseOutput:
     def test_bias_passthrough(self):
         # zero weights keep h at 0, so only the bias reaches the prediction
         windows = WindowedSeries(np.full((3, 2), 0.4), np.zeros(3), 2)
-        preds = batch_predictions(LstmParams.zeros(Dims(1, 4)), OutputLayer(np.ones(4), 0.7), windows)
+        preds = batch_predictions(zero_params(1, 4), OutputLayer(np.ones(4), 0.7), windows)
         npt.assert_array_equal(preds, 0.7)
 
     def test_selector(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, 1, 4)
         windows = WindowedSeries(rng.uniform(0, 1, (5, 3)), np.zeros(5), 3)
-        h, *_ = crossbar_unroll(params.grid(), windows.x[:, :, None])
+        h, *_ = crossbar_unroll(params.grid, windows.x[:, :, None])
         preds = batch_predictions(params, OutputLayer(np.array([1.0, 0, 0, 0]), 0.0), windows)
         npt.assert_array_equal(preds, h[-1, :, 0])
 
@@ -168,21 +184,21 @@ class TestDenseOutput:
             params = random_params(rng, 1, 6)
             out = OutputLayer(rng.uniform(-1, 1, 6), rng.uniform(-1, 1))
             windows = WindowedSeries(rng.uniform(0, 1, (4, 2)), np.zeros(4), 2)
-            h, *_ = crossbar_unroll(params.grid(), windows.x[:, :, None])
+            h, *_ = crossbar_unroll(params.grid, windows.x[:, :, None])
             got = batch_predictions(params, out, windows)
             want = [dot_loop(out.w_out.tolist(), h[-1, s].tolist()) + out.b_out for s in range(4)]
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestForwardSequence:
-    """The float path over a sequence: the one unroll on params.grid()."""
+    """The float path over a sequence: the one unroll on params.grid."""
 
     def test_single_step_is_step_plus_dense(self):
         rng = np.random.default_rng(3)
         params = random_params(rng, 1, 4)
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         x = rng.uniform(-1, 1, 1)
-        h, _, _, C = crossbar_unroll(params.grid(), x[None, None, :])
+        h, _, _, C = crossbar_unroll(params.grid, x[None, None, :])
         _, _, _, _, want_h, want_C = oracle_step(params, x, [0.0] * 4, [0.0] * 4)
         npt.assert_allclose(h[0, 0], want_h, rtol=0, atol=1e-12)
         npt.assert_allclose(C[0, 0], want_C, rtol=0, atol=1e-12)
@@ -194,21 +210,20 @@ class TestForwardSequence:
         params = random_params(rng, 2, 3)
         out = OutputLayer(rng.uniform(-1, 1, 3), 0.1)
         xs = rng.uniform(-1, 1, (2, 2))
-        h, _, _, C = crossbar_unroll(params.grid(), xs[None])
+        h, _, _, C = crossbar_unroll(params.grid, xs[None])
         state = ([0.0] * 3, [0.0] * 3)
         for t in range(2):
             *_, want_h, want_C = oracle_step(params, xs[t], *state)
             state = (want_h, want_C)
             npt.assert_allclose(h[t, 0], want_h, rtol=0, atol=1e-12)
             npt.assert_allclose(C[t, 0], want_C, rtol=0, atol=1e-12)
-        want = sequence_predictions_loop(params.W.tolist(), params.U.tolist(), params.b.tolist(),
-                                         out.w_out.tolist(), out.b_out, xs.tolist())
+        want = sequence_predictions_loop(*oracle_gates(params), out.w_out.tolist(), out.b_out, xs.tolist())
         npt.assert_allclose(h[:, 0] @ out.w_out + out.b_out, want, rtol=0, atol=1e-12)
 
     def test_zero_fixed_point(self):
-        params = LstmParams.zeros(Dims(1, 4))
+        params = zero_params(1, 4)
         rng = np.random.default_rng(5)
-        h, _, _, C = crossbar_unroll(params.grid(), rng.uniform(-9, 9, (1, 12, 1)))
+        h, _, _, C = crossbar_unroll(params.grid, rng.uniform(-9, 9, (1, 12, 1)))
         npt.assert_array_equal(h, 0.0)
         npt.assert_array_equal(C, 0.0)
 
@@ -216,8 +231,8 @@ class TestForwardSequence:
         rng = np.random.default_rng(9)
         params = random_params(rng, 1, 4)
         xs = rng.uniform(-1, 1, (1, 5, 1))
-        a = crossbar_unroll(params.grid(), xs)
-        b = crossbar_unroll(params.grid(), xs)
+        a = crossbar_unroll(params.grid, xs)
+        b = crossbar_unroll(params.grid, xs)
         for x, y in zip(a, b):
             npt.assert_array_equal(x, y)
 
@@ -230,7 +245,24 @@ class TestValidation:
             Dims(1, 0)
 
     def test_params_shape_checks(self):
-        with pytest.raises(ValueError, match="U"):
-            LstmParams(np.zeros((4, 1, 4)), np.zeros((4, 3, 4)), np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="b"):
-            LstmParams(np.zeros((4, 1, 4)), np.zeros((4, 4, 4)), np.zeros((4, 5)))
+        assert zero_params(3, 6).dims == Dims(3, 6)
+        # 4M columns need N + M + 1 rows with N >= 1; the gate axis needs 4 | columns
+        for shape in [(5, 16), (6, 15), (6, 2), (6, 0), (6,), (1, 6, 16)]:
+            with pytest.raises(ValueError, match=r"is not \[n_inputs \+ n_hidden \+ 1, 4 \* n_hidden\]"):
+                LstmParams(np.zeros(shape))
+
+
+@pytest.mark.parametrize("n_inputs,n_hidden", [(1, 1), (1, 4), (3, 6)])
+def test_gate_blocks_equal_the_loop_oracle(n_inputs, n_hidden):
+    """gate_blocks slices the grid into the weight file's blocks, as the
+    entry-by-entry layout oracle reads them; the oracle's two directions
+    invert each other."""
+    grid = np.random.default_rng(n_inputs * 10 + n_hidden).uniform(-1, 1, (n_inputs + n_hidden + 1, 4 * n_hidden))
+    W, U, b = gates_from_grid(grid)
+    assert np.array_equal(grid_from_gates(W, U, b), grid)
+    blocks = gate_blocks(LstmParams(grid))
+    assert list(blocks) == [f"{kind}_{gate}" for kind in "WUb" for gate in "ifco"]
+    for g, gate in enumerate("ifco"):
+        assert np.array_equal(blocks[f"W_{gate}"], W[g])
+        assert np.array_equal(blocks[f"U_{gate}"], U[g])
+        assert np.array_equal(blocks[f"b_{gate}"], b[g][None, :])

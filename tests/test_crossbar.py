@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import Dims, LstmParams, OutputLayer
+from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     MC_CHUNK,
     SPACINGS,
@@ -15,11 +14,11 @@ from xbarlstm.crossbar import (
     build_level_set,
     crossbar_forward,
     crossbar_window_predictions,
-    map_weight_to_pair,
+    level_weights,
     monte_carlo,
     program_crossbar,
+    quantize_levels,
     quantize_output_layer,
-    quantize_weight,
     read_program,
     reconstruct_weights,
     write_program,
@@ -30,6 +29,8 @@ from xbarlstm.kernels import crossbar_unroll
 from _oracles import (
     crossbar_unroll_loop,
     dot_loop,
+    gates_from_grid,
+    grid_from_gates,
     lstm_step_loops,
     nearest_level_exhaustive,
     sequence_predictions_loop,
@@ -38,11 +39,27 @@ from _oracles import (
 
 def random_params(seed, n_inputs=1, n_hidden=4):
     rng = np.random.default_rng(seed)
-    return LstmParams(
+    return LstmParams(grid_from_gates(
         rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
         rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
         rng.uniform(-1, 1, (4, n_hidden)),
-    )
+    ))
+
+
+def zero_gates(n_inputs, n_hidden):
+    return np.zeros((4, n_inputs, n_hidden)), np.zeros((4, n_hidden, n_hidden)), np.zeros((4, n_hidden))
+
+
+def zero_params(n_inputs, n_hidden):
+    return LstmParams(grid_from_gates(*zero_gates(n_inputs, n_hidden)))
+
+
+def quantize_one(w, levels):
+    """One weight through the quantizer: its (level_plus, level_minus) pair
+    and the weight read back from that pair."""
+    lp, lm, _ = quantize_levels([w], levels)
+    return (int(lp[0]), int(lm[0])), float(level_weights(lp, lm, levels)[0])
+
 
 
 class TestLevelSet:
@@ -85,32 +102,35 @@ class TestLevelSet:
 
 
 class TestMapWeightToPair:
+    """quantize_levels maps each weight onto a differential level pair."""
+
     def test_zero(self):
         levels = build_level_set()
-        assert map_weight_to_pair(0.0, levels) == (0, 0)
-        assert quantize_weight(0.0, levels) == 0.0
+        assert quantize_one(0.0, levels) == ((0, 0), 0.0)
 
     def test_endpoints(self):
         levels = build_level_set()
-        assert map_weight_to_pair(1.0, levels) == (15, 0)
-        assert quantize_weight(1.0, levels) == pytest.approx(1.0, abs=1e-15)
-        assert map_weight_to_pair(-1.0, levels) == (0, 15)
-        assert quantize_weight(-1.0, levels) == pytest.approx(-1.0, abs=1e-15)
+        pair, q = quantize_one(1.0, levels)
+        assert pair == (15, 0)
+        assert q == pytest.approx(1.0, abs=1e-15)
+        pair, q = quantize_one(-1.0, levels)
+        assert pair == (0, 15)
+        assert q == pytest.approx(-1.0, abs=1e-15)
 
     def test_halfway_tie_rounds_to_higher_conductance(self):
         levels = build_level_set("uniform_conductance")
         # 0.5 targets 2.75 uS, exactly between level 7 (2.6) and level 8 (2.9)
-        assert map_weight_to_pair(0.5, levels) == (8, 0)
-        assert quantize_weight(0.5, levels) == pytest.approx((2.9e-6 - 0.5e-6) / 4.5e-6, rel=1e-12)
-        assert quantize_weight(0.5, levels) == pytest.approx(8 / 15, rel=1e-12)
-        assert map_weight_to_pair(-0.5, levels) == (0, 8)
+        pair, q = quantize_one(0.5, levels)
+        assert pair == (8, 0)
+        assert q == pytest.approx((2.9e-6 - 0.5e-6) / 4.5e-6, rel=1e-12)
+        assert q == pytest.approx(8 / 15, rel=1e-12)
+        assert quantize_one(-0.5, levels)[0] == (0, 8)
 
-    def test_out_of_range_clamps_with_warning(self):
+    def test_out_of_range_clamps_and_counts(self):
         levels = build_level_set()
-        with pytest.warns(UserWarning, match="clamped"):
-            assert map_weight_to_pair(1.7, levels) == (15, 0)
-        with pytest.warns(UserWarning, match="clamped"):
-            assert map_weight_to_pair(-2.0, levels) == (0, 15)
+        level_plus, level_minus, n_clamped = quantize_levels([1.7, -2.0, 1.0, -1.0, 0.3], levels)
+        assert n_clamped == 2  # the endpoints themselves are in range
+        assert list(zip(level_plus[:4], level_minus[:4])) == [(15, 0), (0, 15), (15, 0), (0, 15)]
 
     @pytest.mark.parametrize("spacing,index_space", [("uniform_conductance", True), ("uniform_resistance", False)])
     def test_matches_exhaustive_search(self, spacing, index_space):
@@ -128,17 +148,14 @@ class TestMapWeightToPair:
         # the same weights through program_crossbar, as the grid of a one-unit model
         grid = np.zeros((len(sweep) // 4 + 3, 4))
         grid.reshape(-1)[: len(sweep)] = sweep
-        program = program_crossbar(LstmParams.from_grid(grid), CrossbarConfig(levels=levels))
+        program = program_crossbar(LstmParams(grid), CrossbarConfig(levels=levels))
         assert program.n_clamped == 2
         level_plus, level_minus = program.level_plus.reshape(-1), program.level_minus.reshape(-1)
-        recon = reconstruct_weights(program).grid().reshape(-1)
+        recon = reconstruct_weights(program).grid.reshape(-1)
         for k, w in enumerate(sweep):
             want_pair, want_recon = nearest_level_exhaustive(w, levels.conductances, index_space)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                pair = map_weight_to_pair(w, levels)
-                q = quantize_weight(w, levels)
-            assert len(caught) == (2 if abs(w) > 1 else 0), f"w={w}"
+            pair, q = quantize_one(w, levels)
+            assert quantize_levels([w], levels)[2] == (1 if abs(w) > 1 else 0), f"w={w}"
             assert pair == want_pair == (level_plus[k], level_minus[k]), f"w={w}"
             assert q == recon[k], f"w={w}"
             assert q == pytest.approx(want_recon, abs=1e-15)
@@ -148,24 +165,22 @@ class TestMapWeightToPair:
     def test_non_finite_rejected(self, spacing, bad):
         cfg = CrossbarConfig(levels=build_level_set(spacing))
         with pytest.raises(ValueError, match="non-finite"):
-            map_weight_to_pair(bad, cfg.levels)
+            quantize_levels([0.5, bad], cfg.levels)
+        W, U, b = zero_gates(1, 2)
+        U[1, 0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            quantize_weight(bad, cfg.levels)
-        params = LstmParams.zeros(Dims(1, 2))
-        params.U[1, 0, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            program_crossbar(params, cfg)
+            program_crossbar(LstmParams(grid_from_gates(W, U, b)), cfg)
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_quantizer_properties(self, spacing):
         levels = build_level_set(spacing)
         half_step = levels.max_weight_step / 2
         sweep = np.linspace(-1, 1, 2001)
-        recon = np.array([quantize_weight(w, levels) for w in sweep])
+        recon = level_weights(*quantize_levels(sweep, levels)[:2], levels)
         assert np.max(np.abs(recon - sweep)) <= half_step + 1e-12
         assert np.all(np.diff(recon) >= 0)  # monotone
         for w, r in zip(sweep, recon):
-            assert r == quantize_weight(r, levels)  # idempotent
+            assert r == quantize_one(r, levels)[1]  # idempotent
             assert np.sign(r) in (0.0, np.sign(w))  # sign preserved
 
     def test_uniform_conductance_half_step_value(self):
@@ -175,7 +190,7 @@ class TestMapWeightToPair:
 
 class TestProgramCrossbar:
     def test_all_zero(self):
-        program = program_crossbar(LstmParams.zeros(Dims(1, 4)), CrossbarConfig())
+        program = program_crossbar(zero_params(1, 4), CrossbarConfig())
         npt.assert_array_equal(program.level_plus, 0)
         npt.assert_array_equal(program.level_minus, 0)
         assert program.n_clamped == 0
@@ -191,29 +206,25 @@ class TestProgramCrossbar:
         cfg = CrossbarConfig(levels=build_level_set(spacing))
         params = random_params(3)
         recon = reconstruct_weights(program_crossbar(params, cfg))
-        for arr, ref in ((recon.W, params.W), (recon.U, params.U), (recon.b, params.b)):
-            flat, rflat = arr.reshape(-1), ref.reshape(-1)
-            for got, w in zip(flat, rflat):
-                assert got == pytest.approx(quantize_weight(w, cfg.levels), abs=1e-15)
+        for got, w in zip(recon.grid.reshape(-1), params.grid.reshape(-1)):
+            assert got == pytest.approx(quantize_one(w, cfg.levels)[1], abs=1e-15)
 
     def test_out_of_range_counted(self):
-        params = LstmParams.zeros(Dims(1, 2))
-        params.W[0, 0, 0] = 1.5
-        params.U[1, 1, 1] = -3.0
-        program = program_crossbar(params, CrossbarConfig())
+        W, U, b = zero_gates(1, 2)
+        W[0, 0, 0] = 1.5
+        U[1, 1, 1] = -3.0
+        program = program_crossbar(LstmParams(grid_from_gates(W, U, b)), CrossbarConfig())
         assert program.n_clamped == 2
-        recon = reconstruct_weights(program)
-        assert recon.W[0, 0, 0] == 1.0
-        assert recon.U[1, 1, 1] == -1.0
+        recon_W, recon_U, _ = gates_from_grid(reconstruct_weights(program).grid)
+        assert recon_W[0, 0, 0] == 1.0
+        assert recon_U[1, 1, 1] == -1.0
 
     def test_quantization_idempotent_through_program(self):
         cfg = CrossbarConfig()
         params = random_params(4)
         once = reconstruct_weights(program_crossbar(params, cfg))
         twice = reconstruct_weights(program_crossbar(once, cfg))
-        npt.assert_array_equal(once.W, twice.W)
-        npt.assert_array_equal(once.U, twice.U)
-        npt.assert_array_equal(once.b, twice.b)
+        npt.assert_array_equal(once.grid, twice.grid)
 
     def test_level_variation_stores_perturbed_conductances(self):
         cfg = CrossbarConfig(level_variation_sigma=0.05, seed=9)
@@ -244,10 +255,14 @@ class TestProgramCrossbar:
             npt.assert_array_equal(got.g_minus, want.g_minus)
 
 
+def oracle_gates(params):
+    """The per-gate blocks of params as nested lists, read by the loop oracle."""
+    return [a.tolist() for a in gates_from_grid(params.grid)]
+
+
 def oracle_predictions(params, out, xs):
     """Per-step predictions of the scalar loop oracle on params."""
-    return sequence_predictions_loop(params.W.tolist(), params.U.tolist(), params.b.tolist(),
-                                     out.w_out.tolist(), out.b_out, np.asarray(xs).tolist())
+    return sequence_predictions_loop(*oracle_gates(params), out.w_out.tolist(), out.b_out, np.asarray(xs).tolist())
 
 
 class TestCrossbarDot:
@@ -258,7 +273,7 @@ class TestCrossbarDot:
         # with x and h at zero, only the bias row drives the columns
         _, reads, _, _ = crossbar_unroll(program.grid(), np.zeros((1, 1, 1)))
         npt.assert_array_equal(reads[0, 0], program.grid()[-1])
-        program = program_crossbar(LstmParams.zeros(Dims(1, 4)), CrossbarConfig())
+        program = program_crossbar(zero_params(1, 4), CrossbarConfig())
         _, reads, _, _ = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.8))
         npt.assert_array_equal(reads, 0.0)
 
@@ -266,7 +281,7 @@ class TestCrossbarDot:
         cfg = CrossbarConfig()
         params = random_params(7)
         program = program_crossbar(params, cfg)
-        recon = reconstruct_weights(program)
+        recon_W, recon_U, recon_b = gates_from_grid(reconstruct_weights(program).grid)
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, (1, 2, 1))
         h, reads, _, _ = crossbar_unroll(program.grid(), X)
@@ -275,7 +290,7 @@ class TestCrossbarDot:
             v = np.concatenate([X[0, t], h_prev, [1.0]])
             for g in range(4):
                 for unit in range(4):
-                    column_weights = np.concatenate([recon.W[g][:, unit], recon.U[g][:, unit], [recon.b[g][unit]]])
+                    column_weights = np.concatenate([recon_W[g][:, unit], recon_U[g][:, unit], [recon_b[g][unit]]])
                     want = dot_loop(v.tolist(), column_weights.tolist())
                     assert reads[t, 0, g * 4 + unit] == pytest.approx(want, abs=1e-12)
 
@@ -310,7 +325,7 @@ class TestCrossbarDot:
 
 class TestCrossbarStep:
     def test_zero_program_matches_core_zero_case(self):
-        program = program_crossbar(LstmParams.zeros(Dims(1, 4)), CrossbarConfig())
+        program = program_crossbar(zero_params(1, 4), CrossbarConfig())
         h, _, acts, C = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.7))
         i, f, c_tilde, o = acts[0, 0].reshape(4, 4)
         npt.assert_array_equal(i, 0.5)
@@ -331,8 +346,7 @@ class TestCrossbarStep:
         h, _, acts, C = crossbar_unroll(program.grid(), xs[None])
         state = ([0.0] * 4, [0.0] * 4)
         for t in range(3):
-            i, f, c_tilde, o, *state = lstm_step_loops(recon.W.tolist(), recon.U.tolist(), recon.b.tolist(),
-                                                       xs[t].tolist(), *state)
+            i, f, c_tilde, o, *state = lstm_step_loops(*oracle_gates(recon), xs[t].tolist(), *state)
             npt.assert_allclose(acts[t, 0], i + f + c_tilde + o, rtol=0, atol=1e-9)
             npt.assert_allclose(h[t, 0], state[0], rtol=0, atol=1e-9)
             npt.assert_allclose(C[t, 0], state[1], rtol=0, atol=1e-9)
@@ -364,8 +378,8 @@ class TestCrossbarForward:
         rng = np.random.default_rng(1)
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         out_q = OutputLayer(
-            np.array([quantize_weight(v, cfg.levels) for v in out.w_out]),
-            quantize_weight(out.b_out, cfg.levels),
+            np.array([quantize_one(v, cfg.levels)[1] for v in out.w_out]),
+            quantize_one(out.b_out, cfg.levels)[1],
         )
         xs = rng.uniform(-1, 1, (10, 1))
         plain = crossbar_forward(program, out, xs)

@@ -5,12 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from xbarlstm import kernels
-from xbarlstm.core import LstmParams
 
 from _oracles import (
     batch_loss_and_grads_loop,
     batch_mse_loops,
     crossbar_unroll_loop,
+    gates_from_grid,
+    grid_from_gates,
     sequence_predictions_loop,
     window_last_prediction,
 )
@@ -29,7 +30,7 @@ def random_case(seed, B=7, T=3, N=2, M=4):
 
 
 def last_predictions(W, U, b, w_out, b_out, X):
-    h, *_ = kernels.crossbar_unroll(LstmParams(W, U, b).grid(), X)
+    h, *_ = kernels.crossbar_unroll(grid_from_gates(W, U, b), X)
     return h[-1] @ w_out + b_out
 
 
@@ -47,10 +48,9 @@ def test_grads_loop_vs_numpy(seed):
     W, U, b, w_out, b_out, X, y = random_case(seed)
     la, *ga = batch_loss_and_grads_loop(W.tolist(), U.tolist(), b.tolist(), w_out.tolist(), b_out,
                                         X.tolist(), y.tolist())
-    lb, d_grid, dw_out, db_out = kernels.batch_loss_and_grads(LstmParams(W, U, b).grid(), w_out, b_out, X, y)
-    d = LstmParams.from_grid(d_grid)
+    lb, d_grid, dw_out, db_out = kernels.batch_loss_and_grads(grid_from_gates(W, U, b), w_out, b_out, X, y)
     assert abs(la - lb) < 1e-12
-    for x, z in zip(ga, (d.W, d.U, d.b, dw_out, db_out)):
+    for x, z in zip(ga, (*gates_from_grid(d_grid), dw_out, db_out)):
         npt.assert_allclose(x, z, rtol=1e-11, atol=1e-11)
 
 
@@ -110,7 +110,7 @@ def test_predictions_match_scalar_oracle():
 
 def test_predictions_match_forward_sequence():
     W, U, b, w_out, b_out, X, _ = random_case(6, B=5, T=4, N=3, M=2)
-    h, *_ = kernels.crossbar_unroll(LstmParams(W, U, b).grid(), X)
+    h, *_ = kernels.crossbar_unroll(grid_from_gates(W, U, b), X)
     got = h @ w_out + b_out  # every step's prediction, [T, B]
     for s in range(5):
         want = sequence_predictions_loop(W.tolist(), U.tolist(), b.tolist(), w_out.tolist(), b_out, X[s].tolist())
@@ -119,7 +119,7 @@ def test_predictions_match_forward_sequence():
 
 def test_loss_matches_scalar_oracle():
     W, U, b, w_out, b_out, X, y = random_case(7, B=3, T=2, N=1, M=3)
-    loss, *_ = kernels.batch_loss_and_grads(LstmParams(W, U, b).grid(), w_out, b_out, X, y)
+    loss, *_ = kernels.batch_loss_and_grads(grid_from_gates(W, U, b), w_out, b_out, X, y)
     want = batch_mse_loops(
         W.tolist(), U.tolist(), b.tolist(), w_out.tolist(), b_out,
         [X[s, :, 0].tolist() for s in range(3)], y.tolist(),

@@ -5,26 +5,18 @@ import pytest
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.data import WindowedSeries, fit_normalizer, load_series, make_windows, normalize, split
 from xbarlstm.data import BUNDLED_DATASET
-from xbarlstm.training import (
-    GradientSet,
-    TrainConfig,
-    batch_predictions,
-    bptt_gradients,
-    finite_difference_check,
-    mse_loss,
-    train,
-)
+from xbarlstm.training import TrainConfig, batch_predictions, bptt_gradients, finite_difference_check, train
 
-from _oracles import finite_difference_grads, mse_loop
+from _oracles import finite_difference_grads, gates_from_grid, grid_from_gates, mse_loop
 
 
 def random_model(seed, n_hidden=4, scale=0.8):
     rng = np.random.default_rng(seed)
-    params = LstmParams(
+    params = LstmParams(grid_from_gates(
         scale * rng.uniform(-1, 1, (4, 1, n_hidden)),
         scale * rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
         scale * rng.uniform(-1, 1, (4, n_hidden)),
-    )
+    ))
     out = OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
     return params, out
 
@@ -44,58 +36,41 @@ def airline_train_split():
     return train_part
 
 
-class TestMseLoss:
-    def test_identical(self):
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_single_term(self):
-        assert mse_loss([0.0], [3.0]) == 9.0
-
-    def test_matches_loop(self):
-        rng = np.random.default_rng(0)
-        p, t = rng.uniform(-2, 2, 17), rng.uniform(-2, 2, 17)
-        assert abs(mse_loss(p, t) - mse_loop(p.tolist(), t.tolist())) < 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mse_loss([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="empty"):
-            mse_loss([], [])
-
-
 class TestBpttGradients:
     def test_zero_lstm_bias_gradient(self):
         # all LSTM params zero: prediction is b_out, so d(mse)/d(b_out) = 2(b_out - t)
-        params = LstmParams.zeros(Dims(1, 4))
+        params = LstmParams(np.zeros((6, 16)))
         out = OutputLayer(np.zeros(4), 0.3)
         batch = WindowedSeries(np.array([[0.6]]), np.array([0.9]), 1)
-        grads, loss = bptt_gradients(params, out, batch)
-        assert abs(grads.b_out - 2 * (0.3 - 0.9)) < 1e-14
+        loss, _, _, d_b_out = bptt_gradients(params, out, batch)
+        assert abs(d_b_out - 2 * (0.3 - 0.9)) < 1e-14
         assert abs(loss - (0.3 - 0.9) ** 2) < 1e-14
 
     def test_loss_equals_separate_forward(self):
         params, out = random_model(1)
         batch = random_batch(1)
-        _, loss = bptt_gradients(params, out, batch)
+        loss, *_ = bptt_gradients(params, out, batch)
         preds = batch_predictions(params, out, batch)
-        assert abs(loss - mse_loss(preds, batch.y)) < 1e-14
+        assert abs(loss - mse_loop(preds.tolist(), batch.y.tolist())) < 1e-14
 
     @pytest.mark.parametrize("seed,look_back", [(0, 1), (1, 2), (2, 3)])
     def test_matches_central_differences(self, seed, look_back):
         params, out = random_model(seed)
         batch = random_batch(seed, n_samples=4, look_back=look_back)
-        grads, _ = bptt_gradients(params, out, batch)
+        _, d_grid, d_w_out, d_b_out = bptt_gradients(params, out, batch)
 
+        # perturb the per-gate blocks and rebuild the grid from them, so the
+        # layout comes from the loop oracle on both sides
+        W, U, b = gates_from_grid(params.grid)
         b_out_box = np.array([out.b_out])
 
         def loss_fn():
-            preds = batch_predictions(params, OutputLayer(out.w_out, b_out_box[0]), batch)
+            model = LstmParams(grid_from_gates(W, U, b)), OutputLayer(out.w_out, b_out_box[0])
+            preds = batch_predictions(*model, batch)
             return float(np.mean((preds - batch.y) ** 2))
 
-        numeric = finite_difference_grads(
-            loss_fn, [params.W, params.U, params.b, out.w_out, b_out_box], step=1e-5
-        )
-        analytic = [grads.W, grads.U, grads.b, grads.w_out, np.array([grads.b_out])]
+        numeric = finite_difference_grads(loss_fn, [W, U, b, out.w_out, b_out_box], step=1e-5)
+        analytic = [*gates_from_grid(d_grid), d_w_out, np.array([d_b_out])]
         for a, n in zip(analytic, numeric):
             scale = np.maximum(np.abs(a), np.abs(n))
             mask = scale > 1e-8
@@ -110,7 +85,7 @@ class TestBpttGradients:
 
 class TestFiniteDifferenceCheck:
     def test_zero_model_passes(self):
-        params = LstmParams.zeros(Dims(1, 4))
+        params = LstmParams(np.zeros((6, 16)))
         out = OutputLayer(np.zeros(4), 0.0)
         batch = WindowedSeries(np.array([[0.2], [0.4]]), np.zeros(2), 1)
         report = finite_difference_check(params, out, batch, step=1e-5, tolerance=1e-4)
@@ -126,10 +101,13 @@ class TestFiniteDifferenceCheck:
     def test_corrupted_gradient_fails(self):
         params, out = random_model(4)
         batch = random_batch(4)
-        grads, _ = bptt_gradients(params, out, batch)
-        bad = GradientSet(grads.W + 0.05, grads.U, grads.b, grads.w_out, grads.b_out)
+        _, d_grid, d_w_out, d_b_out = bptt_gradients(params, out, batch)
+        d_grid[0] += 0.05  # the input-weight row
+        bad = (d_grid, d_w_out, d_b_out)
         report = finite_difference_check(params, out, batch, step=1e-5, tolerance=1e-4, gradients=bad)
         assert not report.passed
+        with pytest.raises(ValueError):  # a group left out is an error, not a skipped check
+            finite_difference_check(params, out, batch, gradients=bad[:2])
 
     def test_bad_step_rejected(self):
         params, out = random_model(5)
@@ -154,7 +132,7 @@ class TestTrain:
     def test_clamp_invariant(self):
         data = airline_train_split()
         params, out, _ = train(Dims(1, 4), data, TrainConfig(epochs=10, seed=2, learning_rate=0.5))
-        for arr in (params.W, params.U, params.b, out.w_out):
+        for arr in (params.grid, out.w_out):
             assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
         assert -1.0 <= out.b_out <= 1.0
 

@@ -5,44 +5,66 @@ import pytest
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, packed_shapes, read_weights, write_weights
 
+from _oracles import gates_from_grid, grid_from_gates
+
 
 def random_model(seed, n_inputs=1, n_hidden=4):
+    """A model built from per-gate blocks by the layout oracle, and those blocks."""
     rng = np.random.default_rng(seed)
-    params = LstmParams(
+    gates = (
         rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
         rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
         rng.uniform(-1, 1, (4, n_hidden)),
     )
     out = OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
-    return params, out
+    return LstmParams(grid_from_gates(*gates)), out, gates
+
+
+def file_blocks(path):
+    """Every matrix of a weight file by name, parsed without the reader."""
+    blocks, lines = {}, path.read_text().splitlines()
+    pos = 0
+    while pos < len(lines):
+        name, rows, _ = lines[pos].split()
+        blocks[name] = np.array([[float(v) for v in ln.split()] for ln in lines[pos + 1 : pos + 1 + int(rows)]])
+        pos += 1 + int(rows)
+    return blocks
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_round_trip_byte_identical(tmp_path, seed):
-    params, out = random_model(seed)
+    params, out, gates = random_model(seed)
     p1, p2 = tmp_path / "w1.txt", tmp_path / "w2.txt"
     write_weights(params, out, p1)
     back_params, back_out = read_weights(p1)
     write_weights(back_params, back_out, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    npt.assert_array_equal(back_params.W, params.W)
-    npt.assert_array_equal(back_params.U, params.U)
-    npt.assert_array_equal(back_params.b, params.b)
+    for back, want in zip(gates_from_grid(back_params.grid), gates):
+        npt.assert_array_equal(back, want)
     npt.assert_array_equal(back_out.w_out, out.w_out)
     assert back_out.b_out == out.b_out
 
 
 def test_round_trip_exact_values_other_dims(tmp_path):
-    params, out = random_model(9, n_inputs=3, n_hidden=6)
+    params, out, (W, U, b) = random_model(9, n_inputs=3, n_hidden=6)
     path = tmp_path / "w.txt"
     write_weights(params, out, path)
     back_params, back_out = read_weights(path)
-    npt.assert_array_equal(back_params.U, params.U)
+    assert back_params.dims == Dims(3, 6)
+    npt.assert_array_equal(back_params.grid, grid_from_gates(W, U, b))
     npt.assert_array_equal(back_out.w_out, out.w_out)
+    # each named block of the file holds that gate's entries, as the oracle lays them out
+    blocks = file_blocks(path)
+    for g, gate in enumerate("ifco"):
+        npt.assert_array_equal(blocks[f"W_{gate}"], W[g])
+        npt.assert_array_equal(blocks[f"U_{gate}"], U[g])
+        npt.assert_array_equal(blocks[f"b_{gate}"], b[g][None, :])
+    npt.assert_array_equal(blocks["w_out"], out.w_out[:, None])
+    assert blocks["b_out"].tolist() == [[out.b_out]]
 
 
 def test_file_layout_and_packed_view(tmp_path):
-    params, out = random_model(0)
+    params, out, _ = random_model(0)
     path = tmp_path / "w.txt"
     write_weights(params, out, path)
     lines = path.read_text().splitlines()
@@ -65,7 +87,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_wrong_order(self, tmp_path):
-        params, out = random_model(1)
+        params, out, _ = random_model(1)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -75,7 +97,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_bad_value(self, tmp_path):
-        params, out = random_model(2)
+        params, out, _ = random_model(2)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         text = path.read_text().replace("W_i 1 4\n", "W_i 1 4\nx y z w\n", 1)
@@ -86,7 +108,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_inconsistent_shapes(self, tmp_path):
-        params, out = random_model(3)
+        params, out, _ = random_model(3)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -99,7 +121,7 @@ class TestMalformed:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, value):
-        params, out = random_model(5)
+        params, out, _ = random_model(5)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -110,7 +132,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_trailing_garbage(self, tmp_path):
-        params, out = random_model(4)
+        params, out, _ = random_model(4)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         path.write_text(path.read_text() + "0.1 0.2\n")
