@@ -11,7 +11,7 @@ from .crossbar import (
     CrossbarProgram,
     LevelSet,
     build_level_set,
-    crossbar_forward,
+    crossbar_window_predictions,
     monte_carlo,
     program_crossbar,
     quantize_output_layer,

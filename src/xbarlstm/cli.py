@@ -168,8 +168,31 @@ def _report_lines(pairs, fmt: str):
     return [f"{label:<{width}}  {value}" for label, value in pairs]
 
 
-def _write_text(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _finish(out_dir: Path, files: dict, stdout, stderr=()) -> int:
+    """The one ending of every command: make out_dir, write files into it,
+    then print the stderr and stdout lines. files maps each file name to
+    its lines or to a function that writes the file at the path it is
+    given. If one cannot be written, the ones already written are removed
+    and nothing is printed, so a failed command leaves no half set of
+    outputs and only its error line."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for name, content in files.items():
+            path = out_dir / name
+            if callable(content):
+                content(path)
+            else:
+                path.write_text("\n".join(content) + "\n")
+            written.append(path)
+    except OSError:
+        for path in written:
+            path.unlink()
+        raise
+    for line in stderr:
+        print(line, file=sys.stderr)
+    print("\n".join(stdout))
+    return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -177,9 +200,6 @@ def cmd_train(cfg: RunConfig) -> int:
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
 
     params, out, history = train(cfg.dims, train_part, cfg.train_config())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_weights(params, out, out_dir / WEIGHTS_FILE)
-    _write_text(out_dir / LOSS_FILE, [f"{epoch + 1} {_fmt(loss)}" for epoch, loss in enumerate(history)])
 
     rmse_rows = []
     for name, part in (("train", train_part), ("test", test_part)):
@@ -199,8 +219,11 @@ def cmd_train(cfg: RunConfig) -> int:
         ("weights file", str(out_dir / WEIGHTS_FILE)),
         ("loss history file", str(out_dir / LOSS_FILE)),
     ]
-    print("\n".join(_report_lines(pairs, cfg.report)))
-    return 0
+    files = {
+        WEIGHTS_FILE: lambda path: write_weights(params, out, path),
+        LOSS_FILE: [f"{epoch + 1} {_fmt(loss)}" for epoch, loss in enumerate(history)],
+    }
+    return _finish(out_dir, files, _report_lines(pairs, cfg.report))
 
 
 def _quantization_table(params: LstmParams, quantized: LstmParams, out: OutputLayer, out_q: OutputLayer | None):
@@ -220,12 +243,10 @@ def _quantization_table(params: LstmParams, quantized: LstmParams, out: OutputLa
     return table
 
 
-def _warn_clamped(n_weights: int, n_output: int) -> None:
+def _clamp_warnings(n_weights: int, n_output: int) -> list:
     """One plain stderr line per stage whose out-of-range weights were clamped."""
-    if n_weights:
-        print(f"warning: {n_weights} weight(s) outside [-1, 1] were clamped", file=sys.stderr)
-    if n_output:
-        print(f"warning: {n_output} output-layer weight(s) outside [-1, 1] were clamped", file=sys.stderr)
+    stages = ((n_weights, ""), (n_output, "output-layer "))
+    return [f"warning: {n} {stage}weight(s) outside [-1, 1] were clamped" for n, stage in stages if n]
 
 
 def cmd_quantize(cfg: RunConfig, weights_path) -> int:
@@ -234,12 +255,8 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     xbar_cfg = cfg.crossbar_config()
 
     program = program_crossbar(params, xbar_cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_program(program, out_dir / PROGRAM_FILE)
-
     quantized = reconstruct_weights(program)
     out_q, n_out_clamped = quantize_output_layer(out, xbar_cfg.levels) if cfg.quantize_output_layer else (None, 0)
-    write_weights(quantized, out_q or out, out_dir / QUANTIZED_WEIGHTS_FILE)
 
     table = _quantization_table(params, quantized, out, out_q)
     errors = np.array([row[5] for row in table])
@@ -255,9 +272,6 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
         f"{name} {r} {c} {_fmt(v)} {_fmt(q)} {_fmt(e)}"
         for name, r, c, v, q, e in table
     ]
-    _write_text(out_dir / QUANTIZE_REPORT_FILE, header + body)
-
-    _warn_clamped(program.n_clamped, n_out_clamped)
     pairs = [
         ("spacing", xbar_cfg.levels.spacing),
         ("entries", str(len(table))),
@@ -267,8 +281,12 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
         ("quantized weights file", str(out_dir / QUANTIZED_WEIGHTS_FILE)),
         ("report file", str(out_dir / QUANTIZE_REPORT_FILE)),
     ]
-    print("\n".join(_report_lines(pairs, cfg.report)))
-    return 0
+    files = {
+        PROGRAM_FILE: lambda path: write_program(program, path),
+        QUANTIZED_WEIGHTS_FILE: lambda path: write_weights(quantized, out_q or out, path),
+        QUANTIZE_REPORT_FILE: header + body,
+    }
+    return _finish(out_dir, files, _report_lines(pairs, cfg.report), _clamp_warnings(program.n_clamped, n_out_clamped))
 
 
 def _noise_seed_list(base_seed: int, count: int):
@@ -344,20 +362,16 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
                 f"{arr.mean():.4f} +/- {arr.std():.4f}",
             ))
 
-    lines = _report_lines(pairs, cfg.report)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / EVAL_REPORT_FILE, lines)
-    _warn_clamped(program.n_clamped, n_out_clamped)
-    print("\n".join(lines))
-
     # full-precision prediction dump over the whole series, for plot-data;
     # the first look_back points have no prediction
     pad = np.full(cfg.look_back, np.nan)
     columns = zip(series.values, *(np.concatenate([pad, denormalize(p, norm)]) for p in (float_preds, xbar_preds)))
     rows = ["time_index,actual,prediction_float,prediction_quantized"]
     rows += [f"{t},{_fmt(v)},{_fmt(f)},{_fmt(q)}" for t, (v, f, q) in enumerate(columns)]
-    _write_text(out_dir / PREDICTIONS_FILE, rows)
-    return 0
+
+    lines = _report_lines(pairs, cfg.report)
+    files = {EVAL_REPORT_FILE: lines, PREDICTIONS_FILE: rows}
+    return _finish(out_dir, files, lines, _clamp_warnings(program.n_clamped, n_out_clamped))
 
 
 def cmd_plotdata(cfg: RunConfig) -> int:
@@ -376,12 +390,9 @@ def cmd_plotdata(cfg: RunConfig) -> int:
             raise ValueError(f"{losses}: line {lineno}: expected 'epoch loss'")
         loss_rows.append(f"{parts[0]},{parts[1]}")
 
-    _write_text(out_dir / PLOT_PREDICTIONS_FILE, pred_lines)
-    _write_text(out_dir / PLOT_LOSS_FILE, loss_rows)
-
-    print(f"wrote {out_dir / PLOT_PREDICTIONS_FILE} ({len(pred_lines) - 1} rows)")
-    print(f"wrote {out_dir / PLOT_LOSS_FILE} ({len(loss_rows) - 1} rows)")
-    return 0
+    stdout = [f"wrote {out_dir / PLOT_PREDICTIONS_FILE} ({len(pred_lines) - 1} rows)",
+              f"wrote {out_dir / PLOT_LOSS_FILE} ({len(loss_rows) - 1} rows)"]
+    return _finish(out_dir, {PLOT_PREDICTIONS_FILE: pred_lines, PLOT_LOSS_FILE: loss_rows}, stdout)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:

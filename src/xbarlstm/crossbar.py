@@ -15,17 +15,18 @@ path is this path on the ideal weight grid. Evaluation is time
 multiplexed: one hidden unit per cycle, four column reads per cycle, M
 cycles per time step, with the new h latched into the memory units only
 after all M cycles. All M cycles of a step therefore see the same h, and
-kernels.crossbar_unroll computes a step's reads together. A Monte-Carlo
-sweep over device seeds (monte_carlo) stacks the devices on the kernel's
-leading axis, a chunk at a time.
+kernels.crossbar_unroll computes a step's reads together.
 
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
 multiplicative Gaussian current noise per column read (read_noise_sigma).
-A program carries its device config, and every forward reads that one.
-Peripheral CMOS stages (mirrors, converters, adders) are taken as ideal
-unit-gain. The output layer is not part of the program: a caller that maps
-it onto the crossbar too passes the layer from quantize_output_layer.
+A CrossbarProgram is what the program file holds, the level map and its
+device config; monte_carlo is the one place a device is drawn from a seed
+and run, a chunk of devices stacked on the kernel's leading axis at a
+time. crossbar_window_predictions is its one-seed case. Peripheral CMOS
+stages (mirrors, converters, adders) are taken as ideal unit-gain. The
+output layer is not part of the program: a caller that maps it onto the
+crossbar too passes the layer from quantize_output_layer.
 """
 
 from dataclasses import dataclass, replace
@@ -155,15 +156,10 @@ def quantize_levels(weights, levels: LevelSet):
     return np.where(positive, idx, 0), np.where(positive, 0, idx), n_clamped
 
 
-def _pair_weights(g_plus, g_minus, levels: LevelSet) -> np.ndarray:
-    """Weights read out from differential conductance pairs given in siemens."""
-    return (g_plus - g_minus) * levels.k_scale
-
-
 def level_weights(level_plus, level_minus, levels: LevelSet) -> np.ndarray:
     """Weights read out from ideal differential level pairs."""
     g = levels.conductances
-    return _pair_weights(g[level_plus], g[level_minus], levels)
+    return (g[level_plus] - g[level_minus]) * levels.k_scale
 
 
 def quantize_output_layer(out: OutputLayer, levels: LevelSet):
@@ -177,171 +173,97 @@ def quantize_output_layer(out: OutputLayer, levels: LevelSet):
 
 @dataclass(frozen=True)
 class CrossbarProgram:
-    """Programmed state of one crossbar: its device config, per-cell level
-    indices plus, when level variation is enabled, the perturbed
-    conductances actually stored."""
+    """What program.txt holds: the per-cell level indices of one crossbar,
+    the number of weights clamped to fit them, and the device config. The
+    device itself, level variation and read noise drawn from a seed, is
+    realized only in monte_carlo."""
 
-    dims: Dims
     cfg: CrossbarConfig
     level_plus: np.ndarray   # [rows, 4M] int
     level_minus: np.ndarray  # [rows, 4M] int
-    g_plus: np.ndarray | None = None   # perturbed siemens, only if level_variation_sigma > 0
-    g_minus: np.ndarray | None = None
     n_clamped: int = 0
 
     @property
     def n_rows(self) -> int:
-        return self.dims.n_inputs + self.dims.n_hidden + 1
+        return self.level_plus.shape[0]
 
     @property
     def n_columns(self) -> int:
-        return 4 * self.dims.n_hidden
-
-    def grid(self) -> np.ndarray:
-        """What reads see, (G_plus - G_minus) * k in weight units, laid out
-        like LstmParams.grid: perturbed conductances if programmed with
-        level variation, ideal level values otherwise."""
-        if self.g_plus is None:
-            return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
-        return _pair_weights(self.g_plus, self.g_minus, self.cfg.levels)
+        return self.level_plus.shape[1]
 
     @property
-    def _variation_shape(self) -> tuple:
-        """One device's level-variation draws: plus side, then minus side."""
-        return (2, self.n_rows, self.n_columns)
+    def dims(self) -> Dims:
+        return Dims(self.n_rows - self.n_columns // 4 - 1, self.n_columns // 4)
 
-    def _read_shape(self, batch: int, steps: int) -> tuple:
-        """One device's read-noise draws for [batch, steps] of windows, in
-        (window, step, cycle, gate) order, the order of the reads on the
-        device; _read_noise lays them out."""
-        return (batch, steps, self.dims.n_hidden, 4)
-
-    def _varied(self, pert: np.ndarray):
-        """Conductances (g_plus, g_minus) of this level map under level
-        variation, from standard normal draws pert [..., 2, rows, 4M]."""
-        sigma = self.cfg.level_variation_sigma
-        g = self.cfg.levels.conductances
-        return (np.maximum(g[self.level_plus] * (1.0 + sigma * pert[..., 0, :, :]), 0.0),
-                np.maximum(g[self.level_minus] * (1.0 + sigma * pert[..., 1, :, :]), 0.0))
+    def grid(self) -> np.ndarray:
+        """The ideal level grid, (G_plus - G_minus) * k in weight units, laid
+        out like LstmParams.grid."""
+        return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
 
     def with_seed(self, seed: int) -> "CrossbarProgram":
-        """The same level map as device ``seed``: level variation re-drawn
-        from the seed, read noise seeded by it.
-
-        Reproducible from (seed, level_variation_sigma), which is what lets
-        an exported program rebuild the same device state on import.
-        """
-        cfg = replace(self.cfg, seed=seed)
-        if cfg.level_variation_sigma <= 0:
-            return replace(self, cfg=cfg, g_plus=None, g_minus=None)
-        ss_prog, _ = _seed_streams(seed)
-        g_plus, g_minus = self._varied(np.random.default_rng(ss_prog).standard_normal(self._variation_shape))
-        return replace(self, cfg=cfg, g_plus=g_plus, g_minus=g_minus)
-
-
-def _seed_streams(seed: int):
-    """A device seed's two child seeds: level variation, then read noise."""
-    return np.random.SeedSequence(seed).spawn(2)
+        """The same level map with device seed ``seed``."""
+        return replace(self, cfg=replace(self.cfg, seed=seed))
 
 
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:
     """Map every entry of the weight grid onto a differential level pair.
-
-    Out-of-range weights are clamped and counted on the returned program.
-    With level_variation_sigma > 0 each device's conductance is perturbed
-    multiplicatively with a seeded Gaussian and stored alongside the ideal
-    level indices.
-    """
+    Out-of-range weights are clamped and counted on the returned program."""
     level_plus, level_minus, n_clamped = quantize_levels(params.grid, cfg.levels)
-    return CrossbarProgram(params.dims, cfg, level_plus, level_minus, n_clamped=n_clamped).with_seed(cfg.seed)
+    return CrossbarProgram(cfg, level_plus, level_minus, n_clamped)
 
 
 def reconstruct_weights(program: CrossbarProgram) -> LstmParams:
-    """Ideal quantized weights implied by the programmed level indices
-    (programming perturbations are deliberately ignored)."""
-    return LstmParams(level_weights(program.level_plus, program.level_minus, program.cfg.levels))
-
-
-def _read_noise(draws: np.ndarray, sigma: float) -> np.ndarray:
-    """Noise factors laid out [..., B, T, 4M] like the grid's columns, from
-    standard normal draws [..., B, T, M, 4] made in (window, step, cycle,
-    gate) order: cycle m reads the four gate columns of unit m."""
-    *lead, M, _ = draws.shape
-    return np.ascontiguousarray((sigma * draws).swapaxes(-1, -2).reshape(*lead, 4 * M))
-
-
-def _unroll_program(program: CrossbarProgram, X: np.ndarray) -> np.ndarray:
-    """Unroll X [B, T, N] on the programmed grid with the program's seeded
-    read noise; returns h [T, B, M]."""
-    cfg = program.cfg
-    noise = None
-    if cfg.read_noise_sigma > 0:
-        _, ss_read = _seed_streams(cfg.seed)
-        draws = np.random.default_rng(ss_read).standard_normal(program._read_shape(*X.shape[:2]))
-        noise = _read_noise(draws, cfg.read_noise_sigma)
-    h, *_ = kernels.crossbar_unroll(program.grid(), X, noise)
-    return h
-
-
-def crossbar_forward(program: CrossbarProgram, out: OutputLayer, inputs):
-    """Run a sequence through the crossbar cell from the zero state, reading
-    out the affine output layer ``out`` every step.
-
-    Read noise is seeded from the program's seed, so a fixed device
-    reproduces the same noisy predictions. Returns the list of per-step
-    predictions.
-    """
-    X = np.asarray(inputs, dtype=np.float64)
-    if X.size == 0:
-        return []
-    if X.ndim == 1:
-        X = X[:, None]
-    h = _unroll_program(program, X[None])
-    return list(h[:, 0] @ out.w_out + out.b_out)
+    """Ideal quantized weights implied by the programmed level indices."""
+    return LstmParams(program.grid())
 
 
 def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, windows) -> np.ndarray:
-    """Last-step crossbar prediction of every window, each from the zero state.
-
-    One seeded noise stream covers the whole batch in window order; with the
-    sigmas at zero this equals the float path on the reconstructed weights.
-    """
-    h = _unroll_program(program, windows.inputs())
-    return h[-1] @ out.w_out + out.b_out
+    """Last-step crossbar prediction of every window, each from the zero
+    state, on the device of the program's own seed; with the sigmas at zero
+    this equals the float path on the reconstructed weights."""
+    return monte_carlo(program, out, windows, [program.cfg.seed])[0]
 
 
 def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> np.ndarray:
-    """Last-step crossbar predictions of every window on one device per seed,
-    [S, B]: row k is crossbar_window_predictions(program.with_seed(seeds[k]),
-    out, windows), bit for bit.
+    """Last-step crossbar predictions of every window on one device per seed, [S, B].
 
-    Each seed's streams are drawn as with_seed and the per-device read noise
-    draw them, and MC_CHUNK devices at a time run as one stacked unroll.
+    This is where a device is realized. Seed s spawns two streams from
+    SeedSequence(s). The first draws the level variation: a multiplicative
+    Gaussian error on every plus conductance, then on every minus one. The
+    second draws the read noise: a multiplicative Gaussian factor per column
+    read, in (window, step, cycle, gate) order, cycle m reading the four
+    gate columns of unit m. MC_CHUNK devices at a time run as one stacked
+    unroll, and row k equals the one-seed call on seeds[k] bit for bit.
     """
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
+    levels, rows, cols = cfg.levels, program.n_rows, program.n_columns
     vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0
-    pert = np.empty((MC_CHUNK, *program._variation_shape))
-    draws = np.empty((MC_CHUNK, *program._read_shape(B, T)))
-    grid = level_weights(program.level_plus, program.level_minus, cfg.levels)
-    noise = None
+    size = min(MC_CHUNK, len(seeds))
+    pert = np.empty((size, 2, rows, cols))
+    draws = np.empty((size, B, T, cols // 4, 4))
+    g_plus, g_minus = levels.conductances[program.level_plus], levels.conductances[program.level_minus]
+    grid, noise = program.grid(), None
     preds = np.empty((len(seeds), B))
     for start in range(0, len(seeds), MC_CHUNK):
         chunk = seeds[start : start + MC_CHUNK]
         for k, seed in enumerate(chunk):
             if seed < 0:  # the check and message of with_seed's CrossbarConfig
                 raise ValueError(f"seed must be >= 0, got {seed}")
-            ss_prog, ss_read = _seed_streams(seed)
+            ss_vary, ss_read = np.random.SeedSequence(seed).spawn(2)
             if vary:
-                np.random.default_rng(ss_prog).standard_normal(out=pert[k])
+                np.random.default_rng(ss_vary).standard_normal(out=pert[k])
             if read:
                 np.random.default_rng(ss_read).standard_normal(out=draws[k])
         n = len(chunk)
         if vary:
-            grid = _pair_weights(*program._varied(pert[:n]), cfg.levels)
+            sigma = cfg.level_variation_sigma
+            grid = (np.maximum(g_plus * (1.0 + sigma * pert[:n, 0]), 0.0)
+                    - np.maximum(g_minus * (1.0 + sigma * pert[:n, 1]), 0.0)) * levels.k_scale
         if read:
-            noise = _read_noise(draws[:n], cfg.read_noise_sigma)
+            # [n, B, T, M, 4] draws laid out like the grid's columns, gate g of unit m at g * M + m
+            noise = np.ascontiguousarray((cfg.read_noise_sigma * draws[:n]).swapaxes(-1, -2).reshape(n, B, T, cols))
         h, *_ = kernels.crossbar_unroll(grid, X, noise)
         preds[start : start + n] = h[-1] @ out.w_out + out.b_out
     return preds
@@ -376,9 +298,8 @@ def write_program(program: CrossbarProgram, path) -> None:
 
 def read_program(path) -> CrossbarProgram:
     """Parse a program map file: every header field in write order, then the
-    column lines. Perturbed conductances are re-derived from the recorded
-    seed and level_variation_sigma. A bad file raises ValueError naming the
-    file and the field."""
+    column lines. A bad file raises ValueError naming the file and the
+    field."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     try:
@@ -423,5 +344,4 @@ def _parse_program(lines) -> CrossbarProgram:
         raise ValueError("level index is not an integer") from None
     if np.any((idx < 0) | (idx >= N_LEVELS)):
         raise ValueError("level index out of range")
-    program = CrossbarProgram(dims, cfg, idx[:, 0].T, idx[:, 1].T, n_clamped=n_clamped)
-    return program.with_seed(cfg.seed)
+    return CrossbarProgram(cfg, idx[:, 0].T, idx[:, 1].T, n_clamped)

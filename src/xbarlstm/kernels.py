@@ -1,9 +1,10 @@
 """The one unroll of the LSTM cell over a window batch, and its BPTT.
 
 Both the float path and the crossbar path run here: the float path passes
-``LstmParams.grid`` and no noise, the crossbar path
-``CrossbarProgram.grid()``, the differential column currents in weight
-units, with its per-read noise factors. The scalar loop versions that
+``LstmParams.grid`` and no noise; the crossbar path, ``crossbar.monte_carlo``,
+passes the differential column currents of each device in weight units,
+the ideal ``CrossbarProgram.grid()`` or its level-varied draw, with the
+device's per-read noise factors. The scalar loop versions that
 check these kernels live with the tests, in ``tests/_oracles.py``.
 
 Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and

@@ -65,8 +65,8 @@ def bptt_gradients(params: LstmParams, out: OutputLayer, batch):
 
 def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
     """Seeded init: uniform Glorot input/output weights, orthogonal recurrent
-    weights, zero biases except a forget-gate bias of one. The input weights
-    and biases are clamped, the recurrent weights are left as drawn."""
+    weights, zero biases except a forget-gate bias of one. Every weight is
+    then clamped into [clamp_low, clamp_high], the range training keeps."""
     n, m = dims.n_inputs, dims.n_hidden
     grid = np.zeros((n + m + 1, 4 * m))
     gates = grid.reshape(n + m + 1, 4, m).transpose(1, 0, 2)  # gates[g]: gate g's [R, M] columns
@@ -76,8 +76,7 @@ def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clam
         q, r = np.linalg.qr(rng.standard_normal((m, m)))
         gates[g, n : n + m] = q * np.sign(np.diag(r))
     gates[1, n + m] = 1.0  # forget gate starts open
-    for rows in (grid[:n], grid[n + m :]):
-        np.clip(rows, clamp_low, clamp_high, out=rows)
+    np.clip(grid, clamp_low, clamp_high, out=grid)
     limit_out = min(np.sqrt(6.0 / (m + 1)), clamp_high)
     w_out = rng.uniform(-limit_out, limit_out, m)
     return LstmParams(grid), OutputLayer(np.clip(w_out, clamp_low, clamp_high), 0.0)

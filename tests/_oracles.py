@@ -214,6 +214,40 @@ def crossbar_unroll_loop(g_plus, g_minus, k_scale, X, noise):
     return h_all, reads
 
 
+def device_predictions_loop(level_plus, level_minus, conductances, level_sigma, read_sigma, seed, w_out, b_out, X):
+    """Last-step predictions of device ``seed`` for every window of X [B, T, n].
+
+    The seed's two streams come from SeedSequence(seed).spawn(2) and are
+    drawn one value at a time: the first perturbs every plus conductance,
+    row by row, then every minus one; the second gives one read-noise
+    factor per column read in (window, step, cycle, gate) order, cycle m
+    reading the four gate columns of unit m. A zero sigma draws nothing.
+    """
+    vary_rng, read_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    R, C4 = len(level_plus), len(level_plus[0])
+    M = C4 // 4
+    sides = []
+    for levels in (level_plus, level_minus):
+        g = np.empty((R, C4))
+        for r in range(R):
+            for col in range(C4):
+                g[r, col] = conductances[levels[r][col]]
+                if level_sigma > 0:
+                    g[r, col] = max(g[r, col] * (1.0 + level_sigma * vary_rng.standard_normal()), 0.0)
+        sides.append(g)
+    B, T = len(X), len(X[0])
+    noise = np.zeros((B, T, C4))
+    if read_sigma > 0:
+        for b in range(B):
+            for t in range(T):
+                for unit in range(M):
+                    for gate in range(4):
+                        noise[b, t, gate * M + unit] = read_sigma * read_rng.standard_normal()
+    k_scale = 1.0 / (conductances[-1] - conductances[0])
+    h, _ = crossbar_unroll_loop(sides[0], sides[1], k_scale, np.asarray(X, dtype=np.float64), noise)
+    return [dot_loop(w_out, h[b, -1]) + b_out for b in range(B)]
+
+
 def finite_difference_grads(loss_fn, arrays, step=1e-5):
     """Central-difference gradient of loss_fn() w.r.t. each array, in place.
 

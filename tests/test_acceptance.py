@@ -16,7 +16,7 @@ from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     CrossbarConfig,
     build_level_set,
-    crossbar_forward,
+    crossbar_window_predictions,
     level_weights,
     program_crossbar,
     quantize_levels,
@@ -111,7 +111,11 @@ def test_criterion_2_crossbar_oracle_equivalence():
         program = program_crossbar(params, cfg)
         recon = reconstruct_weights(program)
         xs = rng.uniform(-1, 1, (int(rng.integers(1, 21)), 1))
-        got = np.array(crossbar_forward(program, out, xs))
+        # step t's prediction is the last-step one of the window xs[: t + 1]
+        got = np.array([
+            crossbar_window_predictions(program, out, WindowedSeries(xs[: t + 1, 0][None], np.zeros(1), t + 1))[0]
+            for t in range(len(xs))
+        ])
         W, U, b = (a.tolist() for a in gates_from_grid(recon.grid))
         want = sequence_predictions_loop(W, U, b, out.w_out.tolist(), out.b_out, xs.tolist())
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))

@@ -512,6 +512,33 @@ def test_usage_error_is_one_error_line(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+OUTPUTS = {
+    "train": (WEIGHTS_FILE, LOSS_FILE),
+    "quantize": (PROGRAM_FILE, QUANTIZED_WEIGHTS_FILE, QUANTIZE_REPORT_FILE),
+    "evaluate": (EVAL_REPORT_FILE, PREDICTIONS_FILE),
+    "plot-data": (PLOT_PREDICTIONS_FILE, PLOT_LOSS_FILE),
+}
+
+
+@pytest.mark.parametrize("command, blocked", [(c, name) for c, names in OUTPUTS.items() for name in names])
+def test_unwritable_output_prints_nothing_and_leaves_nothing(tmp_path, capsys, command, blocked):
+    """An output name taken by a directory: the command exits 1 with one
+    error line, prints nothing on stdout and leaves none of its outputs."""
+    out = tmp_path / "r"
+    (out / blocked).mkdir(parents=True)
+    if command == "plot-data":
+        (out / PREDICTIONS_FILE).write_text("time_index,actual,prediction_float,prediction_quantized\n0,112,nan,nan\n")
+        (out / LOSS_FILE).write_text("1 0.5\n")
+    before = sorted(p.name for p in out.iterdir())
+    args = {"train": ["--epochs", 2], "plot-data": []}.get(command, ["--weights", TEST_DATA / WEIGHTS_FILE])
+    assert run(command, "--out-dir", out, *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(out / blocked) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     """numpy loads numpy.random on first use; importing the CLI must not
     use it, so commands that draw nothing do not pay for it."""

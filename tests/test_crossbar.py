@@ -12,7 +12,6 @@ from xbarlstm.crossbar import (
     CrossbarConfig,
     LevelSet,
     build_level_set,
-    crossbar_forward,
     crossbar_window_predictions,
     level_weights,
     monte_carlo,
@@ -27,7 +26,7 @@ from xbarlstm.data import WindowedSeries
 from xbarlstm.kernels import crossbar_unroll
 
 from _oracles import (
-    crossbar_unroll_loop,
+    device_predictions_loop,
     dot_loop,
     gates_from_grid,
     grid_from_gates,
@@ -52,6 +51,25 @@ def zero_gates(n_inputs, n_hidden):
 
 def zero_params(n_inputs, n_hidden):
     return LstmParams(grid_from_gates(*zero_gates(n_inputs, n_hidden)))
+
+
+def one_window(xs):
+    """xs [T, 1] as a batch of one window, for per-window forwards."""
+    return WindowedSeries(np.asarray(xs)[:, 0][None], np.zeros(1), len(xs))
+
+
+def step_predictions(program, out, xs):
+    """The crossbar prediction after every step of xs [T, 1]: step t's is the
+    last-step prediction of the window xs[: t + 1]."""
+    return [crossbar_window_predictions(program, out, one_window(xs[: t + 1]))[0] for t in range(len(xs))]
+
+
+def device_oracle(program, out, windows, seed):
+    """The loop oracle's predictions of device ``seed`` of program."""
+    cfg = program.cfg
+    return device_predictions_loop(program.level_plus.tolist(), program.level_minus.tolist(),
+                                   cfg.levels.conductances.tolist(), cfg.level_variation_sigma,
+                                   cfg.read_noise_sigma, seed, out.w_out.tolist(), out.b_out, windows.x[:, :, None])
 
 
 def quantize_one(w, levels):
@@ -226,16 +244,21 @@ class TestProgramCrossbar:
         twice = reconstruct_weights(program_crossbar(once, cfg))
         npt.assert_array_equal(once.grid, twice.grid)
 
-    def test_level_variation_stores_perturbed_conductances(self):
+    def test_level_variation_leaves_the_program_ideal(self):
+        """Programming draws nothing: with level variation the program is
+        the same level map and ideal grid, and only its device differs."""
+        params = random_params(5)
         cfg = CrossbarConfig(level_variation_sigma=0.05, seed=9)
-        program = program_crossbar(random_params(5), cfg)
-        assert program.g_plus is not None
-        ideal_p, ideal_m = cfg.levels.conductances[program.level_plus], cfg.levels.conductances[program.level_minus]
-        assert not np.array_equal(program.g_plus, ideal_p)
-        # same seed -> same device state
-        again = program_crossbar(random_params(5), cfg)
-        npt.assert_array_equal(program.g_plus, again.g_plus)
-        npt.assert_array_equal(program.g_minus, again.g_minus)
+        program = program_crossbar(params, cfg)
+        ideal = program_crossbar(params, replace(cfg, level_variation_sigma=0.0))
+        npt.assert_array_equal(program.level_plus, ideal.level_plus)
+        npt.assert_array_equal(program.level_minus, ideal.level_minus)
+        npt.assert_array_equal(program.grid(), ideal.grid())
+        npt.assert_array_equal(program.grid(), reconstruct_weights(program).grid)
+        windows = WindowedSeries(np.random.default_rng(5).uniform(0, 1, (4, 2)), np.zeros(4), 2)
+        out = OutputLayer(np.full(4, 0.5), 0.0)
+        assert np.all(crossbar_window_predictions(program, out, windows)
+                      != crossbar_window_predictions(ideal, out, windows))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
@@ -248,11 +271,10 @@ class TestProgramCrossbar:
         assert got.cfg == want.cfg
         npt.assert_array_equal(got.level_plus, want.level_plus)
         npt.assert_array_equal(got.level_minus, want.level_minus)
-        if sigma == 0:
-            assert got.g_plus is None and got.g_minus is None and want.g_plus is None
-        else:
-            npt.assert_array_equal(got.g_plus, want.g_plus)
-            npt.assert_array_equal(got.g_minus, want.g_minus)
+        windows = WindowedSeries(np.random.default_rng(7).uniform(0, 1, (5, 2)), np.zeros(5), 2)
+        out = OutputLayer(np.full(4, 0.3), 0.1)
+        npt.assert_array_equal(crossbar_window_predictions(got, out, windows),
+                               crossbar_window_predictions(want, out, windows))
 
 
 def oracle_gates(params):
@@ -353,11 +375,11 @@ class TestCrossbarStep:
 
 
 class TestCrossbarForward:
-    def test_empty_sequence(self):
-        cfg = CrossbarConfig()
-        program = program_crossbar(random_params(12), cfg)
+    def test_empty_window_batch(self):
+        program = program_crossbar(random_params(12), CrossbarConfig(read_noise_sigma=0.01))
         out = OutputLayer(np.ones(4), 0.0)
-        assert crossbar_forward(program, out, []) == []
+        preds = crossbar_window_predictions(program, out, WindowedSeries(np.zeros((0, 3)), np.zeros(0), 3))
+        assert preds.shape == (0,)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_float_path_on_reconstructed_weights(self, seed):
@@ -368,7 +390,7 @@ class TestCrossbarForward:
         rng = np.random.default_rng(seed)
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         xs = rng.uniform(-1, 1, (15, 1))
-        got = crossbar_forward(program, out, xs)
+        got = step_predictions(program, out, xs)
         npt.assert_allclose(got, oracle_predictions(recon, out, xs), rtol=0, atol=1e-9)
 
     def test_quantized_output_layer_changes_only_that_stage(self):
@@ -381,61 +403,46 @@ class TestCrossbarForward:
             np.array([quantize_one(v, cfg.levels)[1] for v in out.w_out]),
             quantize_one(out.b_out, cfg.levels)[1],
         )
-        xs = rng.uniform(-1, 1, (10, 1))
-        plain = crossbar_forward(program, out, xs)
-        quantized = crossbar_forward(program, quantize_output_layer(out, cfg.levels)[0], xs)
-        explicit = crossbar_forward(program, out_q, xs)
+        windows = WindowedSeries(rng.uniform(-1, 1, (10, 2)), np.zeros(10), 2)
+        plain = crossbar_window_predictions(program, out, windows)
+        quantized = crossbar_window_predictions(program, quantize_output_layer(out, cfg.levels)[0], windows)
+        explicit = crossbar_window_predictions(program, out_q, windows)
         npt.assert_allclose(quantized, explicit, rtol=0, atol=1e-15)
         assert not np.allclose(plain, quantized, atol=1e-12)
 
     def test_read_noise_deterministic_per_seed(self):
         params = random_params(31)
         out = OutputLayer(np.full(4, 0.5), 0.1)
-        xs = np.random.default_rng(2).uniform(-1, 1, (8, 1))
+        windows = WindowedSeries(np.random.default_rng(2).uniform(-1, 1, (8, 3)), np.zeros(8), 3)
         cfg_a = CrossbarConfig(read_noise_sigma=0.05, seed=77)
         program = program_crossbar(params, cfg_a)
-        one = crossbar_forward(program, out, xs)
-        two = crossbar_forward(program, out, xs)
-        other = crossbar_forward(program.with_seed(78), out, xs)
-        assert one == two
-        assert one != other
+        one = crossbar_window_predictions(program, out, windows)
+        two = crossbar_window_predictions(program, out, windows)
+        other = crossbar_window_predictions(program.with_seed(78), out, windows)
+        npt.assert_array_equal(one, two)
+        assert np.all(one != other)
 
     def test_noisy_forward_equals_chained_steps(self):
         params = random_params(32)
         out = OutputLayer(np.array([0.3, -0.2, 0.5, 0.1]), 0.05)
         rng = np.random.default_rng(3)
         windows = WindowedSeries(rng.uniform(-1, 1, (3, 6)), np.zeros(3), 6)
-        B, T, M = 3, 6, 4
         for level_variation in (0.0, 0.04):
             cfg = CrossbarConfig(read_noise_sigma=0.03, level_variation_sigma=level_variation, seed=5)
             program = program_crossbar(params, cfg)
             preds = crossbar_window_predictions(program, out, windows)
-            # the read stream is the second child of the seed, one draw per
-            # read in (window, step, cycle, gate) order
-            read_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
-            noise = np.empty((B, T, 4 * M))
-            for b in range(B):
-                for t in range(T):
-                    for unit in range(M):
-                        for gate in range(4):
-                            noise[b, t, gate * M + unit] = 0.03 * read_rng.standard_normal()
-            g = cfg.levels.conductances
-            g_plus = g[program.level_plus] if program.g_plus is None else program.g_plus
-            g_minus = g[program.level_minus] if program.g_minus is None else program.g_minus
-            h, _ = crossbar_unroll_loop(g_plus, g_minus, cfg.levels.k_scale, windows.x[:, :, None], noise)
-            manual = [dot_loop(out.w_out.tolist(), h[b, -1].tolist()) + out.b_out for b in range(B)]
-            npt.assert_allclose(preds, manual, rtol=0, atol=1e-12)
+            npt.assert_allclose(preds, device_oracle(program, out, windows, 5), rtol=0, atol=1e-12)
 
     def test_level_variation_shifts_predictions_deterministically(self):
         params = random_params(33)
         out = OutputLayer(np.full(4, 0.4), 0.0)
-        xs = np.random.default_rng(4).uniform(-1, 1, (10, 1))
+        windows = WindowedSeries(np.random.default_rng(4).uniform(-1, 1, (10, 3)), np.zeros(10), 3)
         ideal_cfg = CrossbarConfig(seed=1)
         vary_cfg = CrossbarConfig(level_variation_sigma=0.05, seed=1)
-        ideal = crossbar_forward(program_crossbar(params, ideal_cfg), out, xs)
-        vary1 = crossbar_forward(program_crossbar(params, vary_cfg), out, xs)
-        vary2 = crossbar_forward(program_crossbar(params, vary_cfg), out, xs)
-        assert vary1 == vary2
+        ideal = crossbar_window_predictions(program_crossbar(params, ideal_cfg), out, windows)
+        vary1 = crossbar_window_predictions(program_crossbar(params, vary_cfg), out, windows)
+        vary2 = crossbar_window_predictions(program_crossbar(params, vary_cfg), out, windows)
+        npt.assert_array_equal(vary1, vary2)
         assert not np.allclose(ideal, vary1, atol=1e-12)
 
     def test_window_batch_matches_per_window_forward(self):
@@ -448,10 +455,10 @@ class TestCrossbarForward:
         batch = crossbar_window_predictions(program, out, windows)
         recon = reconstruct_weights(program)
         for k in range(9):
-            preds = crossbar_forward(program, out, windows.x[k][:, None])
+            alone = crossbar_window_predictions(program, out, one_window(windows.x[k][:, None]))
             want = oracle_predictions(recon, out, windows.x[k])[-1]
             assert batch[k] == pytest.approx(want, abs=1e-12)
-            assert preds[-1] == pytest.approx(want, abs=1e-12)
+            assert alone[0] == pytest.approx(want, abs=1e-12)
 
 
 SWEEP_SEEDS = [int(s) for s in np.random.SeedSequence(2024).generate_state(300, np.uint64)]
@@ -461,14 +468,17 @@ SWEEP_SEEDS = [int(s) for s in np.random.SeedSequence(2024).generate_state(300, 
 @pytest.mark.parametrize("look_back", [1, 3])
 @pytest.mark.parametrize("level_variation, read_noise", [(0, 0), (0.05, 0), (0, 0.01), (0.05, 0.01)])
 def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_variation, read_noise):
-    """Row k is device seeds[k]'s own forward, bit for bit, for sweeps shorter
-    than a chunk, one past a chunk and with a short last chunk."""
+    """Row k is device seeds[k]'s one-seed forward, bit for bit, for sweeps
+    shorter than a chunk, one past a chunk and with a short last chunk; the
+    seeds on each side of the first chunk boundary match the loop oracle."""
     rng = np.random.default_rng(look_back)
     windows = WindowedSeries(rng.uniform(0, 1, (25, look_back)), rng.uniform(0, 1, 25), look_back)
     out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
     cfg = CrossbarConfig(build_level_set(spacing), read_noise, level_variation, seed=3)
     program = program_crossbar(random_params(50), cfg)
-    want = np.array([crossbar_window_predictions(program.with_seed(s), out, windows) for s in SWEEP_SEEDS])
+    want = np.array([monte_carlo(program, out, windows, [s])[0] for s in SWEEP_SEEDS])
+    for k in range(MC_CHUNK - 2, MC_CHUNK + 2):
+        npt.assert_allclose(want[k], device_oracle(program, out, windows, SWEEP_SEEDS[k]), rtol=0, atol=1e-12)
     for count in (0, 1, MC_CHUNK - 1, MC_CHUNK + 1, len(SWEEP_SEEDS)):
         got = monte_carlo(program, out, windows, SWEEP_SEEDS[:count])
         assert got.shape == (count, len(windows))
@@ -510,9 +520,14 @@ class TestProgramFile:
         path = tmp_path / "prog.txt"
         write_program(program, path)
         restored = read_program(path)
-        npt.assert_array_equal(program.g_plus, restored.g_plus)
-        npt.assert_array_equal(program.g_minus, restored.g_minus)
         assert restored.cfg.read_noise_sigma == cfg.read_noise_sigma
+        assert restored.cfg.level_variation_sigma == cfg.level_variation_sigma
+        assert restored.cfg.seed == cfg.seed
+        # the same devices: the file's level map, sigmas and seed rebuild them
+        windows = WindowedSeries(np.random.default_rng(13).uniform(0, 1, (6, 2)), np.zeros(6), 2)
+        out = OutputLayer(np.full(4, 0.25), 0.0)
+        seeds = [cfg.seed, 0, 2**63 + 11]
+        npt.assert_array_equal(monte_carlo(restored, out, windows, seeds), monte_carlo(program, out, windows, seeds))
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_round_trip_both_spacings(self, tmp_path, spacing):

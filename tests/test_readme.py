@@ -18,7 +18,9 @@ def test_library_use_example_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
-    assert len(namespace["preds"]) == 1 and namespace["preds"] != namespace["other"]
+    assert namespace["preds"].shape == (len(namespace["test_part"]),)
+    assert (namespace["preds"] != namespace["other"]).all()
+    assert (namespace["preds"] == namespace["sweep"][0]).all()  # device seed 0 is the sweep's row 0
     assert namespace["n_clamped"] == 0  # training keeps every weight in [-1, 1]
     assert namespace["sweep"].shape == (200, len(namespace["test_part"]))
 

@@ -5,7 +5,14 @@ import pytest
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.data import WindowedSeries, fit_normalizer, load_series, make_windows, normalize, split
 from xbarlstm.data import BUNDLED_DATASET
-from xbarlstm.training import TrainConfig, batch_predictions, bptt_gradients, finite_difference_check, train
+from xbarlstm.training import (
+    TrainConfig,
+    batch_predictions,
+    bptt_gradients,
+    finite_difference_check,
+    init_parameters,
+    train,
+)
 
 from _oracles import finite_difference_grads, gates_from_grid, grid_from_gates, mse_loop
 
@@ -135,6 +142,17 @@ class TestTrain:
         for arr in (params.grid, out.w_out):
             assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
         assert -1.0 <= out.b_out <= 1.0
+
+    @pytest.mark.parametrize("n_hidden", [1, 4, 6])
+    def test_init_lies_in_a_narrow_clamp_range(self, n_hidden):
+        """The first epoch's loss is taken on the initial weights, so they
+        already lie in the range training keeps, the orthogonal recurrent
+        block included."""
+        low, high = -0.3, 0.4
+        params, out = init_parameters(Dims(1, n_hidden), np.random.default_rng(n_hidden), low, high)
+        for arr in (params.grid, out.w_out):
+            assert np.all(arr >= low) and np.all(arr <= high)
+        assert low <= out.b_out <= high
 
     def test_shuffle_keeps_determinism(self):
         data = airline_train_split()
