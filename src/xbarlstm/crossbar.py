@@ -23,12 +23,15 @@ multiplicative Gaussian current noise per column read (read_noise_sigma).
 A CrossbarProgram is what the program file holds, the level map and its
 device config; monte_carlo is the one place a device is drawn from a seed
 and run, a chunk of devices stacked on the kernel's leading axis at a
-time. crossbar_window_predictions is its one-seed case. Peripheral CMOS
+time. A device seed s in [0, 2**128) draws from the two streams of
+SeedSequence(s).spawn(2), whose PCG64 states are derived for all seeds of
+a call at once. crossbar_window_predictions is its one-seed case. Peripheral CMOS
 stages (mirrors, converters, adders) are taken as ideal unit-gain. The
 output layer is not part of the program: a caller that maps it onto the
 crossbar too passes the layer from quantize_output_layer.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,8 +125,17 @@ class CrossbarConfig:
             sigma = getattr(self, name)
             if not (np.isfinite(sigma) and sigma >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """A device seed is an integer that fits the four 32-bit entropy words
+    of _pcg64_states."""
+    value = operator.index(seed)
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if value >= 2**128:
+        raise ValueError(f"seed must be < 2**128, got {seed}")
 
 
 def _nearest_level(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
@@ -224,17 +236,74 @@ def crossbar_window_predictions(program: CrossbarProgram, out: OutputLayer, wind
     return monte_carlo(program, out, windows, [program.cfg.seed])[0]
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _pcg64_states(seeds, key: int) -> list:
+    """(state, inc) of PCG64(SeedSequence(s).spawn(2)[key]) for every seed s
+    in [0, 2**128), computed for all seeds in one pass.
+
+    spawn(2)[key] is SeedSequence(s, spawn_key=(key,)), whose entropy is the
+    seed's 32-bit words, zero-padded to the pool size of four, then key.
+    numpy's pool mixing and generate_state(4, uint64) run here on [S] uint32
+    arrays; PCG64's srandom_r then takes the first two 64-bit words as the
+    initial state and the last two as the stream, high word first.
+    """
+    words = np.frombuffer(b"".join(int(s).to_bytes(16, "little") for s in seeds), dtype="<u4")
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> np.uint32(16)
+
+    pool = [hashmix(word) for word in words.reshape(-1, 4).T.astype(np.uint32)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    key_word = np.full(len(seeds), key, np.uint32)
+    for dst in range(4):
+        pool[dst] = mix(pool[dst], hashmix(key_word))
+    hash_const = _INIT_B
+    state_words = []
+    for i in range(8):  # generate_state(4, uint64): the pool cycled twice
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state_words.append(value ^ value >> np.uint32(16))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.stack(state_words, axis=-1).astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
 def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> np.ndarray:
     """Last-step crossbar predictions of every window on one device per seed, [S, B].
 
     This is where a device is realized. Seed s spawns two streams from
-    SeedSequence(s). The first draws the level variation: a multiplicative
-    Gaussian error on every plus conductance, then on every minus one. The
-    second draws the read noise: a multiplicative Gaussian factor per column
-    read, in (window, step, cycle, gate) order, cycle m reading the four
-    gate columns of unit m. MC_CHUNK devices at a time run as one stacked
-    unroll, and row k equals the one-seed call on seeds[k] bit for bit.
+    SeedSequence(s), their PCG64 states derived for all seeds at once. The
+    first draws the level variation: a multiplicative Gaussian error on
+    every plus conductance, then on every minus one. The second draws the
+    read noise: a multiplicative Gaussian factor per column read, in
+    (window, step, cycle, gate) order, cycle m reading the four gate columns
+    of unit m. A zero sigma draws nothing. MC_CHUNK devices at a time run as
+    one stacked unroll, and row k equals the one-seed call on seeds[k] bit
+    for bit.
     """
+    for seed in seeds:
+        _check_seed(seed)
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
@@ -243,20 +312,19 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     size = min(MC_CHUNK, len(seeds))
     pert = np.empty((size, 2, rows, cols))
     draws = np.empty((size, B, T, cols // 4, 4))
+    # one reused generator per stream, re-seeded to each device's state
+    streams = [(np.random.Generator(np.random.PCG64(0)), _pcg64_states(seeds, key), buf)
+               for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
     g_plus, g_minus = levels.conductances[program.level_plus], levels.conductances[program.level_minus]
     grid, noise = program.grid(), None
     preds = np.empty((len(seeds), B))
     for start in range(0, len(seeds), MC_CHUNK):
-        chunk = seeds[start : start + MC_CHUNK]
-        for k, seed in enumerate(chunk):
-            if seed < 0:  # the check and message of with_seed's CrossbarConfig
-                raise ValueError(f"seed must be >= 0, got {seed}")
-            ss_vary, ss_read = np.random.SeedSequence(seed).spawn(2)
-            if vary:
-                np.random.default_rng(ss_vary).standard_normal(out=pert[k])
-            if read:
-                np.random.default_rng(ss_read).standard_normal(out=draws[k])
-        n = len(chunk)
+        n = min(MC_CHUNK, len(seeds) - start)
+        for gen, states, buf in streams:
+            for k, (state, inc) in enumerate(states[start : start + n]):
+                gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                           "has_uint32": 0, "uinteger": 0}
+                gen.standard_normal(out=buf[k])
         if vary:
             sigma = cfg.level_variation_sigma
             grid = (np.maximum(g_plus * (1.0 + sigma * pert[:n, 0]), 0.0)

@@ -460,6 +460,7 @@ BAD_KEYS = [
     ("report", "x", "report must be"),
     ("seed", "abc", "key 'seed': invalid literal"),
     ("seed", "-1", "seed must be >= 0"),
+    ("seed", str(2**128), "seed must be < 2**128"),
     ("read_noise", "nan", "read_noise_sigma must be finite"),
     ("learning_rate", "nan", "learning_rate must be finite"),
     ("eps", "-1", "eps must be finite and > 0"),
@@ -539,12 +540,23 @@ def test_unwritable_output_prints_nothing_and_leaves_nothing(tmp_path, capsys, c
     assert sorted(p.name for p in out.iterdir()) == before
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     """numpy loads numpy.random on first use; importing the CLI must not
-    use it, so commands that draw nothing do not pay for it."""
-    probe = "import sys, xbarlstm.cli; sys.exit('numpy.random' in sys.modules)"
+    use it, and neither may an evaluate at zero sigmas on one device, so
+    commands that draw nothing do not pay for it."""
+    eager = subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"])
+    if eager.returncode:
+        pytest.skip("this numpy imports numpy.random when numpy itself is imported")
+    weights = tmp_path / WEIGHTS_FILE
+    write_weights(*zero_model(), weights)
+    probe = (
+        "import sys, xbarlstm.cli\n"
+        "if 'numpy.random' in sys.modules: sys.exit('numpy.random was imported by the CLI')\n"
+        f"code = xbarlstm.cli.main(['evaluate', '--weights', {str(weights)!r}, '--out-dir', {str(tmp_path / 'r')!r}])\n"
+        "sys.exit(code or 'numpy.random' in sys.modules and 'numpy.random was imported by evaluate')\n"
+    )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
-    assert result.returncode == 0, result.stderr or "numpy.random was imported"
+    assert result.returncode == 0, result.stderr
 
 
 MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "", "99999999999999999999"]

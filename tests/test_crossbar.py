@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from xbarlstm.crossbar import (
     SPACINGS,
     CrossbarConfig,
     LevelSet,
+    _pcg64_states,
     build_level_set,
     crossbar_window_predictions,
     level_weights,
@@ -496,6 +498,32 @@ def test_monte_carlo_rejects_a_negative_seed_as_with_seed_does():
             call()
 
 
+def test_monte_carlo_rejects_a_seed_beyond_128_bits_as_with_seed_does():
+    program = program_crossbar(random_params(51), CrossbarConfig(read_noise_sigma=0.01))
+    windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
+    out = OutputLayer(np.ones(4), 0.0)
+    for call in (lambda: program.with_seed(2**128), lambda: monte_carlo(program, out, windows, [3, 2**128])):
+        with pytest.raises(ValueError, match=rf"seed must be < 2\*\*128, got {2**128}"):
+            call()
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 2**96 + 3, 2**128 - 1]
+
+
+@pytest.mark.parametrize("key", [0, 1])
+def test_pcg64_states_equal_numpy_seeding(key):
+    """The derived (state, inc) of every seed's stream ``key`` is what numpy
+    itself builds: PCG64(SeedSequence(s).spawn(2)[key])."""
+    rng = random.Random(key)
+    seeds = EDGE_SEEDS + [rng.randrange(2**bits) for bits in (8, 32, 33, 64, 65, 96, 97, 128) for _ in range(40)]
+    want = []
+    for seed in seeds:
+        state = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[key]).state["state"]
+        want.append((state["state"], state["inc"]))
+    assert _pcg64_states(seeds, key) == want
+    assert _pcg64_states([], key) == []
+
+
 def _set_header(key, value):
     """A program-file mutation: header field ``key`` holds ``value``."""
     return lambda lines: [f"{key} {value}" if ln.split(" ", 1)[0] == key else ln for ln in lines]
@@ -565,11 +593,12 @@ class TestProgramFile:
         (_set_header("levels_siemens", "x"), "levels_siemens is not numeric: 'x'"),
         (_set_header("levels_siemens", "1.5"), "level table does not match"),
         (_set_header("n_clamped", "-1"), r"n_clamped must be in \[0, 96\]"),
+        (_set_header("seed", str(2**128)), rf"seed must be < 2\*\*128, got {2**128}"),
         (lambda lines: lines[:-1] + ["99999999999999999999 " + lines[-1].split(" ", 1)[1]], "level index"),
         (lambda lines: lines[:-1] + ["x " + lines[-1].split(" ", 1)[1]], "level index"),
     ], ids=["no-n_clamped", "no-levels_siemens", "swapped-header", "ragged-column", "fractional-seed",
             "word-n_hidden", "word-sigma", "overflowing-sigma", "unknown-spacing", "word-levels", "short-levels",
-            "negative-n_clamped", "overflowing-level", "word-level"])
+            "negative-n_clamped", "huge-seed", "overflowing-level", "word-level"])
     def test_rejects_malformed(self, tmp_path, mutate, match):
         path = tmp_path / "bad.txt"
         write_program(program_crossbar(random_params(45), CrossbarConfig(level_variation_sigma=0.02)), path)
