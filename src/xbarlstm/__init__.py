@@ -9,9 +9,8 @@ from .core import (
 from .crossbar import (
     CrossbarConfig,
     CrossbarProgram,
-    LevelSet,
-    build_level_set,
     crossbar_window_predictions,
+    level_conductances,
     monte_carlo,
     program_crossbar,
     quantize_output_layer,
@@ -33,8 +32,6 @@ from .data import (
 )
 from .training import (
     TrainConfig,
-    bptt_gradients,
-    finite_difference_check,
     train,
 )
 from .weights_io import read_weights, write_weights

@@ -20,13 +20,13 @@ import numpy as np
 from .core import Dims, LstmParams, OutputLayer, gate_blocks
 from .crossbar import (
     CrossbarConfig,
-    build_level_set,
     crossbar_window_predictions,
     monte_carlo,
     program_crossbar,
     quantize_output_layer,
     read_program,
     reconstruct_weights,
+    seed_sequence_words,
     write_program,
 )
 from .data import BUNDLED_DATASET, denormalize, fit_normalizer, load_series, make_windows, normalize, rmse, split
@@ -94,7 +94,7 @@ class RunConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
 
     def crossbar_config(self) -> CrossbarConfig:
-        return CrossbarConfig(build_level_set(self.spacing), read_noise_sigma=self.read_noise,
+        return CrossbarConfig(self.spacing, read_noise_sigma=self.read_noise,
                               level_variation_sigma=self.level_variation, seed=self.seed)
 
 
@@ -256,12 +256,12 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
 
     program = program_crossbar(params, xbar_cfg)
     quantized = reconstruct_weights(program)
-    out_q, n_out_clamped = quantize_output_layer(out, xbar_cfg.levels) if cfg.quantize_output_layer else (None, 0)
+    out_q, n_out_clamped = quantize_output_layer(out, xbar_cfg.spacing) if cfg.quantize_output_layer else (None, 0)
 
     table = _quantization_table(params, quantized, out, out_q)
     errors = np.array([row[5] for row in table])
     header = [
-        f"spacing {xbar_cfg.levels.spacing}",
+        f"spacing {xbar_cfg.spacing}",
         f"entries {len(table)}",
         f"clamped {program.n_clamped}",
         f"max_abs_error {_fmt(float(errors.max()))}",
@@ -273,7 +273,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
         for name, r, c, v, q, e in table
     ]
     pairs = [
-        ("spacing", xbar_cfg.levels.spacing),
+        ("spacing", xbar_cfg.spacing),
         ("entries", str(len(table))),
         ("max abs quantization error", f"{errors.max():.6f}"),
         ("mean abs quantization error", f"{errors.mean():.6f}"),
@@ -290,7 +290,8 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
 
 
 def _noise_seed_list(base_seed: int, count: int):
-    return [int(s) for s in np.random.SeedSequence(base_seed).generate_state(count, np.uint64)]
+    """SeedSequence(base_seed).generate_state(count, uint64), without numpy.random."""
+    return seed_sequence_words([base_seed], 2 * count)[0].astype("<u4").view("<u8").tolist()
 
 
 def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
@@ -307,7 +308,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     else:
         program = program_crossbar(params, cfg.crossbar_config())
     device = program.cfg
-    xbar_out, n_out_clamped = quantize_output_layer(out, device.levels) if cfg.quantize_output_layer else (out, 0)
+    xbar_out, n_out_clamped = quantize_output_layer(out, device.spacing) if cfg.quantize_output_layer else (out, 0)
 
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
     n_train = len(train_part)
@@ -327,7 +328,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
         ("windows", f"{len(windows)} = {n_train} train + {len(test_part)} test"),
-        ("spacing", device.levels.spacing),
+        ("spacing", device.spacing),
         ("read noise sigma", _fmt(device.read_noise_sigma)),
         ("level variation sigma", _fmt(device.level_variation_sigma)),
         ("program", str(program_path) if program_path else "derived from weights"),

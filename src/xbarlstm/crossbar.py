@@ -1,12 +1,14 @@
 """Behavioral model of the memristive crossbar LSTM.
 
 Weights live on a grid of GST memristors with 16 programmable conductance
-levels. A signed weight w in [-1, 1] becomes a differential column pair:
-the side matching sign(w) is programmed to the level nearest
-G_min + |w| * (G_max - G_min), the other side is parked at level 0
-(G_min), so w = 0 is exactly representable and the column current
-k * sum(V * (G_plus - G_minus)) with k = 1 / (G_max - G_min) reads out in
-weight units.
+levels from 200 kOhm to 2000 kOhm. The table's one free choice is its
+spacing, the string a CrossbarConfig holds, and level_conductances(spacing)
+is the one place the 16 conductances are computed. A signed weight w in
+[-1, 1] becomes a differential column pair: the side matching sign(w) is
+programmed to the level nearest G_min + |w| * (G_max - G_min), the other
+side is parked at level 0 (G_min), so w = 0 is exactly representable and
+the column current k * sum(V * (G_plus - G_minus)) with
+k = 1 / (G_max - G_min) reads out in weight units.
 
 Rows are ordered [x inputs, h inputs, bias]; the bias row is driven with a
 constant 1. Logical column g * M + m carries gate g of hidden unit m, in
@@ -21,16 +23,18 @@ Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
 multiplicative Gaussian current noise per column read (read_noise_sigma).
 A CrossbarProgram is what the program file holds, the level map and its
-device config; monte_carlo is the one place a device is drawn from a seed
-and run, a chunk of devices stacked on the kernel's leading axis at a
-time. A device seed s in [0, 2**128) draws from the two streams of
-SeedSequence(s).spawn(2), whose PCG64 states are derived for all seeds of
-a call at once. crossbar_window_predictions is its one-seed case. Peripheral CMOS
-stages (mirrors, converters, adders) are taken as ideal unit-gain. The
-output layer is not part of the program: a caller that maps it onto the
-crossbar too passes the layer from quantize_output_layer.
+device config (spacing, sigmas, seed); monte_carlo is the one place a
+device is drawn from a seed and run, a chunk of devices stacked on the
+kernel's leading axis at a time. A device seed s in [0, 2**128) draws
+from the two streams of SeedSequence(s).spawn(2), whose PCG64 states are
+derived for all seeds of a call at once. crossbar_window_predictions is
+its one-seed case. Peripheral CMOS stages (mirrors, converters, adders)
+are taken as ideal unit-gain. The output layer is not part of the
+program: a caller that maps it onto the crossbar too passes the layer
+from quantize_output_layer.
 """
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -50,80 +54,36 @@ SPACINGS = ("uniform_conductance", "uniform_resistance")
 MC_CHUNK = 8
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """The 16 programmable conductance levels, indexed by ascending conductance.
-
-    Level 0 is the weakest device (G_min = 1/2000 kOhm), level 15 the
-    strongest (G_max = 1/200 kOhm); resistances run opposite.
-    """
-
-    resistances: np.ndarray
-    conductances: np.ndarray
-    spacing: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "resistances", np.asarray(self.resistances, dtype=np.float64))
-        object.__setattr__(self, "conductances", np.asarray(self.conductances, dtype=np.float64))
-        if self.spacing not in SPACINGS:
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if len(self.conductances) != N_LEVELS or len(self.resistances) != N_LEVELS:
-            raise ValueError(f"level set must hold exactly {N_LEVELS} levels")
-        if not np.all(np.diff(self.conductances) > 0):
-            raise ValueError("conductances must be strictly increasing")
-        if not np.allclose(self.conductances * self.resistances, 1.0, rtol=1e-12):
-            raise ValueError("conductances must be reciprocals of resistances")
-
-    @property
-    def g_min(self) -> float:
-        return float(self.conductances[0])
-
-    @property
-    def g_max(self) -> float:
-        return float(self.conductances[-1])
-
-    @property
-    def k_scale(self) -> float:
-        """Current-to-weight-units scale of a differential column read."""
-        return 1.0 / (self.g_max - self.g_min)
-
-    @property
-    def weight_values(self) -> np.ndarray:
-        """Level conductances expressed in weight units, 0 at G_min to 1 at G_max."""
-        return (self.conductances - self.g_min) * self.k_scale
-
-    @property
-    def max_weight_step(self) -> float:
-        """Largest gap between adjacent levels in weight units; half of this
-        bounds the quantization error."""
-        return float(np.max(np.diff(self.weight_values)))
-
-
-def build_level_set(spacing: str = "uniform_conductance") -> LevelSet:
-    """16 levels spanning 200 kOhm to 2000 kOhm, spaced uniformly either in
-    conductance (0.5 to 5 uS, step 0.3 uS) or in resistance (step 120 kOhm)."""
+def level_conductances(spacing: str) -> np.ndarray:
+    """The 16 level conductances in siemens, ascending: level 0 is G_min =
+    1/2000 kOhm, level 15 is G_max = 1/200 kOhm. They are spaced uniformly
+    either in conductance (0.5 to 5 uS, step 0.3 uS) or in resistance
+    (step 120 kOhm)."""
     if spacing == "uniform_conductance":
-        g = np.linspace(1.0 / R_MAX_OHM, 1.0 / R_MIN_OHM, N_LEVELS)
-        return LevelSet(1.0 / g, g, spacing)
+        return np.linspace(1.0 / R_MAX_OHM, 1.0 / R_MIN_OHM, N_LEVELS)
     if spacing == "uniform_resistance":
-        r = np.linspace(R_MAX_OHM, R_MIN_OHM, N_LEVELS)
-        return LevelSet(r, 1.0 / r, spacing)
+        return 1.0 / np.linspace(R_MAX_OHM, R_MIN_OHM, N_LEVELS)
     raise ValueError(f"unknown spacing {spacing!r}")
+
+
+def _k_scale(g: np.ndarray) -> float:
+    """Current-to-weight-units scale of a differential column read, 1 / (G_max - G_min)."""
+    return 1.0 / (g[-1] - g[0])
 
 
 @dataclass(frozen=True)
 class CrossbarConfig:
-    levels: LevelSet = None
+    spacing: str = "uniform_conductance"
     read_noise_sigma: float = 0.0
     level_variation_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.levels is None:
-            object.__setattr__(self, "levels", build_level_set())
+        if self.spacing not in SPACINGS:
+            raise ValueError(f"unknown spacing {self.spacing!r}")
         for name in ("read_noise_sigma", "level_variation_sigma"):
             sigma = getattr(self, name)
-            if not (np.isfinite(sigma) and sigma >= 0):
+            if not (math.isfinite(sigma) and sigma >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
         _check_seed(self.seed)
 
@@ -138,20 +98,21 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be < 2**128, got {seed}")
 
 
-def _nearest_level(mags: np.ndarray, levels: LevelSet) -> np.ndarray:
+def _nearest_level(mags: np.ndarray, spacing: str) -> np.ndarray:
     """Index of the level nearest to G_min + mag * (G_max - G_min) for every
     magnitude in [0, 1]; exact half-way ties go to the higher conductance."""
-    if levels.spacing == "uniform_conductance":
+    if spacing == "uniform_conductance":
         # uniform spacing: work in level-step units, where the tie point
         # (k + 0.5) is exactly representable and floor(t + 0.5) rounds it up
         t = mags * (N_LEVELS - 1)
         return np.minimum(np.floor(t + 0.5).astype(np.int64), N_LEVELS - 1)
-    target = levels.g_min + mags * (levels.g_max - levels.g_min)
-    d = np.abs(target[..., None] - levels.conductances)
+    g = level_conductances(spacing)
+    target = g[0] + mags * (g[-1] - g[0])
+    d = np.abs(target[..., None] - g)
     return (N_LEVELS - 1 - np.argmin(d[..., ::-1], axis=-1)).astype(np.int64)
 
 
-def quantize_levels(weights, levels: LevelSet):
+def quantize_levels(weights, spacing: str):
     """The one quantizer: differential-pair level indices for an array of weights.
 
     Weights outside [-1, 1] are clamped and counted. The side matching the
@@ -163,23 +124,23 @@ def quantize_levels(weights, levels: LevelSet):
         raise ValueError("cannot quantize a non-finite weight")
     n_clamped = int(np.count_nonzero(np.abs(w) > 1.0))
     w = np.clip(w, -1.0, 1.0)
-    idx = _nearest_level(np.abs(w), levels)
+    idx = _nearest_level(np.abs(w), spacing)
     positive = w >= 0
     return np.where(positive, idx, 0), np.where(positive, 0, idx), n_clamped
 
 
-def level_weights(level_plus, level_minus, levels: LevelSet) -> np.ndarray:
+def level_weights(level_plus, level_minus, spacing: str) -> np.ndarray:
     """Weights read out from ideal differential level pairs."""
-    g = levels.conductances
-    return (g[level_plus] - g[level_minus]) * levels.k_scale
+    g = level_conductances(spacing)
+    return (g[level_plus] - g[level_minus]) * _k_scale(g)
 
 
-def quantize_output_layer(out: OutputLayer, levels: LevelSet):
+def quantize_output_layer(out: OutputLayer, spacing: str):
     """Output layer after the same round trip, for when it is mapped onto
     the crossbar too. Out-of-range entries are clamped and counted; returns
     (OutputLayer, n_clamped)."""
-    lp, lm, n_clamped = quantize_levels(np.append(out.w_out, out.b_out), levels)
-    q = level_weights(lp, lm, levels)
+    lp, lm, n_clamped = quantize_levels(np.append(out.w_out, out.b_out), spacing)
+    q = level_weights(lp, lm, spacing)
     return OutputLayer(q[:-1], q[-1]), n_clamped
 
 
@@ -210,7 +171,7 @@ class CrossbarProgram:
     def grid(self) -> np.ndarray:
         """The ideal level grid, (G_plus - G_minus) * k in weight units, laid
         out like LstmParams.grid."""
-        return level_weights(self.level_plus, self.level_minus, self.cfg.levels)
+        return level_weights(self.level_plus, self.level_minus, self.cfg.spacing)
 
     def with_seed(self, seed: int) -> "CrossbarProgram":
         """The same level map with device seed ``seed``."""
@@ -220,7 +181,7 @@ class CrossbarProgram:
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:
     """Map every entry of the weight grid onto a differential level pair.
     Out-of-range weights are clamped and counted on the returned program."""
-    level_plus, level_minus, n_clamped = quantize_levels(params.grid, cfg.levels)
+    level_plus, level_minus, n_clamped = quantize_levels(params.grid, cfg.spacing)
     return CrossbarProgram(cfg, level_plus, level_minus, n_clamped)
 
 
@@ -243,15 +204,17 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
-def _pcg64_states(seeds, key: int) -> list:
-    """(state, inc) of PCG64(SeedSequence(s).spawn(2)[key]) for every seed s
-    in [0, 2**128), computed for all seeds in one pass.
+def seed_sequence_words(seeds, n_words: int, key: int | None = None) -> np.ndarray:
+    """SeedSequence(s).generate_state(n_words, uint32) for every seed s in
+    [0, 2**128), or that of SeedSequence(s, spawn_key=(key,)) when a key is
+    given, computed for all seeds in one pass: [S, n_words] uint32.
 
-    spawn(2)[key] is SeedSequence(s, spawn_key=(key,)), whose entropy is the
-    seed's 32-bit words, zero-padded to the pool size of four, then key.
-    numpy's pool mixing and generate_state(4, uint64) run here on [S] uint32
-    arrays; PCG64's srandom_r then takes the first two 64-bit words as the
-    initial state and the last two as the stream, high word first.
+    numpy's entropy is the seed's 32-bit words, then the spawn key. With a
+    key the seed's words are zero-padded to the pool size of four; without
+    one, each pool word past the entropy hashes a zero, which is the same.
+    So each seed here is its four 32-bit words, then the key if any, through
+    numpy's pool mixing on [S] arrays. generate_state then cycles the pool,
+    word i xored with INIT_B * MULT_B**i and multiplied by the next power.
     """
     words = np.frombuffer(b"".join(int(s).to_bytes(16, "little") for s in seeds), dtype="<u4")
     hash_const = _INIT_A
@@ -272,18 +235,29 @@ def _pcg64_states(seeds, key: int) -> list:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    key_word = np.full(len(seeds), key, np.uint32)
-    for dst in range(4):
-        pool[dst] = mix(pool[dst], hashmix(key_word))
-    hash_const = _INIT_B
-    state_words = []
-    for i in range(8):  # generate_state(4, uint64): the pool cycled twice
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state_words.append(value ^ value >> np.uint32(16))
+    if key is not None:
+        key_word = np.full(len(seeds), key, np.uint32)
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(key_word))
+    consts = np.full(n_words + 1, _MULT_B, np.uint32)
+    consts[0] = _INIT_B
+    consts = np.cumprod(consts, dtype=np.uint32)  # INIT_B * MULT_B**i mod 2**32
+    # take, unlike fancy indexing, keeps [S, n_words] C-contiguous for the callers' uint64 view
+    value = np.stack(pool, axis=-1).take(np.arange(n_words) % 4, axis=1) ^ consts[:-1]
+    value *= consts[1:]
+    return value ^ value >> np.uint32(16)
+
+
+def _pcg64_states(seeds, key: int) -> list:
+    """(state, inc) of PCG64(SeedSequence(s).spawn(2)[key]) for every seed s
+    in [0, 2**128), computed for all seeds in one pass.
+
+    spawn(2)[key] is SeedSequence(s, spawn_key=(key,)). PCG64 takes its
+    generate_state(4, uint64) and runs srandom_r on it: the first two 64-bit
+    words are the initial state and the last two the stream, high word first.
+    """
     states = []
-    for s_hi, s_lo, i_hi, i_lo in np.stack(state_words, axis=-1).astype("<u4").view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in seed_sequence_words(seeds, 8, key).astype("<u4").view("<u8").tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
     return states
@@ -307,7 +281,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
-    levels, rows, cols = cfg.levels, program.n_rows, program.n_columns
+    g, rows, cols = level_conductances(cfg.spacing), program.n_rows, program.n_columns
     vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0
     size = min(MC_CHUNK, len(seeds))
     pert = np.empty((size, 2, rows, cols))
@@ -315,7 +289,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     # one reused generator per stream, re-seeded to each device's state
     streams = [(np.random.Generator(np.random.PCG64(0)), _pcg64_states(seeds, key), buf)
                for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
-    g_plus, g_minus = levels.conductances[program.level_plus], levels.conductances[program.level_minus]
+    g_plus, g_minus = g[program.level_plus], g[program.level_minus]
     grid, noise = program.grid(), None
     preds = np.empty((len(seeds), B))
     for start in range(0, len(seeds), MC_CHUNK):
@@ -328,7 +302,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
         if vary:
             sigma = cfg.level_variation_sigma
             grid = (np.maximum(g_plus * (1.0 + sigma * pert[:n, 0]), 0.0)
-                    - np.maximum(g_minus * (1.0 + sigma * pert[:n, 1]), 0.0)) * levels.k_scale
+                    - np.maximum(g_minus * (1.0 + sigma * pert[:n, 1]), 0.0)) * _k_scale(g)
         if read:
             # [n, B, T, M, 4] draws laid out like the grid's columns, gate g of unit m at g * M + m
             noise = np.ascontiguousarray((cfg.read_noise_sigma * draws[:n]).swapaxes(-1, -2).reshape(n, B, T, cols))
@@ -352,8 +326,8 @@ def write_program(program: CrossbarProgram, path) -> None:
     cfg = program.cfg
     values = (
         program.n_rows, program.n_columns, program.dims.n_inputs, program.dims.n_hidden,
-        cfg.levels.spacing, f"{cfg.read_noise_sigma:.17g}", f"{cfg.level_variation_sigma:.17g}", cfg.seed,
-        " ".join(f"{g:.17g}" for g in cfg.levels.conductances), program.n_clamped,
+        cfg.spacing, f"{cfg.read_noise_sigma:.17g}", f"{cfg.level_variation_sigma:.17g}", cfg.seed,
+        " ".join(f"{g:.17g}" for g in level_conductances(cfg.spacing)), program.n_clamped,
     )
     lines = [_PROGRAM_MAGIC, *(f"{key} {value}" for key, value in zip(_HEADER_KEYS, values)),
              "# one line per physical column: plus then minus per logical column"]
@@ -391,11 +365,11 @@ def _parse_program(lines) -> CrossbarProgram:
             raise ValueError(f"{key} is not {'an integer' if kind is int else 'numeric'}: {header[key]!r}") from None
 
     dims = Dims(number("n_inputs"), number("n_hidden"))
-    levels = build_level_set(header["spacing"])
+    g = level_conductances(header["spacing"])
     stored = number("levels_siemens", lambda raw: np.array(raw.split(), dtype=np.float64))
-    if not np.array_equal(stored, levels.conductances):
+    if not np.array_equal(stored, g):
         raise ValueError(f"level table does not match spacing {header['spacing']!r}")
-    cfg = CrossbarConfig(levels, number("read_noise_sigma", float), number("level_variation_sigma", float),
+    cfg = CrossbarConfig(header["spacing"], number("read_noise_sigma", float), number("level_variation_sigma", float),
                          number("seed"))
 
     n_rows, n_cols, n_clamped = number("rows"), number("logical_columns"), number("n_clamped")

@@ -3,8 +3,7 @@
 The trainer unrolls the cell through every window, computes exact
 reverse-mode gradients of the mean squared error, and clamps every
 parameter (LSTM and output layer) back into the configured range after
-each update. Gradient correctness is checkable against central finite
-differences via :func:`finite_difference_check`.
+each update.
 """
 
 import math
@@ -50,17 +49,6 @@ def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray
     """Last-step prediction of every window, each run from the zero state."""
     h, *_ = kernels.crossbar_unroll(params.grid, batch.inputs())
     return h[-1] @ out.w_out + out.b_out
-
-
-def bptt_gradients(params: LstmParams, out: OutputLayer, batch):
-    """Exact gradients of the batch MSE through all time steps.
-
-    Returns (loss, d_grid, d_w_out, d_b_out), the gradients shaped like
-    params.grid, out.w_out and out.b_out (d_b_out a 0-d array).
-    """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    return kernels.batch_loss_and_grads(params.grid, out.w_out, out.b_out, batch.inputs(), batch.y)
 
 
 def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
@@ -150,64 +138,3 @@ def _parts(flat, grid_shape):
     """Views (grid, w_out, b_out) of a flat [grid, w_out, b_out] vector; b_out is 0-d."""
     n = grid_shape[0] * grid_shape[1]
     return flat[:n].reshape(grid_shape), flat[n:-1], flat[-1:].reshape(())
-
-
-@dataclass
-class FdCheckReport:
-    """Per-group max relative error between analytic and numeric gradients."""
-
-    group_errors: dict
-    passed: bool
-    step: float
-    tolerance: float
-    magnitude_floor: float = 1e-8
-
-    def __str__(self):
-        lines = [f"finite-difference check (step={self.step:g}, tol={self.tolerance:g}):"]
-        for name, err in self.group_errors.items():
-            lines.append(f"  {name:6s} max rel err = {err:.3e}")
-        lines.append("  PASS" if self.passed else "  FAIL")
-        return "\n".join(lines)
-
-
-def finite_difference_check(params: LstmParams, out: OutputLayer, batch,
-                            step: float = 1e-5, tolerance: float = 1e-4,
-                            gradients=None, magnitude_floor: float = 1e-8) -> FdCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    Relative error is reported per group (grid, w_out, b_out) where either
-    gradient magnitude exceeds magnitude_floor; a supplied (d_grid, d_w_out,
-    d_b_out) triple is checked instead of a freshly computed one (handy as a
-    negative control).
-    """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if gradients is None:
-        _, *gradients = bptt_gradients(params, out, batch)
-
-    X, y = batch.inputs(), batch.y
-    wrt = {"grid": params.grid.copy(), "w_out": out.w_out.copy(), "b_out": np.array(out.b_out)}
-
-    def loss_at():
-        h, *_ = kernels.crossbar_unroll(wrt["grid"], X)
-        return float(np.mean((h[-1] @ wrt["w_out"] + wrt["b_out"] - y) ** 2))
-
-    errors = {}
-    for (name, arr), analytic in zip(wrt.items(), gradients, strict=True):
-        numeric = np.zeros(arr.shape)
-        flat, nflat = arr.reshape(-1), numeric.reshape(-1)
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + step
-            up = loss_at()
-            flat[idx] = keep - step
-            down = loss_at()
-            flat[idx] = keep
-            nflat[idx] = (up - down) / (2.0 * step)
-        scale = np.maximum(np.abs(analytic), np.abs(numeric))
-        mask = scale > magnitude_floor
-        rel = np.zeros_like(scale)
-        rel[mask] = np.abs(analytic - numeric)[mask] / scale[mask]
-        errors[name] = float(rel.max())
-    worst = max(errors.values())
-    return FdCheckReport(errors, worst < tolerance, step, tolerance, magnitude_floor)

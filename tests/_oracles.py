@@ -1,12 +1,17 @@
 """Hand-rolled reference implementations used as test oracles.
 
 Everything here is written scalar-by-scalar, independent of the vectorized
-production paths it is used to check.
+production paths it is used to check, except the finite-difference check:
+it differences the production forward pass, which the loop oracles check,
+to check the production backward pass.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from xbarlstm import kernels
 
 
 def sigmoid_scalar(x):
@@ -269,6 +274,57 @@ def finite_difference_grads(loss_fn, arrays, step=1e-5):
             gflat[idx] = (up - down) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def max_rel_error(analytic, numeric, magnitude_floor=1e-8):
+    """Largest |analytic - numeric| / max(|analytic|, |numeric|) over the
+    entries where either magnitude exceeds magnitude_floor; 0 if none does."""
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    mask = scale > magnitude_floor
+    rel = np.zeros_like(scale)
+    rel[mask] = np.abs(analytic - numeric)[mask] / scale[mask]
+    return float(rel.max())
+
+
+def bptt_gradients(params, out, batch):
+    """(loss, d_grid, d_w_out, d_b_out) of the batch MSE from the production
+    BPTT kernel, the gradients shaped like params.grid, out.w_out and
+    out.b_out (d_b_out a 0-d array)."""
+    return kernels.batch_loss_and_grads(params.grid, out.w_out, out.b_out, batch.inputs(), batch.y)
+
+
+@dataclass
+class FdCheckReport:
+    """Per-group max relative error between analytic and numeric gradients."""
+
+    group_errors: dict
+    passed: bool
+
+
+def finite_difference_check(params, out, batch, step=1e-5, tolerance=1e-4, gradients=None):
+    """Compare analytic gradients against central finite differences of the
+    production forward pass.
+
+    Relative error is reported per group (grid, w_out, b_out), see
+    max_rel_error; a supplied (d_grid, d_w_out, d_b_out) triple is checked
+    instead of a freshly computed one (handy as a negative control), and a
+    missing group raises ValueError.
+    """
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    if gradients is None:
+        _, *gradients = bptt_gradients(params, out, batch)
+    X, y = batch.inputs(), batch.y
+    grid, w_out, b_out = params.grid.copy(), out.w_out.copy(), np.array(out.b_out)
+
+    def loss_fn():
+        h, *_ = kernels.crossbar_unroll(grid, X)
+        return float(np.mean((h[-1] @ w_out + b_out - y) ** 2))
+
+    numeric = finite_difference_grads(loss_fn, [grid, w_out, b_out], step)
+    errors = {name: max_rel_error(a, n)
+              for name, a, n in zip(("grid", "w_out", "b_out"), gradients, numeric, strict=True)}
+    return FdCheckReport(errors, max(errors.values()) < tolerance)
 
 
 def nearest_level_exhaustive(w, conductances, index_space):

@@ -15,7 +15,6 @@ from xbarlstm.cli import LOSS_FILE, PREDICTIONS_FILE, PROGRAM_FILE, WEIGHTS_FILE
 from xbarlstm.core import Dims, LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     CrossbarConfig,
-    build_level_set,
     crossbar_window_predictions,
     level_weights,
     program_crossbar,
@@ -34,10 +33,10 @@ from xbarlstm.data import (
     rmse,
     split,
 )
-from xbarlstm.training import TrainConfig, batch_predictions, finite_difference_check, train
+from xbarlstm.training import TrainConfig, batch_predictions, train
 from xbarlstm.weights_io import read_weights, write_weights
 
-from _oracles import gates_from_grid, grid_from_gates, sequence_predictions_loop
+from _oracles import finite_difference_check, gates_from_grid, grid_from_gates, sequence_predictions_loop
 
 EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -106,7 +105,7 @@ def test_criterion_2_crossbar_oracle_equivalence():
     worst = 0.0
     for k in range(100):
         spacing = "uniform_conductance" if k % 2 == 0 else "uniform_resistance"
-        cfg = CrossbarConfig(levels=build_level_set(spacing))
+        cfg = CrossbarConfig(spacing)
         params, out = random_model(rng)
         program = program_crossbar(params, cfg)
         recon = reconstruct_weights(program)
@@ -130,14 +129,13 @@ def test_criterion_3_quantizer_bound():
     details = []
     ok = True
     for spacing in ("uniform_conductance", "uniform_resistance"):
-        levels = build_level_set(spacing)
-        recon = level_weights(*quantize_levels(sweep, levels)[:2], levels)
+        recon = level_weights(*quantize_levels(sweep, spacing)[:2], spacing)
         max_err = float(np.max(np.abs(recon - sweep)))
-        bound = levels.max_weight_step / 2 + 1e-12
+        bound = np.max(np.diff(level_weights(np.arange(16), np.zeros(16, dtype=int), spacing))) / 2 + 1e-12
         if spacing == "uniform_conductance":
             bound = 1 / 30 + 1e-12
         monotone = bool(np.all(np.diff(recon) >= 0))
-        idempotent = np.array_equal(level_weights(*quantize_levels(recon, levels)[:2], levels), recon)
+        idempotent = np.array_equal(level_weights(*quantize_levels(recon, spacing)[:2], spacing), recon)
         ok = ok and max_err <= bound and monotone and idempotent
         details.append(f"{spacing}: max err {max_err:.5f} <= {bound:.5f}")
     elapsed = time.perf_counter() - t0
@@ -207,7 +205,7 @@ def test_criterion_7_format_round_trips(tmp_path):
 
         spacing = "uniform_conductance" if k % 2 == 0 else "uniform_resistance"
         sigma = 0.0 if k % 3 == 0 else 0.02
-        cfg = CrossbarConfig(levels=build_level_set(spacing), level_variation_sigma=sigma, seed=k)
+        cfg = CrossbarConfig(spacing, level_variation_sigma=sigma, seed=k)
         p1, p2 = tmp_path / f"p{k}.txt", tmp_path / f"p{k}b.txt"
         write_program(program_crossbar(params, cfg), p1)
         write_program(read_program(p1), p2)

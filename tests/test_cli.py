@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from xbarlstm.cli import (
     QUANTIZED_WEIGHTS_FILE,
     WEIGHTS_FILE,
     RunConfig,
+    _noise_seed_list,
     build_parser,
     build_run_config,
     main,
@@ -542,21 +544,33 @@ def test_unwritable_output_prints_nothing_and_leaves_nothing(tmp_path, capsys, c
 
 def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     """numpy loads numpy.random on first use; importing the CLI must not
-    use it, and neither may an evaluate at zero sigmas on one device, so
-    commands that draw nothing do not pay for it."""
+    use it, and neither may an evaluate at zero sigmas, on one device or
+    on a derived sweep of two, so commands that draw nothing do not pay
+    for it."""
     eager = subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"])
     if eager.returncode:
         pytest.skip("this numpy imports numpy.random when numpy itself is imported")
     weights = tmp_path / WEIGHTS_FILE
     write_weights(*zero_model(), weights)
+    evaluate = ["evaluate", "--weights", str(weights), "--out-dir", str(tmp_path / "r")]
     probe = (
         "import sys, xbarlstm.cli\n"
         "if 'numpy.random' in sys.modules: sys.exit('numpy.random was imported by the CLI')\n"
-        f"code = xbarlstm.cli.main(['evaluate', '--weights', {str(weights)!r}, '--out-dir', {str(tmp_path / 'r')!r}])\n"
-        "sys.exit(code or 'numpy.random' in sys.modules and 'numpy.random was imported by evaluate')\n"
+        f"for argv in {[evaluate, evaluate + ['--noise-seeds', '2']]!r}:\n"
+        "    code = xbarlstm.cli.main(argv)\n"
+        "    if code or 'numpy.random' in sys.modules: sys.exit(f'{argv}: exit {code}, numpy.random loaded')\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("base", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1, 2**96 + 0xB1F5EED])
+@pytest.mark.parametrize("count", [1, 2, 7, 256, 2000])
+def test_noise_seed_list_equals_numpy_seed_sequence(base, count):
+    """The sweep's device seeds are SeedSequence(base).generate_state(count,
+    uint64), derived without numpy.random."""
+    want = [int(s) for s in np.random.SeedSequence(base).generate_state(count, np.uint64)]
+    assert _noise_seed_list(base, count) == want
 
 
 MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "", "99999999999999999999"]
@@ -598,6 +612,57 @@ def test_mutated_input_fails_cleanly(trained, tmp_path, capsys, target):
         if code not in (0, 1) or (code == 1 and (len(errors) != 1 or str(mutated) not in errors[0])):
             problems.append(f"{where}: exit {code}, stderr {err!r}")
     assert count == len(positions) * len(MUTANTS)
+    assert not problems, "\n".join(problems)
+
+
+FUZZ_TOKENS = MUTANTS + ["0", "-0", "1e-300", "0x10", "uniform_resistance", "uniform_conductance", "5e-07"]
+
+
+def _fuzzed(text, rng, count, sep, key_lines=()):
+    """count seeded truncations of text at a random character, count
+    replacements of one token of a random line, and count more on each line
+    that starts with a key in key_lines."""
+    lines = text.splitlines()
+    picks = [rng.randrange(len(lines)) for _ in range(count)]
+    for key in key_lines:
+        picks += [next(i for i, ln in enumerate(lines) if ln.startswith(key))] * count
+    cases = [text[: rng.randrange(len(text))] for _ in range(count)]
+    for i in picks:
+        tokens = lines[i].split(sep)
+        tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+        cases.append("\n".join(lines[:i] + [sep.join(tokens)] + lines[i + 1:]) + "\n")
+    return cases
+
+
+def test_fuzzed_inputs_fail_cleanly(trained, tmp_path, capsys):
+    """Seeded truncations and token replacements of the weight file, the
+    program file (its spacing and level-table lines included) and the
+    dataset CSV, each through evaluate in process: every run exits 0 or 1
+    with no exception escaping, and a run that exits 1 leaves the out-dir
+    as it was."""
+    rng = random.Random(20261018)
+    good = {"weights": trained / WEIGHTS_FILE, "program": trained / PROGRAM_FILE, "dataset": BUNDLED_DATASET}
+    cases = [(name, text) for name, sep, keys in (("weights", " ", ()), ("program", " ", ("spacing", "levels_siemens")),
+                                                 ("dataset", ",", ()))
+             for text in _fuzzed(Path(good[name]).read_text(), rng, 30, sep, keys)]
+    out = tmp_path / "r"
+    assert run("evaluate", *(f"--{k}={v}" for k, v in good.items()), "--out-dir", out) == 0
+    problems = []
+    for n, (name, text) in enumerate(cases):
+        mutated = tmp_path / f"{n}-{name}"
+        mutated.write_text(text)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        try:
+            code = run("evaluate", *(f"--{k}={v}" for k, v in {**good, name: mutated}.items()), "--out-dir", out)
+        except Exception as exc:  # any escape is a finding
+            problems.append(f"{mutated}: {type(exc).__name__}: {exc}")
+            continue
+        if code not in (0, 1):
+            problems.append(f"{mutated}: exit {code}")
+        elif code == 1 and {p.name: p.read_bytes() for p in out.iterdir()} != before:
+            problems.append(f"{mutated}: exit 1 changed the out-dir")
+    capsys.readouterr()
+    assert len(cases) == 3 * 2 * 30 + 2 * 30  # per file 30 truncations and 30 replacements, 30 per key line
     assert not problems, "\n".join(problems)
 
 

@@ -11,10 +11,9 @@ from xbarlstm.crossbar import (
     MC_CHUNK,
     SPACINGS,
     CrossbarConfig,
-    LevelSet,
     _pcg64_states,
-    build_level_set,
     crossbar_window_predictions,
+    level_conductances,
     level_weights,
     monte_carlo,
     program_crossbar,
@@ -70,91 +69,87 @@ def device_oracle(program, out, windows, seed):
     """The loop oracle's predictions of device ``seed`` of program."""
     cfg = program.cfg
     return device_predictions_loop(program.level_plus.tolist(), program.level_minus.tolist(),
-                                   cfg.levels.conductances.tolist(), cfg.level_variation_sigma,
+                                   level_conductances(cfg.spacing).tolist(), cfg.level_variation_sigma,
                                    cfg.read_noise_sigma, seed, out.w_out.tolist(), out.b_out, windows.x[:, :, None])
 
 
-def quantize_one(w, levels):
+def quantize_one(w, spacing="uniform_conductance"):
     """One weight through the quantizer: its (level_plus, level_minus) pair
     and the weight read back from that pair."""
-    lp, lm, _ = quantize_levels([w], levels)
-    return (int(lp[0]), int(lm[0])), float(level_weights(lp, lm, levels)[0])
+    lp, lm, _ = quantize_levels([w], spacing)
+    return (int(lp[0]), int(lm[0])), float(level_weights(lp, lm, spacing)[0])
+
+
+def max_weight_step(spacing):
+    """Largest gap between adjacent levels in weight units; half of it
+    bounds the quantization error."""
+    return np.max(np.diff(level_weights(np.arange(16), np.zeros(16, dtype=int), spacing)))
 
 
 
 class TestLevelSet:
+    """level_conductances(spacing) is the 16-level table."""
+
     def test_uniform_conductance_endpoints(self):
-        levels = build_level_set("uniform_conductance")
-        assert levels.g_min == pytest.approx(0.5e-6, rel=1e-12)
-        assert levels.g_min == pytest.approx(1.0 / 2000e3, rel=1e-12)
-        assert levels.g_max == pytest.approx(5e-6, rel=1e-12)
-        assert levels.g_max == pytest.approx(1.0 / 200e3, rel=1e-12)
+        g = level_conductances("uniform_conductance")
+        assert g[0] == pytest.approx(0.5e-6, rel=1e-12)
+        assert g[0] == pytest.approx(1.0 / 2000e3, rel=1e-12)
+        assert g[-1] == pytest.approx(5e-6, rel=1e-12)
+        assert g[-1] == pytest.approx(1.0 / 200e3, rel=1e-12)
 
     def test_uniform_conductance_step(self):
-        levels = build_level_set("uniform_conductance")
-        steps = np.diff(levels.conductances)
+        steps = np.diff(level_conductances("uniform_conductance"))
         npt.assert_allclose(steps, (5e-6 - 0.5e-6) / 15, rtol=1e-12)
         npt.assert_allclose(steps, 0.3e-6, rtol=1e-12)
 
     def test_uniform_resistance_step(self):
-        levels = build_level_set("uniform_resistance")
-        steps = np.diff(levels.resistances)
-        npt.assert_allclose(steps, -120e3, rtol=1e-12)
-        assert levels.resistances[0] == 2000e3
-        assert levels.resistances[-1] == 200e3
+        resistances = 1.0 / level_conductances("uniform_resistance")
+        npt.assert_allclose(np.diff(resistances), -120e3, rtol=1e-12)
+        assert resistances[0] == 2000e3
+        assert resistances[-1] == pytest.approx(200e3, rel=1e-12)  # 1 / (1 / 200e3) is not exact
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_invariants(self, spacing):
-        levels = build_level_set(spacing)
-        assert len(levels.conductances) == 16
-        assert np.all(np.diff(levels.conductances) > 0)
-        npt.assert_allclose(levels.conductances * levels.resistances, 1.0, rtol=1e-12)
-        assert levels.resistances.min() == pytest.approx(200e3, rel=1e-12)
-        assert levels.resistances.max() == pytest.approx(2000e3, rel=1e-12)
+        g = level_conductances(spacing)
+        assert g.shape == (16,)
+        assert np.all(np.diff(g) > 0)
+        assert (1.0 / g).min() == pytest.approx(200e3, rel=1e-12)
+        assert (1.0 / g).max() == pytest.approx(2000e3, rel=1e-12)
 
     def test_bad_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
-            build_level_set("logarithmic")
-
-    def test_level_count_enforced(self):
-        with pytest.raises(ValueError, match="16"):
-            LevelSet(np.arange(1, 9) * 1e5, 1.0 / (np.arange(1, 9) * 1e5), "uniform_conductance")
+            level_conductances("logarithmic")
 
 
 class TestMapWeightToPair:
     """quantize_levels maps each weight onto a differential level pair."""
 
     def test_zero(self):
-        levels = build_level_set()
-        assert quantize_one(0.0, levels) == ((0, 0), 0.0)
+        assert quantize_one(0.0) == ((0, 0), 0.0)
 
     def test_endpoints(self):
-        levels = build_level_set()
-        pair, q = quantize_one(1.0, levels)
+        pair, q = quantize_one(1.0)
         assert pair == (15, 0)
         assert q == pytest.approx(1.0, abs=1e-15)
-        pair, q = quantize_one(-1.0, levels)
+        pair, q = quantize_one(-1.0)
         assert pair == (0, 15)
         assert q == pytest.approx(-1.0, abs=1e-15)
 
     def test_halfway_tie_rounds_to_higher_conductance(self):
-        levels = build_level_set("uniform_conductance")
         # 0.5 targets 2.75 uS, exactly between level 7 (2.6) and level 8 (2.9)
-        pair, q = quantize_one(0.5, levels)
+        pair, q = quantize_one(0.5)
         assert pair == (8, 0)
         assert q == pytest.approx((2.9e-6 - 0.5e-6) / 4.5e-6, rel=1e-12)
         assert q == pytest.approx(8 / 15, rel=1e-12)
-        assert quantize_one(-0.5, levels)[0] == (0, 8)
+        assert quantize_one(-0.5)[0] == (0, 8)
 
     def test_out_of_range_clamps_and_counts(self):
-        levels = build_level_set()
-        level_plus, level_minus, n_clamped = quantize_levels([1.7, -2.0, 1.0, -1.0, 0.3], levels)
+        level_plus, level_minus, n_clamped = quantize_levels([1.7, -2.0, 1.0, -1.0, 0.3], "uniform_conductance")
         assert n_clamped == 2  # the endpoints themselves are in range
         assert list(zip(level_plus[:4], level_minus[:4])) == [(15, 0), (0, 15), (15, 0), (0, 15)]
 
     @pytest.mark.parametrize("spacing,index_space", [("uniform_conductance", True), ("uniform_resistance", False)])
     def test_matches_exhaustive_search(self, spacing, index_space):
-        levels = build_level_set(spacing)
         # exact half-step ties under uniform conductance spacing; uniform
         # resistance midpoints are not exact in floating point, so the oracle's
         # weight-space scan and the quantizer may round them apart
@@ -168,14 +163,14 @@ class TestMapWeightToPair:
         # the same weights through program_crossbar, as the grid of a one-unit model
         grid = np.zeros((len(sweep) // 4 + 3, 4))
         grid.reshape(-1)[: len(sweep)] = sweep
-        program = program_crossbar(LstmParams(grid), CrossbarConfig(levels=levels))
+        program = program_crossbar(LstmParams(grid), CrossbarConfig(spacing))
         assert program.n_clamped == 2
         level_plus, level_minus = program.level_plus.reshape(-1), program.level_minus.reshape(-1)
         recon = reconstruct_weights(program).grid.reshape(-1)
         for k, w in enumerate(sweep):
-            want_pair, want_recon = nearest_level_exhaustive(w, levels.conductances, index_space)
-            pair, q = quantize_one(w, levels)
-            assert quantize_levels([w], levels)[2] == (1 if abs(w) > 1 else 0), f"w={w}"
+            want_pair, want_recon = nearest_level_exhaustive(w, level_conductances(spacing), index_space)
+            pair, q = quantize_one(w, spacing)
+            assert quantize_levels([w], spacing)[2] == (1 if abs(w) > 1 else 0), f"w={w}"
             assert pair == want_pair == (level_plus[k], level_minus[k]), f"w={w}"
             assert q == recon[k], f"w={w}"
             assert q == pytest.approx(want_recon, abs=1e-15)
@@ -183,9 +178,9 @@ class TestMapWeightToPair:
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, spacing, bad):
-        cfg = CrossbarConfig(levels=build_level_set(spacing))
+        cfg = CrossbarConfig(spacing)
         with pytest.raises(ValueError, match="non-finite"):
-            quantize_levels([0.5, bad], cfg.levels)
+            quantize_levels([0.5, bad], spacing)
         W, U, b = zero_gates(1, 2)
         U[1, 0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -193,19 +188,17 @@ class TestMapWeightToPair:
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_quantizer_properties(self, spacing):
-        levels = build_level_set(spacing)
-        half_step = levels.max_weight_step / 2
+        half_step = max_weight_step(spacing) / 2
         sweep = np.linspace(-1, 1, 2001)
-        recon = level_weights(*quantize_levels(sweep, levels)[:2], levels)
+        recon = level_weights(*quantize_levels(sweep, spacing)[:2], spacing)
         assert np.max(np.abs(recon - sweep)) <= half_step + 1e-12
         assert np.all(np.diff(recon) >= 0)  # monotone
         for w, r in zip(sweep, recon):
-            assert r == quantize_one(r, levels)[1]  # idempotent
+            assert r == quantize_one(r, spacing)[1]  # idempotent
             assert np.sign(r) in (0.0, np.sign(w))  # sign preserved
 
     def test_uniform_conductance_half_step_value(self):
-        levels = build_level_set("uniform_conductance")
-        assert levels.max_weight_step / 2 == pytest.approx(1 / 30, rel=1e-12)
+        assert max_weight_step("uniform_conductance") / 2 == pytest.approx(1 / 30, rel=1e-12)
 
 
 class TestProgramCrossbar:
@@ -223,11 +216,11 @@ class TestProgramCrossbar:
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_reconstruction_is_entrywise_quantization(self, spacing):
-        cfg = CrossbarConfig(levels=build_level_set(spacing))
+        cfg = CrossbarConfig(spacing)
         params = random_params(3)
         recon = reconstruct_weights(program_crossbar(params, cfg))
         for got, w in zip(recon.grid.reshape(-1), params.grid.reshape(-1)):
-            assert got == pytest.approx(quantize_one(w, cfg.levels)[1], abs=1e-15)
+            assert got == pytest.approx(quantize_one(w, spacing)[1], abs=1e-15)
 
     def test_out_of_range_counted(self):
         W, U, b = zero_gates(1, 2)
@@ -266,7 +259,7 @@ class TestProgramCrossbar:
     @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
     def test_with_seed_equals_programming_with_that_seed(self, sigma, seed):
         params = random_params(44)
-        cfg = CrossbarConfig(levels=build_level_set("uniform_resistance"), read_noise_sigma=0.01,
+        cfg = CrossbarConfig("uniform_resistance", read_noise_sigma=0.01,
                              level_variation_sigma=sigma, seed=3)
         got = program_crossbar(params, cfg).with_seed(seed)
         want = program_crossbar(params, replace(cfg, seed=seed))
@@ -402,12 +395,12 @@ class TestCrossbarForward:
         rng = np.random.default_rng(1)
         out = OutputLayer(rng.uniform(-1, 1, 4), rng.uniform(-1, 1))
         out_q = OutputLayer(
-            np.array([quantize_one(v, cfg.levels)[1] for v in out.w_out]),
-            quantize_one(out.b_out, cfg.levels)[1],
+            np.array([quantize_one(v, cfg.spacing)[1] for v in out.w_out]),
+            quantize_one(out.b_out, cfg.spacing)[1],
         )
         windows = WindowedSeries(rng.uniform(-1, 1, (10, 2)), np.zeros(10), 2)
         plain = crossbar_window_predictions(program, out, windows)
-        quantized = crossbar_window_predictions(program, quantize_output_layer(out, cfg.levels)[0], windows)
+        quantized = crossbar_window_predictions(program, quantize_output_layer(out, cfg.spacing)[0], windows)
         explicit = crossbar_window_predictions(program, out_q, windows)
         npt.assert_allclose(quantized, explicit, rtol=0, atol=1e-15)
         assert not np.allclose(plain, quantized, atol=1e-12)
@@ -476,7 +469,7 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
     rng = np.random.default_rng(look_back)
     windows = WindowedSeries(rng.uniform(0, 1, (25, look_back)), rng.uniform(0, 1, 25), look_back)
     out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
-    cfg = CrossbarConfig(build_level_set(spacing), read_noise, level_variation, seed=3)
+    cfg = CrossbarConfig(spacing, read_noise, level_variation, seed=3)
     program = program_crossbar(random_params(50), cfg)
     want = np.array([monte_carlo(program, out, windows, [s])[0] for s in SWEEP_SEEDS])
     for k in range(MC_CHUNK - 2, MC_CHUNK + 2):
@@ -559,12 +552,12 @@ class TestProgramFile:
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_round_trip_both_spacings(self, tmp_path, spacing):
-        cfg = CrossbarConfig(levels=build_level_set(spacing))
+        cfg = CrossbarConfig(spacing)
         program = program_crossbar(random_params(42), cfg)
         path = tmp_path / "prog.txt"
         write_program(program, path)
         restored = read_program(path)
-        assert restored.cfg.levels.spacing == spacing
+        assert restored.cfg.spacing == spacing
         npt.assert_array_equal(program.level_plus, restored.level_plus)
 
     def test_v1_file_round_trips_byte_identically(self, tmp_path):
