@@ -11,27 +11,48 @@ README for the key reference and the produced files.
 import argparse
 import dataclasses
 import functools
+import importlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig
 
-from .core import Dims, LstmParams, OutputLayer, gate_blocks
-from .crossbar import (
-    CrossbarConfig,
-    crossbar_window_predictions,
-    monte_carlo,
-    program_crossbar,
-    quantize_output_layer,
-    read_program,
-    reconstruct_weights,
-    seed_sequence_words,
-    write_program,
-)
-from .data import BUNDLED_DATASET, denormalize, fit_normalizer, load_series, make_windows, normalize, rmse, split
-from .training import TrainConfig, batch_predictions, train
-from .weights_io import packed_shapes, read_weights, write_weights
+# The names the commands use from the numeric modules. _load_numeric binds
+# them, and numpy as np, on first use, so plot-data never loads numpy.
+_NUMERIC = {
+    "core": ("Dims", "gate_blocks"),
+    "crossbar": ("crossbar_window_predictions", "monte_carlo", "program_crossbar", "quantize_output_layer",
+                 "read_program", "reconstruct_weights", "seed_sequence_words", "write_program"),
+    "data": ("denormalize", "fit_normalizer", "load_series", "make_windows", "normalize", "rmse", "split"),
+    "training": ("batch_predictions", "train"),
+    "weights_io": ("packed_shapes", "read_weights", "write_weights"),
+}
+
+
+@functools.cache  # binds once per process; each command calls it
+def _load_numeric() -> None:
+    """Bind np and the _NUMERIC names into this module's globals. A name
+    already bound keeps its value, so a wrapper set on this module, as
+    perfbench/tracing.py sets its spans, stays the one the commands call."""
+    import numpy
+
+    bound = globals()
+    bound.setdefault("np", numpy)
+    for module, names in _NUMERIC.items():
+        owner = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    """cli.<numeric name> before the first command loads them (PEP 562)."""
+    if name == "np" or any(name in names for names in _NUMERIC.values()):
+        _load_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 WEIGHTS_FILE = "weights.txt"
 QUANTIZED_WEIGHTS_FILE = "weights_quantized.txt"
@@ -42,6 +63,7 @@ EVAL_REPORT_FILE = "eval_report.txt"
 PREDICTIONS_FILE = "predictions.csv"
 PLOT_PREDICTIONS_FILE = "plot_predictions.csv"
 PLOT_LOSS_FILE = "plot_loss.csv"
+PREDICTIONS_HEADER = "time_index,actual,prediction_float,prediction_quantized"
 # Seeds per monte_carlo call in an evaluate sweep; a block's predictions are
 # reduced to per-seed RMSE before the next, so no [seeds, windows] array of a
 # whole sweep is held.
@@ -87,7 +109,8 @@ class RunConfig:
         self.crossbar_config()
 
     @property
-    def dims(self) -> Dims:
+    def dims(self) -> "Dims":
+        _load_numeric()
         return Dims(1, self.hidden_units)
 
     def train_config(self) -> TrainConfig:
@@ -149,6 +172,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_pipeline(cfg: RunConfig):
     """Dataset -> normalizer -> windows -> chronological split."""
+    _load_numeric()
     series = load_series(cfg.dataset)
     norm = fit_normalizer(series)
     windows = make_windows(normalize(series, norm), cfg.look_back)
@@ -196,6 +220,7 @@ def _finish(out_dir: Path, files: dict, stdout, stderr=()) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    _load_numeric()
     out_dir = Path(cfg.out_dir)
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
 
@@ -226,7 +251,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return _finish(out_dir, files, _report_lines(pairs, cfg.report))
 
 
-def _quantization_table(params: LstmParams, quantized: LstmParams, out: OutputLayer, out_q: OutputLayer | None):
+def _quantization_table(params: "LstmParams", quantized: "LstmParams", out: "OutputLayer", out_q: "OutputLayer | None"):
     """Per-entry (name, row, col, original, quantized, abs_error) rows, the
     error taken against the clamped original; output layer entries are
     included only when it is quantized too."""
@@ -250,6 +275,7 @@ def _clamp_warnings(n_weights: int, n_output: int) -> list:
 
 
 def cmd_quantize(cfg: RunConfig, weights_path) -> int:
+    _load_numeric()
     out_dir = Path(cfg.out_dir)
     params, out = read_weights(weights_path)
     xbar_cfg = cfg.crossbar_config()
@@ -291,6 +317,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
 
 def _noise_seed_list(base_seed: int, count: int):
     """SeedSequence(base_seed).generate_state(count, uint64), without numpy.random."""
+    _load_numeric()
     return seed_sequence_words([base_seed], 2 * count)[0].astype("<u4").view("<u8").tolist()
 
 
@@ -299,6 +326,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     program file when one is given, header spacing, sigmas and seed
     included, else from the weights and cfg; each sweep seed re-draws it
     from the same level map."""
+    _load_numeric()
     out_dir = Path(cfg.out_dir)
     params, out = read_weights(weights_path)
     if program_path is not None:
@@ -367,7 +395,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     # the first look_back points have no prediction
     pad = np.full(cfg.look_back, np.nan)
     columns = zip(series.values, *(np.concatenate([pad, denormalize(p, norm)]) for p in (float_preds, xbar_preds)))
-    rows = ["time_index,actual,prediction_float,prediction_quantized"]
+    rows = [PREDICTIONS_HEADER]
     rows += [f"{t},{_fmt(v)},{_fmt(f)},{_fmt(q)}" for t, (v, f, q) in enumerate(columns)]
 
     lines = _report_lines(pairs, cfg.report)
@@ -375,7 +403,30 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     return _finish(out_dir, files, lines, _clamp_warnings(program.n_clamped, n_out_clamped))
 
 
+def _checked_lines(path: Path, header, expected: str, valid) -> list:
+    """A run output's lines: the header unless it is None, then at least one
+    row, row n (from 0) passing valid(n, line). Anything else raises one
+    ValueError naming the file, the line and what was expected."""
+    lines = path.read_text().splitlines()
+    head = [] if header is None else [header]
+    if lines[: len(head)] != head:
+        got = repr(lines[0]) if lines else "end of file"
+        raise ValueError(f"{path}: line 1: expected the header {header!r}, got {got}")
+    if len(lines) == len(head):
+        raise ValueError(f"{path}: line {len(head) + 1}: expected {expected}, got end of file")
+    for n, line in enumerate(lines[len(head):]):
+        try:
+            ok = valid(n, line)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}: line {n + len(head) + 1}: expected {expected}, got {line!r}")
+    return lines
+
+
 def cmd_plotdata(cfg: RunConfig) -> int:
+    """evaluate's predictions and train's loss history, checked line by line
+    and copied out as delimited curves; uses no numpy."""
     out_dir = Path(cfg.out_dir)
     predictions = out_dir / PREDICTIONS_FILE
     losses = out_dir / LOSS_FILE
@@ -383,13 +434,20 @@ def cmd_plotdata(cfg: RunConfig) -> int:
         if not needed.exists():
             raise FileNotFoundError(f"missing run output {needed}; run `train` and `evaluate` first")
 
-    pred_lines = predictions.read_text().splitlines()
-    loss_rows = ["epoch,loss"]
-    for lineno, line in enumerate(losses.read_text().splitlines(), start=1):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{losses}: line {lineno}: expected 'epoch loss'")
-        loss_rows.append(f"{parts[0]},{parts[1]}")
+    def prediction_row(n, line):
+        index, actual, *preds = line.split(",")
+        return (len(preds) == 2 and int(index) == n and math.isfinite(float(actual))
+                and all(math.isfinite(p) or (n < cfg.look_back and math.isnan(p)) for p in map(float, preds)))
+
+    def loss_row(n, line):
+        epoch, loss = line.split()
+        return int(epoch) == n + 1 and math.isfinite(float(loss))
+
+    pred_lines = _checked_lines(predictions, PREDICTIONS_HEADER,
+                                f"'<time index>,<actual>,<float>,<quantized>', finite numbers but for "
+                                f"nan predictions at time index < look_back = {cfg.look_back}", prediction_row)
+    loss_rows = ["epoch,loss"] + [",".join(line.split()) for line in
+                                  _checked_lines(losses, None, "'<epoch> <finite loss>'", loss_row)]
 
     stdout = [f"wrote {out_dir / PLOT_PREDICTIONS_FILE} ({len(pred_lines) - 1} rows)",
               f"wrote {out_dir / PLOT_LOSS_FILE} ({len(loss_rows) - 1} rows)"]

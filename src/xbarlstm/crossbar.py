@@ -34,20 +34,18 @@ program: a caller that maps it onto the crossbar too passes the layer
 from quantize_output_layer.
 """
 
-import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
+from .config import SPACINGS, CrossbarConfig, _check_seed  # noqa: F401  (SPACINGS re-exported)
 from .core import Dims, LstmParams, OutputLayer
 
 N_LEVELS = 16
 R_MIN_OHM = 200e3
 R_MAX_OHM = 2000e3
 
-SPACINGS = ("uniform_conductance", "uniform_resistance")
 # Devices per stacked unroll in monte_carlo. Eight keeps each per-step array
 # of a 143-window, 4-unit sweep ([8, 143, 16], ~146 KB) in cache; chunks of
 # 256 ran slower and took ~50 MB more memory.
@@ -69,33 +67,6 @@ def level_conductances(spacing: str) -> np.ndarray:
 def _k_scale(g: np.ndarray) -> float:
     """Current-to-weight-units scale of a differential column read, 1 / (G_max - G_min)."""
     return 1.0 / (g[-1] - g[0])
-
-
-@dataclass(frozen=True)
-class CrossbarConfig:
-    spacing: str = "uniform_conductance"
-    read_noise_sigma: float = 0.0
-    level_variation_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.spacing not in SPACINGS:
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        for name in ("read_noise_sigma", "level_variation_sigma"):
-            sigma = getattr(self, name)
-            if not (math.isfinite(sigma) and sigma >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
-        _check_seed(self.seed)
-
-
-def _check_seed(seed: int) -> None:
-    """A device seed is an integer that fits the four 32-bit entropy words
-    of _pcg64_states."""
-    value = operator.index(seed)
-    if value < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if value >= 2**128:
-        raise ValueError(f"seed must be < 2**128, got {seed}")
 
 
 def _nearest_level(mags: np.ndarray, spacing: str) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-BUNDLED_DATASET = Path(__file__).parent / "data" / "airline-passengers.csv"
+from .config import BUNDLED_DATASET  # noqa: F401  (re-exported)
 
 
 @dataclass

@@ -7,42 +7,12 @@ each update.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from .config import TrainConfig
 from .core import Dims, LstmParams, OutputLayer
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    learning_rate: float = 0.01
-    optimizer: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clamp_low: float = -1.0
-    clamp_high: float = 1.0
-    seed: int = 0
-    shuffle: bool = False
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("learning_rate", "eps"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not -np.inf < self.clamp_low < self.clamp_high < np.inf:
-            raise ValueError(f"clamp range [{self.clamp_low}, {self.clamp_high}] must be finite and non-empty")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import random
 import re
@@ -362,6 +363,9 @@ class TestEvaluateCommand:
         assert "do not match" in capsys.readouterr().err
 
 
+HEADER = "time_index,actual,prediction_float,prediction_quantized\n"
+
+
 class TestPlotDataCommand:
     def test_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -385,16 +389,48 @@ class TestPlotDataCommand:
         assert run("plot-data", "--out-dir", tmp_path / "empty") == 1
         assert "run `train` and `evaluate` first" in capsys.readouterr().err
 
-    def test_malformed_loss_history_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("file, text, line", [
+        (PREDICTIONS_FILE, "", 1),
+        (PREDICTIONS_FILE, "time_index,actual,prediction\n0,112,nan\n", 1),
+        (PREDICTIONS_FILE, HEADER, 2),
+        (PREDICTIONS_FILE, HEADER + "0,abc\n", 2),
+        (PREDICTIONS_FILE, HEADER + "0,112,nan,nan,1\n", 2),
+        (PREDICTIONS_FILE, HEADER + "0,112,nan,nan\n2,118,1,1\n", 3),
+        (PREDICTIONS_FILE, HEADER + "0,112,nan,nan\n1,inf,1,1\n", 3),
+        (PREDICTIONS_FILE, HEADER + "0,112,nan,nan\n1,118,1,nan\n", 3),
+        (LOSS_FILE, "", 1),
+        (LOSS_FILE, "1 zzz\n", 1),
+        (LOSS_FILE, "1 0.5\n2\n", 2),
+        (LOSS_FILE, "1 0.5\n2 inf\n", 2),
+        (LOSS_FILE, "1 0.5\n3 0.4\n", 2),
+        (LOSS_FILE, "1.0 0.5\n", 1),
+    ])
+    def test_bad_run_output_is_one_error_line(self, tmp_path, capsys, file, text, line):
+        """An empty file, a wrong header, a row of the wrong shape, index or
+        epoch, or a value that is not a finite number (nan is a prediction
+        only in the first look_back rows): exit 1, one error line naming
+        the file and the line, and no output file."""
         out = tmp_path / "run"
         out.mkdir()
-        (out / PREDICTIONS_FILE).write_text("time_index,actual,prediction_float,prediction_quantized\n0,112,nan,nan\n")
-        (out / LOSS_FILE).write_text("1 0.5\n2\n")
+        (out / PREDICTIONS_FILE).write_text(HEADER + "0,112,nan,nan\n")
+        (out / LOSS_FILE).write_text("1 0.5\n")
+        (out / file).write_text(text)
         assert run("plot-data", "--out-dir", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "line 2" in err
-        assert not (out / PLOT_PREDICTIONS_FILE).exists()
-        assert not (out / PLOT_LOSS_FILE).exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / file}: line {line}: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == sorted([PREDICTIONS_FILE, LOSS_FILE])
+
+    def test_nan_predictions_follow_look_back(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        rows = ["time_index,actual,prediction_float,prediction_quantized", "0,112,nan,nan", "1,118,nan,nan", "2,132,1,1"]
+        (out / PREDICTIONS_FILE).write_text("\n".join(rows) + "\n")
+        (out / LOSS_FILE).write_text("1 0.5\n")
+        assert run("plot-data", "--out-dir", out) == 1
+        assert f"{out / PREDICTIONS_FILE}: line 3: " in capsys.readouterr().err
+        assert run("plot-data", "--out-dir", out, "--look-back", 2) == 0
+        assert (out / PLOT_PREDICTIONS_FILE).read_text().splitlines() == rows
 
 
 class TestConfigFile:
@@ -564,6 +600,97 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("module", ["xbarlstm", "xbarlstm.cli"])
+def test_import_loads_no_numpy(module):
+    probe = f"import sys, {module}\nsys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=child_env()).returncode == 0
+
+
+# `python -m xbarlstm.cli ARGS` in a process that reports whether numpy was loaded
+CLI_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("xbarlstm.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [([], 0), (["--spacing", "bogus"], 1), (["--learning-rate", "nan"], 1)])
+def test_plot_data_loads_no_numpy(tmp_path, argv, code):
+    """plot-data reads and writes text only; a bad key value still stops it
+    with its one error line."""
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / PREDICTIONS_FILE).write_text(HEADER + "0,112,nan,nan\n")
+    (out / LOSS_FILE).write_text("1 0.5\n")
+    result = subprocess.run([sys.executable, "-c", CLI_PROBE, "plot-data", "--out-dir", str(out), *argv],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == code, result.stderr
+    *errors, loaded = result.stderr.splitlines()
+    assert loaded == "numpy loaded: False"
+    assert len(errors) == code and all(line.startswith("error:") for line in errors)
+    assert (out / PLOT_LOSS_FILE).exists() == (code == 0)
+
+
+# Sets a counting wrapper on every xbarlstm.cli name that perfbench/tracing.py
+# wraps, as its Tracer.install does, then runs the four commands.
+WRAPPER_PROBE = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from xbarlstm import cli, training
+
+# bound before the numeric names load, so its wrapper below must outlive that load
+cli.train = training.train
+entered = {}
+
+def counting(attr, fn):
+    def counted(*args, **kwargs):
+        entered[attr] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+for owner, attr, _, _ in tracing.TARGETS:
+    if owner == "xbarlstm.cli":
+        entered[attr] = 0
+        setattr(cli, attr, counting(attr, getattr(cli, attr)))
+common = ["--epochs", "3", "--out-dir", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (["train", *common], ["quantize", *common],
+                                         ["evaluate", "--program", f"{sys.argv[2]}/{cli.PROGRAM_FILE}", *common],
+                                         ["plot-data", *common])]
+print(json.dumps({"codes": codes, "entered": entered}))
+"""
+
+
+def test_tracer_wrappers_are_the_names_the_commands_call(tmp_path):
+    """The CLI binds its numeric names once, on first use, and keeps a name
+    already set: a wrapper set on xbarlstm.cli in a fresh process, as the
+    benchmark's tracer sets its spans, is what train, quantize, evaluate
+    and plot-data call, also when it was set before that first use."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    result = subprocess.run([sys.executable, "-c", WRAPPER_PROBE, str(tracing), str(tmp_path / "run")],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert "train" in report["entered"] and "read_program" in report["entered"]
+    assert [attr for attr, calls in report["entered"].items() if calls == 0] == []
+
+
+def test_configs_are_one_object_wherever_imported():
+    from xbarlstm import cli, config, crossbar, data, training
+
+    assert xbarlstm.TrainConfig is training.TrainConfig is cli.TrainConfig is config.TrainConfig
+    assert xbarlstm.CrossbarConfig is crossbar.CrossbarConfig is cli.CrossbarConfig is config.CrossbarConfig
+    assert data.BUNDLED_DATASET is cli.BUNDLED_DATASET is config.BUNDLED_DATASET
+    assert crossbar.SPACINGS is config.SPACINGS
+
+
 @pytest.mark.parametrize("base", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1, 2**96 + 0xB1F5EED])
 @pytest.mark.parametrize("count", [1, 2, 7, 256, 2000])
 def test_noise_seed_list_equals_numpy_seed_sequence(base, count):
@@ -637,9 +764,10 @@ def _fuzzed(text, rng, count, sep, key_lines=()):
 def test_fuzzed_inputs_fail_cleanly(trained, tmp_path, capsys):
     """Seeded truncations and token replacements of the weight file, the
     program file (its spacing and level-table lines included) and the
-    dataset CSV, each through evaluate in process: every run exits 0 or 1
+    dataset CSV, each through evaluate in process, and of predictions.csv
+    and loss_history.txt, each through plot-data: every run exits 0 or 1
     with no exception escaping, and a run that exits 1 leaves the out-dir
-    as it was."""
+    as it was; plot-data's exit 1 comes with one error line."""
     rng = random.Random(20261018)
     good = {"weights": trained / WEIGHTS_FILE, "program": trained / PROGRAM_FILE, "dataset": BUNDLED_DATASET}
     cases = [(name, text) for name, sep, keys in (("weights", " ", ()), ("program", " ", ("spacing", "levels_siemens")),
@@ -647,22 +775,36 @@ def test_fuzzed_inputs_fail_cleanly(trained, tmp_path, capsys):
              for text in _fuzzed(Path(good[name]).read_text(), rng, 30, sep, keys)]
     out = tmp_path / "r"
     assert run("evaluate", *(f"--{k}={v}" for k, v in good.items()), "--out-dir", out) == 0
+    run_outputs = {PREDICTIONS_FILE: (out / PREDICTIONS_FILE).read_text(), LOSS_FILE: (trained / LOSS_FILE).read_text()}
+    cases += [(name, text) for name, sep in ((PREDICTIONS_FILE, ","), (LOSS_FILE, " "))
+              for text in _fuzzed(run_outputs[name], rng, 30, sep)]
     problems = []
     for n, (name, text) in enumerate(cases):
-        mutated = tmp_path / f"{n}-{name}"
-        mutated.write_text(text)
+        if name in run_outputs:
+            out = tmp_path / f"{n}-plot"
+            out.mkdir()
+            for file, good_text in run_outputs.items():
+                (out / file).write_text(text if file == name else good_text)
+            mutated, argv = out / name, ["plot-data", "--out-dir", out]
+        else:
+            mutated = tmp_path / f"{n}-{name}"
+            mutated.write_text(text)
+            argv = ["evaluate", *(f"--{k}={v}" for k, v in {**good, name: mutated}.items()), "--out-dir", out]
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         try:
-            code = run("evaluate", *(f"--{k}={v}" for k, v in {**good, name: mutated}.items()), "--out-dir", out)
+            code = run(*argv)
         except Exception as exc:  # any escape is a finding
             problems.append(f"{mutated}: {type(exc).__name__}: {exc}")
             continue
+        err = capsys.readouterr().err
         if code not in (0, 1):
             problems.append(f"{mutated}: exit {code}")
         elif code == 1 and {p.name: p.read_bytes() for p in out.iterdir()} != before:
             problems.append(f"{mutated}: exit 1 changed the out-dir")
-    capsys.readouterr()
-    assert len(cases) == 3 * 2 * 30 + 2 * 30  # per file 30 truncations and 30 replacements, 30 per key line
+        elif code == 1 and name in run_outputs and (len(err.splitlines()) != 1 or not err.startswith("error:")):
+            problems.append(f"{mutated}: exit 1 with stderr {err!r}")
+    # per file 30 truncations and 30 replacements, 30 per key line
+    assert len(cases) == 5 * 2 * 30 + 2 * 30
     assert not problems, "\n".join(problems)
 
 
