@@ -1,11 +1,12 @@
 """Command-line pipeline: train, quantize, evaluate, plot-data.
 
-Every command reads an optional flat ``key = value`` config file plus
-command-line overrides of the same names, runs deterministically for a
-fixed (config, seed), and exits nonzero on any validation failure. The
-fields of RunConfig are the one key table: one flag each, one coercion for
-flag and file values, one check by the config that owns the key. See
-README for the key reference and the produced files.
+Every command reads an optional flat ``key = value`` config file, each key
+set at most once, plus command-line overrides of the same names, runs
+deterministically for a fixed (config, seed), and exits nonzero on any
+validation failure. RunConfig's fields are the one key table, TrainConfig's
+training keys first: one flag each, one coercion for flag and file values,
+one check by the config that owns the key. See README for the key
+reference and the produced files.
 """
 
 import argparse
@@ -14,20 +15,19 @@ import functools
 import importlib
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig
+from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig, open_text
 
 # The names the commands use from the numeric modules. _load_numeric binds
 # them, and numpy as np, on first use, so plot-data never loads numpy.
 _NUMERIC = {
-    "core": ("Dims", "gate_blocks"),
+    "core": ("Dims",),
     "crossbar": ("crossbar_window_predictions", "monte_carlo", "program_crossbar", "quantize_output_layer",
                  "read_program", "reconstruct_weights", "seed_sequence_words", "write_program"),
     "data": ("denormalize", "fit_normalizer", "load_series", "make_windows", "normalize", "rmse", "split"),
     "training": ("batch_predictions", "train"),
-    "weights_io": ("packed_shapes", "read_weights", "write_weights"),
+    "weights_io": ("named_matrices", "packed_shapes", "read_weights", "write_weights"),
 }
 
 
@@ -70,25 +70,17 @@ PREDICTIONS_HEADER = "time_index,actual,prediction_float,prediction_quantized"
 SWEEP_BLOCK = 256
 
 
-@dataclass
-class RunConfig:
+@dataclasses.dataclass(frozen=True)
+class RunConfig(TrainConfig):
+    """TrainConfig's keys first, then the data, device and output keys."""
+
     dataset: str = str(BUNDLED_DATASET)
     hidden_units: int = 4
     look_back: int = 1
     split: float = 0.67
-    epochs: int = 100
-    learning_rate: float = 0.01
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clamp_low: float = -1.0
-    clamp_high: float = 1.0
-    seed: int = 0
-    shuffle: bool = False
-    spacing: str = "uniform_conductance"
-    read_noise: float = 0.0
-    level_variation: float = 0.0
+    spacing: str = CrossbarConfig.spacing
+    read_noise: float = CrossbarConfig.read_noise_sigma
+    level_variation: float = CrossbarConfig.level_variation_sigma
     noise_seeds: int = 1
     quantize_output_layer: bool = False
     out_dir: str = "runs"
@@ -105,16 +97,8 @@ class RunConfig:
             raise ValueError(f"look_back must be >= 1, got {self.look_back}")
         if not 0.0 < self.split < 1.0:
             raise ValueError(f"split must be in (0, 1), got {self.split}")
-        self.train_config()
+        super().__post_init__()
         self.crossbar_config()
-
-    @property
-    def dims(self) -> "Dims":
-        _load_numeric()
-        return Dims(1, self.hidden_units)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
 
     def crossbar_config(self) -> CrossbarConfig:
         return CrossbarConfig(self.spacing, read_noise_sigma=self.read_noise,
@@ -140,8 +124,8 @@ def _coerce(field: dataclasses.Field, raw: str):
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; blank lines and '#' comments ignored."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    values = {}
-    with open(path) as fh:
+    values, set_on = {}, {}
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -152,6 +136,9 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key not in fields:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{path}: line {lineno}: key {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 values[key] = _coerce(fields[key], raw.strip())
             except ValueError as exc:
@@ -224,7 +211,8 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
 
-    params, out, history = train(cfg.dims, train_part, cfg.train_config())
+    dims = Dims(1, cfg.hidden_units)
+    params, out, history = train(dims, train_part, cfg)
 
     rmse_rows = []
     for name, part in (("train", train_part), ("test", test_part)):
@@ -232,7 +220,7 @@ def cmd_train(cfg: RunConfig) -> int:
         rmse_rows.append((f"{name} RMSE normalized", f"{rmse(preds, part.y):.6f}"))
         rmse_rows.append((f"{name} RMSE passengers", f"{rmse(preds, part.y, denorm=norm):.4f}"))
 
-    shapes = packed_shapes(cfg.dims)
+    shapes = packed_shapes(dims)
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
         ("windows", f"{len(windows)} = {len(train_part)} train + {len(test_part)} test"),
@@ -255,16 +243,13 @@ def _quantization_table(params: "LstmParams", quantized: "LstmParams", out: "Out
     """Per-entry (name, row, col, original, quantized, abs_error) rows, the
     error taken against the clamped original; output layer entries are
     included only when it is quantized too."""
-    blocks, q_blocks = gate_blocks(params), gate_blocks(quantized)
-    pairs = [(f"{kind}_{gate}", blocks[f"{kind}_{gate}"], q_blocks[f"{kind}_{gate}"])
-             for gate in "ifco" for kind in "WUb"]
-    if out_q is not None:
-        pairs += [("w_out", out.w_out[:, None], out_q.w_out[:, None]),
-                  ("b_out", np.array([[out.b_out]]), np.array([[out_q.b_out]]))]
+    mats, q_mats = named_matrices(params, out), named_matrices(quantized, out_q or out)
+    names = [f"{kind}_{gate}" for gate in "ifco" for kind in "WUb"] + (["w_out", "b_out"] if out_q is not None else [])
     table = []
-    for name, original, q in pairs:
-        for (r, c), v in np.ndenumerate(original):
-            table.append((name, r, c, v, q[r, c], abs(q[r, c] - min(max(v, -1.0), 1.0))))
+    for name in names:
+        for (r, c), v in np.ndenumerate(mats[name]):
+            q = q_mats[name][r, c]
+            table.append((name, r, c, v, q, abs(q - min(max(v, -1.0), 1.0))))
     return table
 
 
@@ -374,17 +359,11 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
 
     if cfg.noise_seeds > 1:
         seeds = _noise_seed_list(device.seed, cfg.noise_seeds)
-        targets = denormalize(windows.y, norm)
         noisy = {name: np.empty(len(seeds)) for name in splits}
         for start in range(0, len(seeds), SWEEP_BLOCK):
-            # per-seed passenger RMSE, reduced in place as data.rmse does it
             block = monte_carlo(program, xbar_out, windows, seeds[start : start + SWEEP_BLOCK])
-            block *= norm.max - norm.min
-            block += norm.min
-            block -= targets
-            block **= 2
             for name, sl in splits.items():
-                noisy[name][start : start + len(block)] = np.sqrt(block[:, sl].mean(axis=-1))
+                noisy[name][start : start + len(block)] = rmse(block[:, sl], windows.y[sl], denorm=norm)
         for name, arr in noisy.items():
             pairs.append((
                 f"{name} noisy RMSE passengers over {cfg.noise_seeds} seeds",
@@ -407,7 +386,7 @@ def _checked_lines(path: Path, header, expected: str, valid) -> list:
     """A run output's lines: the header unless it is None, then at least one
     row, row n (from 0) passing valid(n, line). Anything else raises one
     ValueError naming the file, the line and what was expected."""
-    lines = path.read_text().splitlines()
+    lines = open_text(path).read().splitlines()
     head = [] if header is None else [header]
     if lines[: len(head)] != head:
         got = repr(lines[0]) if lines else "end of file"

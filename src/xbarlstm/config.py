@@ -1,9 +1,10 @@
-"""The crossbar and training configs and the bundled dataset's path.
+"""The crossbar and training configs, the dataset's path and the text opener.
 
 They need no numpy, so the CLI checks every key before it loads numpy;
 crossbar, training and data import them from here.
 """
 
+import io
 import math
 import operator
 from dataclasses import dataclass
@@ -12,6 +13,17 @@ from pathlib import Path
 BUNDLED_DATASET = Path(__file__).parent / "data" / "airline-passengers.csv"
 
 SPACINGS = ("uniform_conductance", "uniform_resistance")
+
+
+def open_text(path, newline=None) -> io.StringIO:
+    """The file as open(path, newline=newline) reads UTF-8 text. A byte that
+    is not UTF-8 raises one ValueError naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode(), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b".").splitlines())  # the byte's own line included
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason} {data[exc.start]:#04x})") from None
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .config import SPACINGS, CrossbarConfig, _check_seed  # noqa: F401  (SPACINGS re-exported)
+from .config import SPACINGS, CrossbarConfig, _check_seed, open_text  # noqa: F401  (SPACINGS re-exported)
 from .core import Dims, LstmParams, OutputLayer
 
 N_LEVELS = 16
@@ -313,7 +313,7 @@ def read_program(path) -> CrossbarProgram:
     """Parse a program map file: every header field in write order, then the
     column lines. A bad file raises ValueError naming the file and the
     field."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     try:
         return _parse_program(lines)

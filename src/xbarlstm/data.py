@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import BUNDLED_DATASET  # noqa: F401  (re-exported)
+from .config import BUNDLED_DATASET, open_text  # noqa: F401  (BUNDLED_DATASET re-exported)
 
 
 @dataclass
@@ -77,7 +77,7 @@ def load_series(path) -> TimeSeries:
     path = Path(path)
     labels = []
     values = []
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows:
@@ -140,16 +140,19 @@ def split(train_fraction: float, windows: WindowedSeries):
     return windows.take(0, n_train), windows.take(n_train, n)
 
 
-def rmse(predictions, targets, denorm: Normalizer | None = None) -> float:
-    """Root of the mean squared error; with a Normalizer, both sides are
-    mapped back to original units first."""
+def rmse(predictions, targets, denorm: Normalizer | None = None):
+    """Root of the mean squared error over the last axis: a float for 1-D
+    inputs, one per row for predictions [S, B] against targets [B]. With a
+    Normalizer, both sides are mapped back to original units first."""
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
+    if p.shape[-1:] != t.shape[-1:] or t.shape != p.shape[p.ndim - t.ndim:]:
         raise ValueError(f"length mismatch: {p.shape} predictions vs {t.shape} targets")
     if p.size == 0:
         raise ValueError("rmse of empty sequences is undefined")
     if denorm is not None:
         p = denormalize(p, denorm)
         t = denormalize(t, denorm)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    squared = (p - t) ** 2
+    root = np.sqrt(squared.mean(axis=-1) if squared.ndim else squared)
+    return float(root) if root.ndim == 0 else root

@@ -11,6 +11,7 @@ which lets weights trained elsewhere be imported.
 
 import numpy as np
 
+from .config import open_text
 from .core import Dims, LstmParams, OutputLayer, gate_blocks
 
 MATRIX_NAMES = (
@@ -21,7 +22,8 @@ MATRIX_NAMES = (
 )
 
 
-def _matrices(params: LstmParams, out: OutputLayer):
+def named_matrices(params: LstmParams, out: OutputLayer) -> dict:
+    """The weight file's matrices by name; the gate blocks are grid views."""
     mats = gate_blocks(params)
     mats["w_out"] = out.w_out[:, None]
     mats["b_out"] = np.array([[out.b_out]])
@@ -29,7 +31,7 @@ def _matrices(params: LstmParams, out: OutputLayer):
 
 
 def write_weights(params: LstmParams, out: OutputLayer, path) -> None:
-    mats = _matrices(params, out)
+    mats = named_matrices(params, out)
     lines = []
     for name in MATRIX_NAMES:
         mat = mats[name]
@@ -46,7 +48,7 @@ def read_weights(path):
     The fourteen blocks must appear in canonical order with mutually
     consistent shapes.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     mats = {}
     pos = 0

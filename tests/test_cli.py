@@ -143,6 +143,15 @@ class TestQuantizeCommand:
         bad.write_text("garbage\n")
         assert run("quantize", "--weights", bad, "--out-dir", tmp_path / "r") == 1
 
+    def test_report_matches_the_pinned_one(self, tmp_path):
+        """Pinned weights, output layer included, at the resistance spacing
+        give the pinned report byte for byte: its header, then one row per
+        entry, gate by gate (W, U, b of i, f, c, o), then w_out and b_out."""
+        out = tmp_path / "run"
+        assert run("quantize", "--weights", TEST_DATA / WEIGHTS_FILE, "--quantize-output-layer",
+                   "--spacing", "uniform_resistance", "--out-dir", out) == 0
+        assert (out / QUANTIZE_REPORT_FILE).read_bytes() == (TEST_DATA / "quantize_report_resistance.txt").read_bytes()
+
 
 @pytest.mark.parametrize("command", ["quantize", "evaluate"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -464,6 +473,14 @@ class TestConfigFile:
         assert run("train", "--config", cfgfile, "--out-dir", tmp_path / "r") == 1
         assert "boolean" in capsys.readouterr().err
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "twice.cfg"
+        cfgfile.write_text("epochs = 3\n# again\nepochs = 5\n")
+        out = tmp_path / "r"
+        assert run("train", "--config", cfgfile, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {cfgfile}: line 3: key 'epochs' already set on line 1\n"
+        assert not out.exists()
+
     def test_delimited_report(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(*train_args(out, extra=["--report", "delimited"])) == 0
@@ -549,6 +566,33 @@ def test_usage_error_is_one_error_line(tmp_path, capsys, argv, message):
     assert captured.err.startswith("error:") and message in captured.err and len(captured.err.splitlines()) == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["config", WEIGHTS_FILE, PROGRAM_FILE, "dataset", PREDICTIONS_FILE, LOSS_FILE])
+def test_non_utf8_input_names_its_file(trained, tmp_path, capsys, target):
+    """A byte that is not UTF-8 at the start of line 2 of any text input:
+    exit 1, one error line naming the file and the line, and the out-dir as
+    it was."""
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / PREDICTIONS_FILE).write_text(HEADER + "0,112,nan,nan\n")
+    (out / LOSS_FILE).write_text("1 0.5\n2 0.4\n")
+    good = {"config": "epochs = 2\nseed = 1\n", WEIGHTS_FILE: (trained / WEIGHTS_FILE).read_text(),
+            PROGRAM_FILE: (trained / PROGRAM_FILE).read_text(), "dataset": BUNDLED_DATASET.read_text(),
+            PREDICTIONS_FILE: (out / PREDICTIONS_FILE).read_text(), LOSS_FILE: (out / LOSS_FILE).read_text()}
+    spoiled = out / target if target in (PREDICTIONS_FILE, LOSS_FILE) else tmp_path / target
+    first, rest = good[target].split("\n", 1)
+    spoiled.write_bytes(f"{first}\n".encode() + b"\xff" + rest.encode())
+    models = ["--weights", trained / WEIGHTS_FILE, "--program", trained / PROGRAM_FILE]
+    argv = {"config": ["train", "--config", spoiled], WEIGHTS_FILE: ["evaluate", *models[2:], "--weights", spoiled],
+            PROGRAM_FILE: ["evaluate", *models[:2], "--program", spoiled],
+            "dataset": ["evaluate", *models, "--dataset", spoiled]}.get(target, ["plot-data"])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run(*argv, "--out-dir", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spoiled}: line 2: not UTF-8 text (invalid start byte 0xff)\n"
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 OUTPUTS = {

@@ -196,3 +196,22 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             rmse([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("denorm", [None, Normalizer(104.0, 622.0)], ids=["normalized", "passengers"])
+    def test_block_rows_equal_row_by_row(self, denorm):
+        """A [S, B] block gives one RMSE per row, each bit-equal to the 1-D
+        call on that row: the sweep's per-seed RMSE is this reduction."""
+        rng = np.random.default_rng(4)
+        block, targets = rng.uniform(0, 1, (7, 48)), rng.uniform(0, 1, 48)
+        rows = rmse(block, targets, denorm=denorm)
+        assert rows.shape == (7,)
+        npt.assert_array_equal(rows, [rmse(row, targets, denorm=denorm) for row in block])
+
+    @pytest.mark.parametrize("shapes", [((2,), (3,)), ((4, 2), (3,)), ((2,), (4, 2)), ((2,), ()), ((4, 2), (3, 2))])
+    def test_last_axis_mismatch(self, shapes):
+        with pytest.raises(ValueError, match="mismatch"):
+            rmse(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    def test_scalar_is_a_float(self):
+        value = rmse(3.0, 1.0)
+        assert value == 2.0 and type(value) is float
