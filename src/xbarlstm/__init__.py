@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "CrossbarConfig": "config", "TrainConfig": "config",
-    "Dims": "core", "LstmParams": "core", "OutputLayer": "core", "sigmoid": "core",
+    "LstmParams": "core", "OutputLayer": "core", "sigmoid": "core",
     "CrossbarProgram": "crossbar", "crossbar_window_predictions": "crossbar", "level_conductances": "crossbar",
     "monte_carlo": "crossbar", "program_crossbar": "crossbar", "quantize_output_layer": "crossbar",
     "read_program": "crossbar", "reconstruct_weights": "crossbar", "write_program": "crossbar",

@@ -17,12 +17,11 @@ import math
 import sys
 from pathlib import Path
 
-from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig, open_text
+from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig, is_number, open_text
 
 # The names the commands use from the numeric modules. _load_numeric binds
 # them, and numpy as np, on first use, so plot-data never loads numpy.
 _NUMERIC = {
-    "core": ("Dims",),
     "crossbar": ("crossbar_window_predictions", "monte_carlo", "program_crossbar", "quantize_output_layer",
                  "read_program", "reconstruct_weights", "seed_sequence_words", "write_program"),
     "data": ("denormalize", "fit_normalizer", "load_series", "make_windows", "normalize", "rmse", "split"),
@@ -75,7 +74,6 @@ class RunConfig(TrainConfig):
     """TrainConfig's keys first, then the data, device and output keys."""
 
     dataset: str = str(BUNDLED_DATASET)
-    hidden_units: int = 4
     look_back: int = 1
     split: float = 0.67
     spacing: str = CrossbarConfig.spacing
@@ -91,8 +89,6 @@ class RunConfig(TrainConfig):
             raise ValueError(f"report must be 'table' or 'delimited', got {self.report!r}")
         if self.noise_seeds < 1:
             raise ValueError(f"noise_seeds must be >= 1, got {self.noise_seeds}")
-        if self.hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.look_back < 1:
             raise ValueError(f"look_back must be >= 1, got {self.look_back}")
         if not 0.0 < self.split < 1.0:
@@ -211,8 +207,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
 
-    dims = Dims(1, cfg.hidden_units)
-    params, out, history = train(dims, train_part, cfg)
+    params, out, history = train(train_part, cfg)
 
     rmse_rows = []
     for name, part in (("train", train_part), ("test", test_part)):
@@ -220,7 +215,7 @@ def cmd_train(cfg: RunConfig) -> int:
         rmse_rows.append((f"{name} RMSE normalized", f"{rmse(preds, part.y):.6f}"))
         rmse_rows.append((f"{name} RMSE passengers", f"{rmse(preds, part.y, denorm=norm):.4f}"))
 
-    shapes = packed_shapes(dims)
+    shapes = packed_shapes(params)
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
         ("windows", f"{len(windows)} = {len(train_part)} train + {len(test_part)} test"),
@@ -316,8 +311,9 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     params, out = read_weights(weights_path)
     if program_path is not None:
         program = read_program(program_path)
-        if program.dims != params.dims:
-            raise ValueError(f"{program_path}: program dims {program.dims} do not match weights dims {params.dims}")
+        if program.level_plus.shape != params.grid.shape:
+            raise ValueError(f"{program_path}: program grid {program.level_plus.shape} and weights grid "
+                             f"{params.grid.shape} do not match")
     else:
         program = program_crossbar(params, cfg.crossbar_config())
     device = program.cfg
@@ -474,14 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_negative_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return token.startswith("-")
-
-
 def _attach_negative_values(argv):
     """'--key -1e-9' as '--key=-1e-9'. argparse takes a token that starts
     with '-' for an option unless it is a plain decimal, so a negative value
@@ -489,7 +477,8 @@ def _attach_negative_values(argv):
     tokens stay apart, so an error names them as they were typed."""
     joined = []
     for token in argv:
-        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _is_negative_number(token):
+        negative = token.startswith("-") and is_number(token)
+        if negative and joined and joined[-1].startswith("--") and "=" not in joined[-1]:
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -1,4 +1,4 @@
-"""The crossbar and training configs, the dataset's path and the text opener.
+"""The crossbar and training configs, the dataset's path and the text parsers.
 
 They need no numpy, so the CLI checks every key before it loads numpy;
 crossbar, training and data import them from here.
@@ -16,14 +16,24 @@ SPACINGS = ("uniform_conductance", "uniform_resistance")
 
 
 def open_text(path, newline=None) -> io.StringIO:
-    """The file as open(path, newline=newline) reads UTF-8 text. A byte that
-    is not UTF-8 raises one ValueError naming the file and its line."""
-    data = Path(path).read_bytes()
+    """The file as open(path, newline=newline) reads UTF-8 text, one leading
+    byte order mark dropped. A byte that is not UTF-8 raises one ValueError
+    naming the file and its line."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return io.StringIO(data.decode(), newline=newline)
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start] + b".").splitlines())  # the byte's own line included
         raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason} {data[exc.start]:#04x})") from None
+
+
+def is_number(token: str) -> bool:
+    """Whether float() parses the string."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,7 @@ class TrainConfig:
     clamp_high: float = 1.0
     seed: int = 0
     shuffle: bool = False
+    hidden_units: int = 4
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -81,3 +92,5 @@ class TrainConfig:
             raise ValueError(f"clamp range [{self.clamp_low}, {self.clamp_high}] must be finite and non-empty")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.hidden_units < 1:
+            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")

@@ -1,4 +1,4 @@
-"""The LSTM model: its dimensions, weights, output layer and cell equations.
+"""The LSTM model: its weights, output layer and cell equations.
 
 :func:`lstm_cell` is the one place the gate equations are written; the one
 unroll over a window batch, shared by the float and the crossbar path, is
@@ -15,20 +15,6 @@ it into the per-gate blocks of the weight file.
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Dims:
-    """Model dimensions: n_inputs per step, n_hidden LSTM units."""
-
-    n_inputs: int
-    n_hidden: int
-
-    def __post_init__(self):
-        if self.n_inputs < 1:
-            raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
-        if self.n_hidden < 1:
-            raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
 
 
 @dataclass
@@ -49,17 +35,17 @@ class LstmParams:
         if cols < 4 or cols % 4 or rows < cols // 4 + 2:
             raise ValueError(f"grid of shape {self.grid.shape} is not [n_inputs + n_hidden + 1, 4 * n_hidden]")
 
-    @property
-    def dims(self) -> Dims:
-        rows, cols = self.grid.shape
-        return Dims(rows - cols // 4 - 1, cols // 4)
+
+def grid_dims(shape) -> tuple:
+    """(n_inputs, n_hidden) of a [n_inputs + n_hidden + 1, 4 * n_hidden] grid shape."""
+    return shape[0] - shape[1] // 4 - 1, shape[1] // 4
 
 
 def gate_blocks(params: LstmParams) -> dict:
     """Per-gate views of the grid, named and shaped as in the weight file:
     W_g [N, M], U_g [M, M] and b_g [1, M] for each gate g, the W blocks
     first, then U, then b."""
-    n, m = params.dims.n_inputs, params.dims.n_hidden
+    n, m = grid_dims(params.grid.shape)
     rows = {"W": slice(0, n), "U": slice(n, n + m), "b": slice(n + m, None)}
     return {f"{kind}_{gate}": params.grid[rows[kind], g * m : (g + 1) * m]
             for kind in "WUb" for g, gate in enumerate("ifco")}

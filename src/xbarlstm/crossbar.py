@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .config import SPACINGS, CrossbarConfig, _check_seed, open_text  # noqa: F401  (SPACINGS re-exported)
-from .core import Dims, LstmParams, OutputLayer
+from .core import LstmParams, OutputLayer, grid_dims
 
 N_LEVELS = 16
 R_MIN_OHM = 200e3
@@ -126,18 +126,6 @@ class CrossbarProgram:
     level_plus: np.ndarray   # [rows, 4M] int
     level_minus: np.ndarray  # [rows, 4M] int
     n_clamped: int = 0
-
-    @property
-    def n_rows(self) -> int:
-        return self.level_plus.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.level_plus.shape[1]
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(self.n_rows - self.n_columns // 4 - 1, self.n_columns // 4)
 
     def grid(self) -> np.ndarray:
         """The ideal level grid, (G_plus - G_minus) * k in weight units, laid
@@ -252,7 +240,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
-    g, rows, cols = level_conductances(cfg.spacing), program.n_rows, program.n_columns
+    g, (rows, cols) = level_conductances(cfg.spacing), program.level_plus.shape
     vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0
     size = min(MC_CHUNK, len(seeds))
     pert = np.empty((size, 2, rows, cols))
@@ -294,15 +282,15 @@ _HEADER_KEYS = ("rows", "logical_columns", "n_inputs", "n_hidden", "spacing", "r
 
 
 def write_program(program: CrossbarProgram, path) -> None:
-    cfg = program.cfg
+    cfg, shape = program.cfg, program.level_plus.shape
     values = (
-        program.n_rows, program.n_columns, program.dims.n_inputs, program.dims.n_hidden,
+        *shape, *grid_dims(shape),
         cfg.spacing, f"{cfg.read_noise_sigma:.17g}", f"{cfg.level_variation_sigma:.17g}", cfg.seed,
         " ".join(f"{g:.17g}" for g in level_conductances(cfg.spacing)), program.n_clamped,
     )
     lines = [_PROGRAM_MAGIC, *(f"{key} {value}" for key, value in zip(_HEADER_KEYS, values)),
              "# one line per physical column: plus then minus per logical column"]
-    for col in range(program.n_columns):
+    for col in range(shape[1]):
         for side in (program.level_plus, program.level_minus):
             lines.append(" ".join(str(int(v)) for v in side[:, col]))
     with open(path, "w") as fh:
@@ -335,7 +323,10 @@ def _parse_program(lines) -> CrossbarProgram:
         except ValueError:
             raise ValueError(f"{key} is not {'an integer' if kind is int else 'numeric'}: {header[key]!r}") from None
 
-    dims = Dims(number("n_inputs"), number("n_hidden"))
+    n_inputs, n_hidden = number("n_inputs"), number("n_hidden")
+    for key, value in (("n_inputs", n_inputs), ("n_hidden", n_hidden)):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     g = level_conductances(header["spacing"])
     stored = number("levels_siemens", lambda raw: np.array(raw.split(), dtype=np.float64))
     if not np.array_equal(stored, g):
@@ -343,16 +334,16 @@ def _parse_program(lines) -> CrossbarProgram:
     cfg = CrossbarConfig(header["spacing"], number("read_noise_sigma", float), number("level_variation_sigma", float),
                          number("seed"))
 
-    n_rows, n_cols, n_clamped = number("rows"), number("logical_columns"), number("n_clamped")
-    if n_rows != dims.n_inputs + dims.n_hidden + 1 or n_cols != 4 * dims.n_hidden:
+    rows, cols, n_clamped = number("rows"), number("logical_columns"), number("n_clamped")
+    if rows != n_inputs + n_hidden + 1 or cols != 4 * n_hidden:
         raise ValueError("header dimensions are inconsistent")
-    if not 0 <= n_clamped <= n_rows * n_cols:
-        raise ValueError(f"n_clamped must be in [0, {n_rows * n_cols}], got {n_clamped}")
+    if not 0 <= n_clamped <= rows * cols:
+        raise ValueError(f"n_clamped must be in [0, {rows * cols}], got {n_clamped}")
     body = [ln.split() for ln in lines[1 + len(_HEADER_KEYS):]]
-    if len(body) != 2 * n_cols or any(len(values) != n_rows for values in body):
-        raise ValueError(f"expected {2 * n_cols} column lines of {n_rows} level indices each")
+    if len(body) != 2 * cols or any(len(values) != rows for values in body):
+        raise ValueError(f"expected {2 * cols} column lines of {rows} level indices each")
     try:
-        idx = np.array(body, dtype=np.int64).reshape(n_cols, 2, n_rows)
+        idx = np.array(body, dtype=np.int64).reshape(cols, 2, rows)
     except (ValueError, OverflowError):
         raise ValueError("level index is not an integer") from None
     if np.any((idx < 0) | (idx >= N_LEVELS)):

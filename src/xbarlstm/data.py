@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import BUNDLED_DATASET, open_text  # noqa: F401  (BUNDLED_DATASET re-exported)
+from .config import BUNDLED_DATASET, is_number, open_text  # noqa: F401  (BUNDLED_DATASET re-exported)
 
 
 @dataclass
 class TimeSeries:
     values: np.ndarray
-    labels: list | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -73,29 +72,28 @@ class WindowedSeries:
 
 
 def load_series(path) -> TimeSeries:
-    """Read a passenger-count CSV; raises with the line number on bad rows."""
+    """Read a passenger-count CSV; raises with the line number on bad rows.
+    Line 1 is the header: its value field must not be a number."""
     path = Path(path)
-    labels = []
     values = []
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: file is empty")
+    if len(rows[0]) == 2 and is_number(rows[0][1]):
+        raise ValueError(f"{path}: line 1: expected a header line, got a data row {','.join(rows[0])!r}")
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue  # blank trailing lines
         if len(row) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-        label, raw = row
         try:
-            values.append(float(raw))
+            values.append(float(row[1]))
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: not a number: {raw!r}") from None
-        labels.append(label)
+            raise ValueError(f"{path}: line {lineno}: not a number: {row[1]!r}") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
-    return TimeSeries(np.array(values), labels)
+    return TimeSeries(np.array(values))
 
 
 def fit_normalizer(series: TimeSeries) -> Normalizer:
@@ -108,7 +106,7 @@ def fit_normalizer(series: TimeSeries) -> Normalizer:
 
 def normalize(series: TimeSeries, n: Normalizer) -> TimeSeries:
     scaled = (series.values - n.min) / (n.max - n.min)
-    return TimeSeries(scaled, series.labels)
+    return TimeSeries(scaled)
 
 
 def denormalize(values, n: Normalizer) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .config import TrainConfig
-from .core import Dims, LstmParams, OutputLayer
+from .core import LstmParams, OutputLayer
 
 
 def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray:
@@ -21,11 +21,11 @@ def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray
     return h[-1] @ out.w_out + out.b_out
 
 
-def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
+def init_parameters(n_inputs: int, n_hidden: int, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
     """Seeded init: uniform Glorot input/output weights, orthogonal recurrent
     weights, zero biases except a forget-gate bias of one. Every weight is
     then clamped into [clamp_low, clamp_high], the range training keeps."""
-    n, m = dims.n_inputs, dims.n_hidden
+    n, m = n_inputs, n_hidden
     grid = np.zeros((n + m + 1, 4 * m))
     gates = grid.reshape(n + m + 1, 4, m).transpose(1, 0, 2)  # gates[g]: gate g's [R, M] columns
     limit_w = min(np.sqrt(6.0 / (n + m)), clamp_high)
@@ -40,20 +40,19 @@ def init_parameters(dims: Dims, rng: "np.random.Generator", clamp_low=-1.0, clam
     return LstmParams(grid), OutputLayer(np.clip(w_out, clamp_low, clamp_high), 0.0)
 
 
-def train(dims: Dims, dataset, cfg: TrainConfig):
-    """Run cfg.epochs full-batch updates; every parameter is clamped into
-    [cfg.clamp_low, cfg.clamp_high] after each step.
+def train(dataset, cfg: TrainConfig):
+    """Train an LSTM of cfg.hidden_units units, as wide in its inputs as a
+    step of dataset.inputs(), with cfg.epochs full-batch updates; every
+    parameter is clamped into [cfg.clamp_low, cfg.clamp_high] after each step.
 
     Returns (params, out_layer, loss_history) with one loss entry per epoch,
     evaluated before that epoch's update. Deterministic for a fixed seed.
     """
-    if dims.n_inputs != 1:
-        raise ValueError("train consumes windowed series: one value per step, n_inputs must be 1")
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
-    rng = np.random.default_rng(cfg.seed)
-    params, out = init_parameters(dims, rng, cfg.clamp_low, cfg.clamp_high)
     X, y = dataset.inputs(), dataset.y
+    rng = np.random.default_rng(cfg.seed)
+    params, out = init_parameters(X.shape[-1], cfg.hidden_units, rng, cfg.clamp_low, cfg.clamp_high)
 
     # Adam, SGD and the clamp are elementwise, so they run once per epoch on
     # one flat vector theta = [grid, w_out, b_out]; the kernel reads and

@@ -12,7 +12,7 @@ which lets weights trained elsewhere be imported.
 import numpy as np
 
 from .config import open_text
-from .core import Dims, LstmParams, OutputLayer, gate_blocks
+from .core import LstmParams, OutputLayer, gate_blocks, grid_dims
 
 MATRIX_NAMES = (
     "W_i", "W_f", "W_c", "W_o",
@@ -96,8 +96,8 @@ def read_weights(path):
     return params, OutputLayer(mats["w_out"][:, 0], mats["b_out"][0, 0])
 
 
-def packed_shapes(dims: Dims):
+def packed_shapes(params: LstmParams):
     """Shapes of the gate-concatenated view: inputs, recurrent, biases,
     output weights, output bias."""
-    n, m = dims.n_inputs, dims.n_hidden
+    n, m = grid_dims(params.grid.shape)
     return [(n, 4 * m), (m, 4 * m), (1, 4 * m), (m, 1), (1, 1)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from xbarlstm.cli import LOSS_FILE, PREDICTIONS_FILE, PROGRAM_FILE, WEIGHTS_FILE, main as cli_main
-from xbarlstm.core import Dims, LstmParams, OutputLayer
+from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     CrossbarConfig,
     crossbar_window_predictions,
@@ -69,7 +69,7 @@ def experiment_runs():
     runs = []
     t0 = time.perf_counter()
     for seed in EXPERIMENT_SEEDS:
-        params, out, history = train(Dims(1, 4), train_part, TrainConfig(epochs=100, seed=seed))
+        params, out, history = train(train_part, TrainConfig(epochs=100, seed=seed))
         recon = reconstruct_weights(program_crossbar(params, xbar_cfg))
         run = {"seed": seed, "history": history}
         for name, part in (("train", train_part), ("test", test_part)):

@@ -29,7 +29,7 @@ from xbarlstm.cli import (
     main,
     parse_config_file,
 )
-from xbarlstm.core import Dims, LstmParams, OutputLayer
+from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, read_weights, write_weights
 
 from _oracles import gates_from_grid, grid_from_gates, window_last_prediction
@@ -71,7 +71,7 @@ class TestTrainCommand:
         assert "[1,16] [4,16] [1,16] [4,1] [1,1]" in printed
         assert "RMSE passengers" in printed and "RMSE normalized" in printed
         params, out_layer = read_weights(out / WEIGHTS_FILE)
-        assert params.dims == Dims(1, 4)
+        assert params.grid.shape == (1 + 4 + 1, 16)
         assert np.all(np.abs(params.grid) <= 1)
 
     def test_same_seed_identical_files(self, tmp_path):
@@ -101,6 +101,17 @@ class TestTrainCommand:
         code = run("train", "--dataset", tmp_path / "nope.csv", "--out-dir", tmp_path / "r")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_dataset_without_header_fails(self, tmp_path, capsys):
+        """The bundled CSV less its header line would load as 143 points;
+        its first data row is not taken for the header."""
+        headless = tmp_path / "headless.csv"
+        headless.write_text(BUNDLED_DATASET.read_text().split("\n", 1)[1])
+        out = tmp_path / "r"
+        assert run("train", "--dataset", headless, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (f"error: {headless}: line 1: expected a header line, "
+                                           f"got a data row '1949-01,112'\n")
+        assert not out.exists()
 
 
 class TestQuantizeCommand:
@@ -481,6 +492,27 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfgfile}: line 3: key 'epochs' already set on line 1\n"
         assert not out.exists()
 
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("# no separator\nepochs 5\n")
+        out = tmp_path / "r"
+        assert run("train", "--config", cfgfile, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {cfgfile}: line 2: expected 'key = value', got 'epochs 5'\n"
+        assert not out.exists()
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        cfgfile = tmp_path / "bom.cfg"
+        cfgfile.write_bytes(b"\xef\xbb\xbfepochs = 3\n")
+        assert parse_config_file(cfgfile) == {"epochs": 3}
+
+    def test_bad_byte_after_byte_order_mark_names_its_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bom.cfg"
+        cfgfile.write_bytes(b"\xef\xbb\xbfepochs = 3\nseed = \xfe1\n")
+        out = tmp_path / "r"
+        assert run("train", "--config", cfgfile, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {cfgfile}: line 2: not UTF-8 text (invalid start byte 0xfe)\n"
+        assert not out.exists()
+
     def test_delimited_report(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(*train_args(out, extra=["--report", "delimited"])) == 0
@@ -523,6 +555,8 @@ BAD_KEYS = [
     ("read_noise", "-inf", "read_noise_sigma must be finite"),
     ("look_back", "0", "look_back must be >= 1"),
     ("split", "7", "split must be in (0, 1)"),
+    ("hidden_units", "0", "hidden_units must be >= 1"),
+    ("noise_seeds", "0", "noise_seeds must be >= 1"),
 ]
 
 
@@ -724,6 +758,16 @@ def test_tracer_wrappers_are_the_names_the_commands_call(tmp_path):
     assert report["codes"] == [0, 0, 0, 0]
     assert "train" in report["entered"] and "read_program" in report["entered"]
     assert [attr for attr, calls in report["entered"].items() if calls == 0] == []
+
+
+def test_every_exported_name_resolves():
+    """A stale entry in either name table fails here, not in a user's import
+    or in a command's first call."""
+    from xbarlstm import cli
+
+    assert [name for name in xbarlstm.__all__ if getattr(xbarlstm, name, None) is None] == []
+    cli._load_numeric()
+    assert [name for names in cli._NUMERIC.values() for name in names if name not in vars(cli)] == []
 
 
 def test_configs_are_one_object_wherever_imported():

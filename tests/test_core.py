@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import Dims, LstmParams, OutputLayer, gate_blocks, lstm_cell, sigmoid
+from xbarlstm.core import LstmParams, OutputLayer, gate_blocks, grid_dims, lstm_cell, sigmoid
 from xbarlstm.data import WindowedSeries
 from xbarlstm.kernels import crossbar_unroll
 from xbarlstm.training import batch_predictions
@@ -238,14 +238,8 @@ class TestForwardSequence:
 
 
 class TestValidation:
-    def test_dims_invariants(self):
-        with pytest.raises(ValueError):
-            Dims(0, 4)
-        with pytest.raises(ValueError):
-            Dims(1, 0)
-
     def test_params_shape_checks(self):
-        assert zero_params(3, 6).dims == Dims(3, 6)
+        assert grid_dims(zero_params(3, 6).grid.shape) == (3, 6)
         # 4M columns need N + M + 1 rows with N >= 1; the gate axis needs 4 | columns
         for shape in [(5, 16), (6, 15), (6, 2), (6, 0), (6,), (1, 6, 16)]:
             with pytest.raises(ValueError, match=r"is not \[n_inputs \+ n_hidden \+ 1, 4 \* n_hidden\]"):

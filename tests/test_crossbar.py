@@ -210,9 +210,7 @@ class TestProgramCrossbar:
 
     def test_shape_for_single_input_four_unit_model(self):
         program = program_crossbar(random_params(0), CrossbarConfig())
-        assert program.n_rows == 1 + 4 + 1
-        assert program.n_columns == 16
-        assert program.level_plus.shape == (6, 16)
+        assert program.level_plus.shape == program.level_minus.shape == (1 + 4 + 1, 16)
 
     @pytest.mark.parametrize("spacing", ["uniform_conductance", "uniform_resistance"])
     def test_reconstruction_is_entrywise_quantization(self, spacing):
@@ -589,9 +587,13 @@ class TestProgramFile:
         (_set_header("seed", str(2**128)), rf"seed must be < 2\*\*128, got {2**128}"),
         (lambda lines: lines[:-1] + ["99999999999999999999 " + lines[-1].split(" ", 1)[1]], "level index"),
         (lambda lines: lines[:-1] + ["x " + lines[-1].split(" ", 1)[1]], "level index"),
+        (_set_header("n_inputs", "0"), "n_inputs must be >= 1, got 0"),
+        (_set_header("n_hidden", "0"), "n_hidden must be >= 1, got 0"),
+        (_set_header("rows", "7"), "header dimensions are inconsistent"),
     ], ids=["no-n_clamped", "no-levels_siemens", "swapped-header", "ragged-column", "fractional-seed",
             "word-n_hidden", "word-sigma", "overflowing-sigma", "unknown-spacing", "word-levels", "short-levels",
-            "negative-n_clamped", "huge-seed", "overflowing-level", "word-level"])
+            "negative-n_clamped", "huge-seed", "overflowing-level", "word-level", "zero-n_inputs", "zero-n_hidden",
+            "rows-off-by-one"])
     def test_rejects_malformed(self, tmp_path, mutate, match):
         path = tmp_path / "bad.txt"
         write_program(program_crossbar(random_params(45), CrossbarConfig(level_variation_sigma=0.02)), path)

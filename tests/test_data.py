@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,8 +26,6 @@ class TestLoadSeries:
         assert series.values[-1] == 432
         assert series.values.min() == 104
         assert series.values.max() == 622
-        assert series.labels[0] == "1949-01"
-        assert series.labels[-1] == "1960-12"
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -37,6 +37,13 @@ class TestLoadSeries:
         p = tmp_path / "head.csv"
         p.write_text('"Month","Passengers"\n')
         with pytest.raises(ValueError, match="no data"):
+            load_series(p)
+
+    @pytest.mark.parametrize("first", ['"1949-01",112', '"1949-01", 112.5 ', "1949-01,nan"])
+    def test_data_row_on_line_1_rejected(self, tmp_path, first):
+        p = tmp_path / "headless.csv"
+        p.write_text(f'{first}\n"1949-02",118\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: expected a header line, got a data row"):
             load_series(p)
 
     def test_non_numeric_row_names_line(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import Dims, LstmParams, OutputLayer
+from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.data import WindowedSeries, fit_normalizer, load_series, make_windows, normalize, split
 from xbarlstm.data import BUNDLED_DATASET
 from xbarlstm.training import TrainConfig, batch_predictions, init_parameters, train
@@ -119,19 +119,19 @@ class TestTrain:
     def test_deterministic(self):
         data = airline_train_split()
         cfg = TrainConfig(epochs=5, seed=11)
-        _, _, hist_a = train(Dims(1, 4), data, cfg)
-        _, _, hist_b = train(Dims(1, 4), data, cfg)
+        _, _, hist_a = train(data, cfg)
+        _, _, hist_b = train(data, cfg)
         assert hist_a == hist_b
 
     def test_loss_decreases_on_airline(self):
         data = airline_train_split()
-        params, out, hist = train(Dims(1, 4), data, TrainConfig(epochs=30, seed=0))
+        params, out, hist = train(data, TrainConfig(epochs=30, seed=0))
         assert len(hist) == 30
         assert hist[-1] < hist[0]
 
     def test_clamp_invariant(self):
         data = airline_train_split()
-        params, out, _ = train(Dims(1, 4), data, TrainConfig(epochs=10, seed=2, learning_rate=0.5))
+        params, out, _ = train(data, TrainConfig(epochs=10, seed=2, learning_rate=0.5))
         for arr in (params.grid, out.w_out):
             assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
         assert -1.0 <= out.b_out <= 1.0
@@ -142,7 +142,7 @@ class TestTrain:
         already lie in the range training keeps, the orthogonal recurrent
         block included."""
         low, high = -0.3, 0.4
-        params, out = init_parameters(Dims(1, n_hidden), np.random.default_rng(n_hidden), low, high)
+        params, out = init_parameters(1, n_hidden, np.random.default_rng(n_hidden), low, high)
         for arr in (params.grid, out.w_out):
             assert np.all(arr >= low) and np.all(arr <= high)
         assert low <= out.b_out <= high
@@ -150,24 +150,38 @@ class TestTrain:
     def test_shuffle_keeps_determinism(self):
         data = airline_train_split()
         cfg = TrainConfig(epochs=5, seed=3, shuffle=True)
-        _, _, a = train(Dims(1, 4), data, cfg)
-        _, _, b = train(Dims(1, 4), data, cfg)
+        _, _, a = train(data, cfg)
+        _, _, b = train(data, cfg)
         assert a == b
+
+    @pytest.mark.parametrize("n_inputs, n_hidden", [(1, 1), (2, 3)])
+    def test_sizes_come_from_the_inputs_and_the_config(self, n_inputs, n_hidden):
+        """The grid is as wide in inputs as a step of dataset.inputs() and
+        holds cfg.hidden_units units."""
+        class Wide(WindowedSeries):  # each step's value n_inputs times
+            def inputs(self):
+                return np.repeat(super().inputs(), n_inputs, axis=-1)
+
+        rng = np.random.default_rng(n_inputs)
+        data = Wide(rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, 5), 3)
+        params, out, hist = train(data, TrainConfig(epochs=2, hidden_units=n_hidden))
+        assert params.grid.shape == (n_inputs + n_hidden + 1, 4 * n_hidden)
+        assert out.w_out.shape == (n_hidden,) and len(hist) == 2
 
     def test_empty_dataset_rejected(self):
         data = WindowedSeries(np.empty((0, 1)), np.empty(0), 1)
         with pytest.raises(ValueError, match="training dataset is empty"):
-            train(Dims(1, 4), data, TrainConfig(epochs=1))
+            train(data, TrainConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_loss_aborts_with_epoch(self):
         data = WindowedSeries(np.array([[0.5]]), np.array([np.inf]), 1)
         with pytest.raises(RuntimeError, match="epoch 1"):
-            train(Dims(1, 4), data, TrainConfig(epochs=3, seed=0))
+            train(data, TrainConfig(epochs=3, seed=0))
 
     def test_sgd_also_trains(self):
         data = airline_train_split()
-        _, _, hist = train(Dims(1, 4), data, TrainConfig(epochs=20, seed=1, optimizer="sgd", learning_rate=0.5))
+        _, _, hist = train(data, TrainConfig(epochs=20, seed=1, optimizer="sgd", learning_rate=0.5))
         assert hist[-1] < hist[0]
 
     def test_config_validation(self):
@@ -192,6 +206,8 @@ class TestTrain:
                 TrainConfig(**bounds)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match="hidden_units must be >= 1, got 0"):
+            TrainConfig(hidden_units=0)
         TrainConfig(beta1=0.0, beta2=0.0, seed=0)  # the closed ends are valid
 
     def test_loss_trend_across_seeds(self):
@@ -199,7 +215,7 @@ class TestTrain:
         data = airline_train_split()
         improved = 0
         for seed in range(5):
-            _, _, hist = train(Dims(1, 4), data, TrainConfig(epochs=100, seed=seed))
+            _, _, hist = train(data, TrainConfig(epochs=100, seed=seed))
             if np.median(hist[-10:]) < np.median(hist[:10]):
                 improved += 1
         assert improved >= 4

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import Dims, LstmParams, OutputLayer
+from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, packed_shapes, read_weights, write_weights
 
 from _oracles import gates_from_grid, grid_from_gates
@@ -50,7 +50,7 @@ def test_round_trip_exact_values_other_dims(tmp_path):
     path = tmp_path / "w.txt"
     write_weights(params, out, path)
     back_params, back_out = read_weights(path)
-    assert back_params.dims == Dims(3, 6)
+    assert back_params.grid.shape == (3 + 6 + 1, 24)
     npt.assert_array_equal(back_params.grid, grid_from_gates(W, U, b))
     npt.assert_array_equal(back_out.w_out, out.w_out)
     # each named block of the file holds that gate's entries, as the oracle lays them out
@@ -76,7 +76,18 @@ def test_file_layout_and_packed_view(tmp_path):
     assert headers[12] == "w_out 4 1"
     assert headers[13] == "b_out 1 1"
     # gate blocks concatenate into the [1,16], [4,16], [1,16], [4,1], [1,1] views
-    assert packed_shapes(Dims(1, 4)) == [(1, 16), (4, 16), (1, 16), (4, 1), (1, 1)]
+    assert packed_shapes(params) == [(1, 16), (4, 16), (1, 16), (4, 1), (1, 1)]
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    params, out, _ = random_model(7)
+    plain, marked = tmp_path / "w.txt", tmp_path / "bom.txt"
+    write_weights(params, out, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (want, want_out), (got, got_out) = read_weights(plain), read_weights(marked)
+    npt.assert_array_equal(got.grid, want.grid)
+    npt.assert_array_equal(got_out.w_out, want_out.w_out)
+    assert got_out.b_out == want_out.b_out
 
 
 class TestMalformed:
@@ -129,6 +140,23 @@ class TestMalformed:
         lines[k] = " ".join(lines[k].split()[:-1] + [value])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="'U_f' row 2 contains a non-finite value"):
+            read_weights(path)
+
+    @pytest.mark.parametrize("header, expected", [
+        ("w_out 3 1", r"w_out has shape \(3, 1\), expected \(4, 1\)"),
+        ("b_out 1 2", r"b_out has shape \(1, 2\), expected \(1, 1\)"),
+    ])
+    def test_output_layer_shape(self, tmp_path, header, expected):
+        """The block itself is well formed, but its shape does not fit the grid's."""
+        params, out, _ = random_model(6)
+        path = tmp_path / "w.txt"
+        write_weights(params, out, path)
+        lines = path.read_text().splitlines()
+        name, rows, cols = header.split()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(f"{name} "))
+        lines[k : k + 1 + int(lines[k].split()[1])] = [header] + [" ".join(["0.5"] * int(cols))] * int(rows)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=expected):
             read_weights(path)
 
     def test_trailing_garbage(self, tmp_path):
