@@ -14,12 +14,14 @@ _EXPORTS = {
     "LstmParams": "core", "OutputLayer": "core", "sigmoid": "core",
     "CrossbarProgram": "crossbar", "crossbar_window_predictions": "crossbar", "level_conductances": "crossbar",
     "monte_carlo": "crossbar", "program_crossbar": "crossbar", "quantize_output_layer": "crossbar",
-    "read_program": "crossbar", "reconstruct_weights": "crossbar", "write_program": "crossbar",
+    "read_program": "crossbar", "reconstruct_weights": "crossbar", "seed_sequence_words": "crossbar",
+    "write_program": "crossbar",
     "Normalizer": "data", "TimeSeries": "data", "WindowedSeries": "data", "denormalize": "data",
     "fit_normalizer": "data", "load_series": "data", "make_windows": "data", "normalize": "data", "rmse": "data",
     "split": "data",
-    "train": "training",
-    "read_weights": "weights_io", "write_weights": "weights_io",
+    "batch_predictions": "training", "train": "training",
+    "named_matrices": "weights_io", "packed_shapes": "weights_io", "read_weights": "weights_io",
+    "write_weights": "weights_io",
 }
 __all__ = list(_EXPORTS)
 

@@ -12,42 +12,32 @@ reference and the produced files.
 import argparse
 import dataclasses
 import functools
-import importlib
 import math
 import sys
 from pathlib import Path
 
-from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig, is_number, open_text
+import xbarlstm
 
-# The names the commands use from the numeric modules. _load_numeric binds
-# them, and numpy as np, on first use, so plot-data never loads numpy.
-_NUMERIC = {
-    "crossbar": ("crossbar_window_predictions", "monte_carlo", "program_crossbar", "quantize_output_layer",
-                 "read_program", "reconstruct_weights", "seed_sequence_words", "write_program"),
-    "data": ("denormalize", "fit_normalizer", "load_series", "make_windows", "normalize", "rmse", "split"),
-    "training": ("batch_predictions", "train"),
-    "weights_io": ("named_matrices", "packed_shapes", "read_weights", "write_weights"),
-}
+from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig, is_number, open_text
 
 
 @functools.cache  # binds once per process; each command calls it
 def _load_numeric() -> None:
-    """Bind np and the _NUMERIC names into this module's globals. A name
-    already bound keeps its value, so a wrapper set on this module, as
-    perfbench/tracing.py sets its spans, stays the one the commands call."""
+    """Bind np and the package's public names into this module's globals on
+    first use, so plot-data never loads numpy. A name already bound keeps
+    its value, so a wrapper set on this module, as perfbench/tracing.py sets
+    its spans, stays the one the commands call."""
     import numpy
 
     bound = globals()
     bound.setdefault("np", numpy)
-    for module, names in _NUMERIC.items():
-        owner = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            bound.setdefault(name, getattr(owner, name))
+    for name in xbarlstm.__all__:
+        bound.setdefault(name, getattr(xbarlstm, name))
 
 
 def __getattr__(name: str):
-    """cli.<numeric name> before the first command loads them (PEP 562)."""
-    if name == "np" or any(name in names for names in _NUMERIC.values()):
+    """cli.<public name> before the first command loads them (PEP 562)."""
+    if name == "np" or name in xbarlstm.__all__:
         _load_numeric()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -497,7 +487,7 @@ def main(argv=None) -> int:
         if args.command == "quantize":
             return cmd_quantize(cfg, weights)
         return cmd_evaluate(cfg, weights, args.program)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -74,54 +74,33 @@ def batch_loss_and_grads(grid, w_out, b_out, X, y, out=None):
     d_grid, d_w_out, d_b_out = out
     h, _, acts, C = crossbar_unroll(grid, X)
 
-    errs = h[-1] @ w_out
-    errs += b_out
-    errs -= y
+    errs = h[-1] @ w_out + b_out - y
     loss = float((errs * errs).sum() / B)
-    errs *= 2.0
-    errs /= B  # now d loss / d prediction
+    errs = errs * 2.0 / B  # d loss / d prediction
 
     np.matmul(h[-1].T, errs, out=d_w_out)
     d_b_out[...] = errs.sum()
     dH = errs[:, None] * w_out
     dC = np.zeros((B, M))
     d_grid[...] = 0.0
-    # every step's slope factors at once: d_tc = 1 - tanh(C)**2, d_acts = 1 - a
-    # on the sigmoid gates and 1 - c_tilde**2 on the c block
     tc = np.tanh(C)
-    d_tc = tc * tc
-    np.subtract(1.0, d_tc, out=d_tc)
-    d_acts = np.subtract(1.0, acts)
-    d_c = d_acts[..., 2 * M : 3 * M]
-    np.multiply(acts[..., 2 * M : 3 * M], acts[..., 2 * M : 3 * M], out=d_c)
-    np.subtract(1.0, d_c, out=d_c)
-    da = np.empty((B, 4 * M))
-    da_i, da_f, da_g, da_o = da[:, :M], da[:, M : 2 * M], da[:, 2 * M : 3 * M], da[:, 3 * M :]
-    tmp = np.empty((B, M))
+    d_tc = 1.0 - tc * tc
+    # a sigmoid gate's slope is a * (1 - a), and da below carries its a; tanh's is 1 - c_tilde**2
+    d_acts = 1.0 - acts
+    c_tilde = acts[..., 2 * M : 3 * M]
+    d_acts[..., 2 * M : 3 * M] = 1.0 - c_tilde * c_tilde
     V = np.zeros((B, grid.shape[0]))
     V[:, -1] = 1.0
     U2 = grid[N : N + M]
     for t in range(T - 1, -1, -1):
-        a, s = acts[t], d_acts[t]
-        i, f, g, o = a[:, :M], a[:, M : 2 * M], a[:, 2 * M : 3 * M], a[:, 3 * M :]
-        np.multiply(dH, o, out=tmp)
-        tmp *= d_tc[t]
-        dC += tmp
-        np.multiply(dC, g, out=da_i)
-        da_i *= i
-        da_i *= s[:, :M]
-        np.multiply(dC, C[t - 1] if t > 0 else 0.0, out=da_f)
-        da_f *= f
-        da_f *= s[:, M : 2 * M]
-        np.multiply(dC, i, out=da_g)
-        da_g *= s[:, 2 * M : 3 * M]
-        np.multiply(dH, tc[t], out=da_o)
-        da_o *= o
-        da_o *= s[:, 3 * M :]
+        i, f, g, o = np.split(acts[t], 4, axis=1)
+        h_prev, C_prev = (h[t - 1], C[t - 1]) if t > 0 else (0.0, 0.0)
+        dC = dC + dH * o * d_tc[t]
+        da = np.concatenate([dC * g * i, dC * C_prev * f, dC * i, dH * tc[t] * o], axis=1) * d_acts[t]
         V[:, :N] = X[:, t, :]
-        V[:, N : N + M] = h[t - 1] if t > 0 else 0.0
+        V[:, N : N + M] = h_prev
         d_grid += V.T @ da
         if t > 0:
             dH = da @ U2.T
-            dC *= f
+            dC = dC * f
     return loss, d_grid, d_w_out, d_b_out

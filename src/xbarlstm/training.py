@@ -61,7 +61,6 @@ def train(dataset, cfg: TrainConfig):
     grad = np.empty_like(theta)
     views, grad_views = _parts(theta, params.grid.shape), _parts(grad, params.grid.shape)
     m_state, v_state = np.zeros(theta.shape), np.zeros(theta.shape)
-    step, scratch = np.empty(theta.shape), np.empty(theta.shape)
 
     loss_history = []
     for epoch in range(cfg.epochs):
@@ -79,23 +78,11 @@ def train(dataset, cfg: TrainConfig):
             t = epoch + 1
             bc1 = 1.0 - cfg.beta1**t
             bc2 = 1.0 - cfg.beta2**t
-            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2
-            m_state *= cfg.beta1
-            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
-            m_state += scratch
-            v_state *= cfg.beta2
-            np.multiply(grad, grad, out=scratch)
-            scratch *= 1.0 - cfg.beta2
-            v_state += scratch
-            # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m_state, bc1, out=step)
-            step *= cfg.learning_rate
-            np.divide(v_state, bc2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += cfg.eps
-            step /= scratch
+            m_state = cfg.beta1 * m_state + (1.0 - cfg.beta1) * grad
+            v_state = cfg.beta2 * v_state + (1.0 - cfg.beta2) * (grad * grad)
+            step = cfg.learning_rate * (m_state / bc1) / (np.sqrt(v_state / bc2) + cfg.eps)
         else:
-            np.multiply(grad, cfg.learning_rate, out=step)
+            step = cfg.learning_rate * grad
         theta -= step
         np.clip(theta, cfg.clamp_low, cfg.clamp_high, out=theta)
 

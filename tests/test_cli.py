@@ -88,10 +88,12 @@ class TestTrainCommand:
         assert (a / WEIGHTS_FILE).read_bytes() != (b / WEIGHTS_FILE).read_bytes()
 
     @pytest.mark.parametrize("flags, suffix", [((), ""), (("--shuffle",), "_shuffle"),
-                                               (("--optimizer", "sgd"), "_sgd")], ids=["adam", "shuffle", "sgd"])
+                                               (("--optimizer", "sgd"), "_sgd"), (("--look-back", "3"), "_lb3")],
+                             ids=["adam", "shuffle", "sgd", "lb3"])
     def test_train_reproduces_pinned_weights(self, tmp_path, flags, suffix):
-        """Each of the three parameter-update branches rewrites the files
-        that `train --seed 0` plus flags wrote when they were pinned."""
+        """Each of the three parameter-update branches, and BPTT through
+        more than one step, rewrites the files that `train --seed 0` plus
+        flags wrote when they were pinned."""
         out = tmp_path / "run"
         assert run("train", "--seed", 0, *flags, "--out-dir", out) == 0
         assert (out / WEIGHTS_FILE).read_bytes() == (TEST_DATA / f"weights{suffix}.txt").read_bytes()
@@ -101,6 +103,15 @@ class TestTrainCommand:
         code = run("train", "--dataset", tmp_path / "nope.csv", "--out-dir", tmp_path / "r")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unallocatable_size_fails(self, tmp_path, capsys):
+        """A grid of 284 PiB cannot be allocated: the request fails at once,
+        touching no memory, and ends in one error line, not a traceback."""
+        out = tmp_path / "r"
+        assert run("train", "--hidden-units", 100_000_000, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_dataset_without_header_fails(self, tmp_path, capsys):
         """The bundled CSV less its header line would load as 143 points;
@@ -761,13 +772,13 @@ def test_tracer_wrappers_are_the_names_the_commands_call(tmp_path):
 
 
 def test_every_exported_name_resolves():
-    """A stale entry in either name table fails here, not in a user's import
-    or in a command's first call."""
+    """A stale entry in the one name table, xbarlstm.__all__, fails here,
+    not in a user's import or in a command's first call."""
     from xbarlstm import cli
 
     assert [name for name in xbarlstm.__all__ if getattr(xbarlstm, name, None) is None] == []
     cli._load_numeric()
-    assert [name for names in cli._NUMERIC.values() for name in names if name not in vars(cli)] == []
+    assert [name for name in xbarlstm.__all__ if name not in vars(cli)] == []
 
 
 def test_configs_are_one_object_wherever_imported():

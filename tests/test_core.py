@@ -245,6 +245,10 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"is not \[n_inputs \+ n_hidden \+ 1, 4 \* n_hidden\]"):
                 LstmParams(np.zeros(shape))
 
+    def test_output_weights_must_be_a_vector(self):
+        with pytest.raises(ValueError, match=r"w_out must be a vector, got shape \(4, 1\)"):
+            OutputLayer(np.zeros((4, 1)), 0.0)
+
 
 @pytest.mark.parametrize("n_inputs,n_hidden", [(1, 1), (1, 4), (3, 6)])
 def test_gate_blocks_equal_the_loop_oracle(n_inputs, n_hidden):

@@ -8,6 +8,7 @@ from xbarlstm.data import (
     BUNDLED_DATASET,
     Normalizer,
     TimeSeries,
+    WindowedSeries,
     denormalize,
     fit_normalizer,
     load_series,
@@ -62,6 +63,20 @@ class TestLoadSeries:
         p = tmp_path / "trail.csv"
         p.write_text('"Month","Passengers"\n"1949-01",112\n\n\n')
         assert len(load_series(p)) == 1
+
+
+class TestConstructorChecks:
+    def test_empty_series(self):
+        with pytest.raises(ValueError, match="time series is empty"):
+            TimeSeries([])
+
+    def test_windows_disagree_with_look_back(self):
+        with pytest.raises(ValueError, match=r"window array \(3, 2\) does not match look_back=1"):
+            WindowedSeries(np.zeros((3, 2)), np.zeros(3), 1)
+
+    def test_targets_disagree_with_windows(self):
+        with pytest.raises(ValueError, match=r"3 windows but \(2,\) targets"):
+            WindowedSeries(np.zeros((3, 1)), np.zeros(2), 1)
 
 
 class TestNormalizer:
@@ -203,6 +218,10 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             rmse([1.0], [1.0, 2.0])
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty sequences"):
+            rmse([], [])
 
     @pytest.mark.parametrize("denorm", [None, Normalizer(104.0, 622.0)], ids=["normalized", "passengers"])
     def test_block_rows_equal_row_by_row(self, denorm):
