@@ -75,6 +75,9 @@ class RunConfig(TrainConfig):
     report: str = "table"
 
     def __post_init__(self):
+        for name in ("dataset", "out_dir"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.report not in ("table", "delimited"):
             raise ValueError(f"report must be 'table' or 'delimited', got {self.report!r}")
         if self.noise_seeds < 1:

@@ -59,30 +59,25 @@ def crossbar_unroll(grid, X, noise=None):
     return h, reads, acts, C
 
 
-def batch_loss_and_grads(grid, w_out, b_out, X, y, out=None):
+def batch_loss_and_grads(grid, w_out, b_out, X, y):
     """Batch MSE of the last-step predictions and its exact gradients.
 
     Returns (loss, d_grid, d_w_out, d_b_out): d_grid shaped like grid,
-    d_b_out a 0-d array. out, numpy-style, is a (d_grid, d_w_out, d_b_out)
-    tuple of arrays to write the gradients into; without it they are
-    allocated.
+    d_w_out like w_out, d_b_out a float.
     """
     B, T, N = X.shape
     M = w_out.shape[0]
-    if out is None:
-        out = np.empty(grid.shape), np.empty(M), np.empty(())
-    d_grid, d_w_out, d_b_out = out
     h, _, acts, C = crossbar_unroll(grid, X)
 
     errs = h[-1] @ w_out + b_out - y
     loss = float((errs * errs).sum() / B)
     errs = errs * 2.0 / B  # d loss / d prediction
 
-    np.matmul(h[-1].T, errs, out=d_w_out)
-    d_b_out[...] = errs.sum()
+    d_w_out = h[-1].T @ errs
+    d_b_out = float(errs.sum())
     dH = errs[:, None] * w_out
     dC = np.zeros((B, M))
-    d_grid[...] = 0.0
+    d_grid = np.zeros(grid.shape)
     tc = np.tanh(C)
     d_tc = 1.0 - tc * tc
     # a sigmoid gate's slope is a * (1 - a), and da below carries its a; tanh's is 1 - c_tilde**2

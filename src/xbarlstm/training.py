@@ -55,11 +55,11 @@ def train(dataset, cfg: TrainConfig):
     params, out = init_parameters(X.shape[-1], cfg.hidden_units, rng, cfg.clamp_low, cfg.clamp_high)
 
     # Adam, SGD and the clamp are elementwise, so they run once per epoch on
-    # one flat vector theta = [grid, w_out, b_out]; the kernel reads and
-    # writes its parts through views.
+    # one flat vector theta = [grid, w_out, b_out], which the kernel reads
+    # through views; its gradients are joined in the same layout.
     theta = np.concatenate([params.grid.ravel(), out.w_out, [out.b_out]])
-    grad = np.empty_like(theta)
-    views, grad_views = _parts(theta, params.grid.shape), _parts(grad, params.grid.shape)
+    n = params.grid.size
+    grid, w_out, b_out = theta[:n].reshape(params.grid.shape), theta[n:-1], theta[-1:].reshape(())
     m_state, v_state = np.zeros(theta.shape), np.zeros(theta.shape)
 
     loss_history = []
@@ -69,10 +69,11 @@ def train(dataset, cfg: TrainConfig):
             Xe, ye = X[perm], y[perm]
         else:
             Xe, ye = X, y
-        loss, *_ = kernels.batch_loss_and_grads(*views, Xe, ye, out=grad_views)
+        loss, d_grid, d_w_out, d_b_out = kernels.batch_loss_and_grads(grid, w_out, b_out, Xe, ye)
         if not math.isfinite(loss):
             raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
         loss_history.append(loss)
+        grad = np.concatenate([d_grid.ravel(), d_w_out, [d_b_out]])
 
         if cfg.optimizer == "adam":
             t = epoch + 1
@@ -86,11 +87,4 @@ def train(dataset, cfg: TrainConfig):
         theta -= step
         np.clip(theta, cfg.clamp_low, cfg.clamp_high, out=theta)
 
-    grid, w_out, b_out = views
     return LstmParams(grid), OutputLayer(w_out, b_out), loss_history
-
-
-def _parts(flat, grid_shape):
-    """Views (grid, w_out, b_out) of a flat [grid, w_out, b_out] vector; b_out is 0-d."""
-    n = grid_shape[0] * grid_shape[1]
-    return flat[:n].reshape(grid_shape), flat[n:-1], flat[-1:].reshape(())

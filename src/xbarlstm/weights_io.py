@@ -31,10 +31,8 @@ def named_matrices(params: LstmParams, out: OutputLayer) -> dict:
 
 
 def write_weights(params: LstmParams, out: OutputLayer, path) -> None:
-    mats = named_matrices(params, out)
     lines = []
-    for name in MATRIX_NAMES:
-        mat = mats[name]
+    for name, mat in named_matrices(params, out).items():
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
         for row in mat:
             lines.append(" ".join(f"{v:.17g}" for v in row))
@@ -85,14 +83,11 @@ def read_weights(path):
 
     n_inputs, n_hidden = mats["W_i"].shape
     params = LstmParams(np.zeros((n_inputs + n_hidden + 1, 4 * n_hidden)))
-    for name, block in gate_blocks(params).items():  # fills the grid through its views
+    out = OutputLayer(np.zeros(n_hidden), 0.0)
+    for name, block in named_matrices(params, out).items():  # the gate blocks fill the grid through their views
         if mats[name].shape != block.shape:
             raise ValueError(f"{path}: {name} has shape {mats[name].shape}, expected {block.shape}")
         block[...] = mats[name]
-    if mats["w_out"].shape != (n_hidden, 1):
-        raise ValueError(f"{path}: w_out has shape {mats['w_out'].shape}, expected ({n_hidden}, 1)")
-    if mats["b_out"].shape != (1, 1):
-        raise ValueError(f"{path}: b_out has shape {mats['b_out'].shape}, expected (1, 1)")
     return params, OutputLayer(mats["w_out"][:, 0], mats["b_out"][0, 0])
 
 

@@ -289,7 +289,7 @@ def max_rel_error(analytic, numeric, magnitude_floor=1e-8):
 def bptt_gradients(params, out, batch):
     """(loss, d_grid, d_w_out, d_b_out) of the batch MSE from the production
     BPTT kernel, the gradients shaped like params.grid, out.w_out and
-    out.b_out (d_b_out a 0-d array)."""
+    out.b_out (d_b_out a float)."""
     return kernels.batch_loss_and_grads(params.grid, out.w_out, out.b_out, batch.inputs(), batch.y)
 
 

@@ -88,12 +88,13 @@ class TestTrainCommand:
         assert (a / WEIGHTS_FILE).read_bytes() != (b / WEIGHTS_FILE).read_bytes()
 
     @pytest.mark.parametrize("flags, suffix", [((), ""), (("--shuffle",), "_shuffle"),
-                                               (("--optimizer", "sgd"), "_sgd"), (("--look-back", "3"), "_lb3")],
-                             ids=["adam", "shuffle", "sgd", "lb3"])
+                                               (("--optimizer", "sgd"), "_sgd"), (("--look-back", "3"), "_lb3"),
+                                               (("--hidden-units", "6"), "_h6")],
+                             ids=["adam", "shuffle", "sgd", "lb3", "h6"])
     def test_train_reproduces_pinned_weights(self, tmp_path, flags, suffix):
-        """Each of the three parameter-update branches, and BPTT through
-        more than one step, rewrites the files that `train --seed 0` plus
-        flags wrote when they were pinned."""
+        """Each of the three parameter-update branches, BPTT through more
+        than one step and a model of other than four units rewrites the
+        files that `train --seed 0` plus flags wrote when they were pinned."""
         out = tmp_path / "run"
         assert run("train", "--seed", 0, *flags, "--out-dir", out) == 0
         assert (out / WEIGHTS_FILE).read_bytes() == (TEST_DATA / f"weights{suffix}.txt").read_bytes()
@@ -568,6 +569,7 @@ BAD_KEYS = [
     ("split", "7", "split must be in (0, 1)"),
     ("hidden_units", "0", "hidden_units must be >= 1"),
     ("noise_seeds", "0", "noise_seeds must be >= 1"),
+    ("dataset", "", "dataset must not be empty"),
 ]
 
 
@@ -589,6 +591,16 @@ def test_bad_key_rejected_before_the_out_dir(tmp_path, capsys, command, source, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])
+def test_empty_out_dir_rejected(tmp_path, monkeypatch, capsys, command):
+    """An empty --out-dir is not taken for the current directory."""
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--out-dir", "") == 1
+    err = capsys.readouterr().err
+    assert err == "error: out_dir must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 USAGE_ERRORS = [

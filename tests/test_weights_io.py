@@ -143,11 +143,15 @@ class TestMalformed:
             read_weights(path)
 
     @pytest.mark.parametrize("header, expected", [
+        ("W_o 2 4", r"W_o has shape \(2, 4\), expected \(1, 4\)"),
+        ("U_c 4 3", r"U_c has shape \(4, 3\), expected \(4, 4\)"),
+        ("b_f 1 5", r"b_f has shape \(1, 5\), expected \(1, 4\)"),
         ("w_out 3 1", r"w_out has shape \(3, 1\), expected \(4, 1\)"),
         ("b_out 1 2", r"b_out has shape \(1, 2\), expected \(1, 1\)"),
     ])
     def test_output_layer_shape(self, tmp_path, header, expected):
-        """The block itself is well formed, but its shape does not fit the grid's."""
+        """The block itself is well formed, but its shape does not fit the
+        one W_i sets: a gate block's or the output layer's."""
         params, out, _ = random_model(6)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
