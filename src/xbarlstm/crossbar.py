@@ -25,13 +25,16 @@ multiplicative Gaussian current noise per column read (read_noise_sigma).
 A CrossbarProgram is what the program file holds, the level map and its
 device config (spacing, sigmas, seed); monte_carlo is the one place a
 device is drawn from a seed and run, a chunk of devices stacked on the
-kernel's leading axis at a time. A device seed s in [0, 2**128) draws
-from the two streams of SeedSequence(s).spawn(2), whose PCG64 states are
-derived for all seeds of a call at once. crossbar_window_predictions is
-its one-seed case. Peripheral CMOS stages (mirrors, converters, adders)
-are taken as ideal unit-gain. The output layer is not part of the
-program: a caller that maps it onto the crossbar too passes the layer
-from quantize_output_layer.
+kernel's leading axis at a time. Its chunk-sized arrays (the draws, the
+varied grid, the read gains and the unroll's results) are allocated once
+per call and every chunk is written into them in place, so a sweep does
+not map and fault in fresh ~146 KB arrays per chunk. A device seed s in
+[0, 2**128) draws from the two streams of SeedSequence(s).spawn(2), whose
+PCG64 states are derived for all seeds of a call at once.
+crossbar_window_predictions is its one-seed case. Peripheral CMOS stages
+(mirrors, converters, adders) are taken as ideal unit-gain. The output
+layer is not part of the program: a caller that maps it onto the crossbar
+too passes the layer from quantize_output_layer.
 """
 
 from dataclasses import dataclass, replace
@@ -48,7 +51,9 @@ R_MAX_OHM = 2000e3
 
 # Devices per stacked unroll in monte_carlo. Eight keeps each per-step array
 # of a 143-window, 4-unit sweep ([8, 143, 16], ~146 KB) in cache; chunks of
-# 256 ran slower and took ~50 MB more memory.
+# 256 ran slower and took ~50 MB more memory. With the chunk arrays reused,
+# chunks of 16 and 32 were measured too: no faster, and 1-3 MB more memory,
+# as the cell's own temporaries at that size are mapped afresh per step.
 MC_CHUNK = 8
 
 
@@ -248,9 +253,11 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     # one reused generator per stream, re-seeded to each device's state
     streams = [(np.random.Generator(np.random.PCG64(0)), _pcg64_states(seeds, key), buf)
                for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
-    g_plus, g_minus = g[program.level_plus], g[program.level_minus]
-    grid, noise = program.grid(), None
+    g_sides = np.stack([g[program.level_plus], g[program.level_minus]])
+    grid = np.empty((size, rows, cols)) if vary else program.grid()
+    gain = np.empty((size, B, T, cols)) if read else None
     preds = np.empty((len(seeds), B))
+    bufs = None  # the unroll's (h, reads, acts, C), made by the first chunk
     for start in range(0, len(seeds), MC_CHUNK):
         n = min(MC_CHUNK, len(seeds) - start)
         for gen, states, buf in streams:
@@ -259,14 +266,23 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
                                            "has_uint32": 0, "uinteger": 0}
                 gen.standard_normal(out=buf[k])
         if vary:
-            sigma = cfg.level_variation_sigma
-            grid = (np.maximum(g_plus * (1.0 + sigma * pert[:n, 0]), 0.0)
-                    - np.maximum(g_minus * (1.0 + sigma * pert[:n, 1]), 0.0)) * _k_scale(g)
+            # max(G * (1 + sigma * z), 0) per side, then (plus - minus) * k
+            p = pert[:n]
+            p *= cfg.level_variation_sigma
+            p += 1.0
+            p *= g_sides
+            np.maximum(p, 0.0, out=p)
+            np.subtract(p[:, 0], p[:, 1], out=grid[:n])
+            grid[:n] *= _k_scale(g)
         if read:
             # [n, B, T, M, 4] draws laid out like the grid's columns, gate g of unit m at g * M + m
-            noise = np.ascontiguousarray((cfg.read_noise_sigma * draws[:n]).swapaxes(-1, -2).reshape(n, B, T, cols))
-        h, *_ = kernels.crossbar_unroll(grid, X, noise)
-        preds[start : start + n] = h[-1] @ out.w_out + out.b_out
+            np.multiply(draws[:n].swapaxes(-1, -2), cfg.read_noise_sigma, out=gain[:n].reshape(n, B, T, 4, cols // 4))
+            gain[:n] += 1.0
+        # the short last chunk, if any, allocates its own
+        bufs = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:n],
+                                       out=bufs if n == size else None)
+        np.matmul(bufs[0][-1], out.w_out, out=preds[start : start + n])
+        preds[start : start + n] += out.b_out
     return preds
 
 

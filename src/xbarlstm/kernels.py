@@ -1,16 +1,17 @@
 """The one unroll of the LSTM cell over a window batch, and its BPTT.
 
 Both the float path and the crossbar path run here: the float path passes
-``LstmParams.grid`` and no noise; the crossbar path, ``crossbar.monte_carlo``,
+``LstmParams.grid`` and no gain; the crossbar path, ``crossbar.monte_carlo``,
 passes the differential column currents of each device in weight units,
 the ideal ``CrossbarProgram.grid()`` or its level-varied draw, with the
-device's per-read noise factors. The scalar loop versions that
-check these kernels live with the tests, in ``tests/_oracles.py``.
+device's per-read gains 1 + noise, and its chunk's result arrays to write
+into. The scalar loop versions that check these kernels live with the
+tests, in ``tests/_oracles.py``.
 
 Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and
 column g * M + m carrying gate g of hidden unit m, gate order (i, f, c, o);
 window batches X [B, T, N]; results laid out [T, B, .]. The forward also
-takes a stack of devices on leading axes of the grid and the noise, and
+takes a stack of devices on leading axes of the grid and the gain, and
 then lays its results out [T, ..., B, .].
 """
 
@@ -19,44 +20,45 @@ import numpy as np
 from .core import lstm_cell
 
 
-def crossbar_unroll(grid, X, noise=None):
+def crossbar_unroll(grid, X, gain=None, out=None):
     """Run every window of X from the zero state through the cell on grid.
 
     Each step drives the rows with [x_t, h_{t-1}, 1] and reads all 4M
-    columns at once. With noise [B, T, 4M] given, read (b, t, col) is
-    scaled by 1 + noise[b, t, col]. Returns (h, reads, acts, C): hidden
-    outputs and cell states [T, B, M], column reads and post-activation
-    gates [T, B, 4M].
+    columns at once. With gain [B, T, 4M] given, read (b, t, col) is
+    multiplied by gain[b, t, col], a read-noise gain 1 + noise. Returns
+    (h, reads, acts, C): hidden outputs and cell states [T, B, M], column
+    reads and post-activation gates [T, B, 4M]. out, numpy-style, is such
+    a tuple of arrays to write them into, and is then what is returned;
+    without it they are allocated.
 
-    Leading device axes on grid [..., R, 4M] and noise [..., B, T, 4M]
+    Leading device axes on grid [..., R, 4M] and gain [..., B, T, 4M]
     broadcast against each other; the windows are shared, and the results
     gain the broadcast axes after T, as [T, ..., B, .]. Each device's
     results equal those of its own call bit for bit.
     """
     B, T, N = X.shape
     *lead, R, C4 = grid.shape
-    if noise is not None:
-        lead = np.broadcast_shapes(tuple(lead), noise.shape[:-3])
+    if gain is not None:
+        lead = np.broadcast_shapes(tuple(lead), gain.shape[:-3])
     M = C4 // 4
     if R != N + M + 1:
         raise ValueError(f"weights have n_inputs={R - M - 1} but the windows carry {N} feature(s) per step")
-    h = np.empty((T, *lead, B, M))
-    C = np.empty((T, *lead, B, M))
-    reads = np.empty((T, *lead, B, C4))
-    acts = np.empty((T, *lead, B, C4))
+    if out is None:
+        out = (np.empty((T, *lead, B, M)), np.empty((T, *lead, B, C4)), np.empty((T, *lead, B, C4)),
+               np.empty((T, *lead, B, M)))
+    h, reads, acts, C = out
     V = np.zeros((*lead, B, R))
     V[..., R - 1] = 1.0
     C_prev = np.zeros((*lead, B, M))
-    scale = None if noise is None else 1.0 + noise
     for t in range(T):
         V[..., :N] = X[:, t, :]
         np.matmul(V, grid, out=reads[t])
-        if scale is not None:
-            reads[t] *= scale[..., t, :]
+        if gain is not None:
+            reads[t] *= gain[..., t, :]
         lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]))
         C_prev = C[t]
         V[..., N : N + M] = h[t]
-    return h, reads, acts, C
+    return out
 
 
 def batch_loss_and_grads(grid, w_out, b_out, X, y):

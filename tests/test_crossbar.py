@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from xbarlstm import kernels
 from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     MC_CHUNK,
@@ -478,6 +479,33 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
         assert np.array_equal(got, want[:count])
     assert len(SWEEP_SEEDS) % MC_CHUNK != 0
     assert (len(np.unique(want, axis=0)) == 1) == (level_variation == read_noise == 0)
+
+
+def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
+    """A sweep allocates its chunk arrays once: every full chunk after the
+    first unrolls on views of the same varied-grid and gain arrays and
+    writes into the result arrays the first chunk returned; only the short
+    last chunk allocates its own results."""
+    calls = []
+    unroll = kernels.crossbar_unroll
+
+    def recorder(grid, X, gain=None, out=None):
+        result = unroll(grid, X, gain, out=out)
+        calls.append((grid, gain, out, result))
+        return result
+
+    monkeypatch.setattr(kernels, "crossbar_unroll", recorder)
+    rng = np.random.default_rng(7)
+    windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
+    program = program_crossbar(random_params(50), CrossbarConfig(read_noise_sigma=0.01, level_variation_sigma=0.05))
+    monte_carlo(program, OutputLayer(rng.uniform(-1, 1, 4), 0.1), windows, SWEEP_SEEDS)
+    assert len(SWEEP_SEEDS) % MC_CHUNK != 0
+    assert len(calls) == -(-len(SWEEP_SEEDS) // MC_CHUNK)
+    (grid0, gain0, out0, made), *full, (_, _, tail_out, _) = calls
+    assert out0 is None and tail_out is None
+    for grid, gain, out, _ in full:
+        assert out is made
+        assert np.shares_memory(grid, grid0) and np.shares_memory(gain, gain0)
 
 
 def test_monte_carlo_rejects_a_negative_seed_as_with_seed_does():

@@ -64,7 +64,7 @@ def test_crossbar_loop_vs_numpy(seed):
     noise = 0.01 * rng.standard_normal((B, T, 4 * M))
     k = 1.0 / 4.5e-6
     ha, ra = crossbar_unroll_loop(gp, gm, k, X, noise)
-    hb, rb, _, _ = kernels.crossbar_unroll((gp - gm) * k, X, noise)
+    hb, rb, _, _ = kernels.crossbar_unroll((gp - gm) * k, X, 1.0 + noise)
     npt.assert_allclose(ha, hb.transpose(1, 0, 2), rtol=0, atol=1e-12)
     npt.assert_allclose(ra, rb.transpose(1, 0, 2), rtol=0, atol=1e-12)
 
@@ -83,19 +83,47 @@ def test_device_axes_equal_per_device_calls(grid_lead, noise_lead):
     k = 1.0 / 4.5e-6
     grid = (gp - gm) * k
     lead = np.broadcast_shapes(grid_lead, () if noise is None else noise_lead)
-    stacked = kernels.crossbar_unroll(grid, X, noise)
+    stacked = kernels.crossbar_unroll(grid, X, None if noise is None else 1.0 + noise)
     assert [a.shape for a in stacked] == [(T, *lead, B, n) for n in (M, 4 * M, 4 * M, M)]
     for device in np.ndindex(lead):
         g_index = tuple(i if n > 1 else 0 for i, n in zip(device[len(lead) - len(grid_lead):], grid_lead))
         n_index = None if noise is None else device[len(lead) - len(noise_lead):]
         one_noise = None if noise is None else noise[n_index]
-        one = kernels.crossbar_unroll(grid[g_index], X, one_noise)
+        one = kernels.crossbar_unroll(grid[g_index], X, None if one_noise is None else 1.0 + one_noise)
         for a, b in zip(stacked, one):
             assert np.array_equal(a[(slice(None), *device)], b)
         h, reads = crossbar_unroll_loop(gp[g_index], gm[g_index], k, X,
                                         np.zeros((B, T, 4 * M)) if one_noise is None else one_noise)
         npt.assert_allclose(h, stacked[0][(slice(None), *device)].transpose(1, 0, 2), rtol=0, atol=1e-12)
         npt.assert_allclose(reads, stacked[1][(slice(None), *device)].transpose(1, 0, 2), rtol=0, atol=1e-12)
+
+
+def test_unit_gain_equals_no_gain():
+    """A read-noise gain of all ones reads exactly as no gain at all."""
+    rng = np.random.default_rng(301)
+    R, M, B, T = 6, 4, 3, 4
+    grid = rng.uniform(-1, 1, (R, 4 * M))
+    X = rng.uniform(-1, 1, (B, T, 1))
+    for a, b in zip(kernels.crossbar_unroll(grid, X, np.ones((B, T, 4 * M))), kernels.crossbar_unroll(grid, X)):
+        assert np.array_equal(a, b)
+
+
+def test_out_arrays_are_written_and_returned():
+    """With out given, the unroll writes its results into those arrays and
+    returns that very tuple, equal bit for bit to a call that allocates. A
+    second call into the same arrays, on other stacked devices at look-back
+    3, equals its own fresh call, so nothing carries over between calls."""
+    rng = np.random.default_rng(302)
+    S, R, M, B, T = 2, 6, 4, 3, 3
+    X = rng.uniform(-1, 1, (B, T, 1))
+    bufs = tuple(np.full((T, S, B, width), np.nan) for width in (M, 4 * M, 4 * M, M))
+    for _ in range(2):
+        grid = rng.uniform(-1, 1, (S, R, 4 * M))
+        gain = 1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M))
+        got = kernels.crossbar_unroll(grid, X, gain, out=bufs)
+        assert got is bufs
+        for a, b in zip(got, kernels.crossbar_unroll(grid, X, gain)):
+            assert np.array_equal(a, b)
 
 
 def test_predictions_match_scalar_oracle():
