@@ -71,8 +71,7 @@ def sigmoid(x, out=None):
     there, numpy-style; a scalar x gives a float."""
     x = np.asarray(x, dtype=np.float64)
     e = np.empty_like(x)
-    np.abs(x, out=e)
-    np.negative(e, out=e)
+    np.copysign(x, -1.0, out=e)  # -|x|
     np.exp(e, out=e)
     if out is None:
         out = np.empty_like(x)

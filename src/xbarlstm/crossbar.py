@@ -37,7 +37,7 @@ layer is not part of the program: a caller that maps it onto the crossbar
 too passes the layer from quantize_output_layer.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,10 +136,6 @@ class CrossbarProgram:
         """The ideal level grid, (G_plus - G_minus) * k in weight units, laid
         out like LstmParams.grid."""
         return level_weights(self.level_plus, self.level_minus, self.cfg.spacing)
-
-    def with_seed(self, seed: int) -> "CrossbarProgram":
-        """The same level map with device seed ``seed``."""
-        return replace(self, cfg=replace(self.cfg, seed=seed))
 
 
 def program_crossbar(params: LstmParams, cfg: CrossbarConfig) -> CrossbarProgram:

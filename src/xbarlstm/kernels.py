@@ -57,7 +57,8 @@ def crossbar_unroll(grid, X, gain=None, out=None):
             reads[t] *= gain[..., t, :]
         lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]))
         C_prev = C[t]
-        V[..., N : N + M] = h[t]
+        if t + 1 < T:
+            V[..., N : N + M] = h[t]
     return out
 
 
@@ -78,7 +79,7 @@ def batch_loss_and_grads(grid, w_out, b_out, X, y):
     d_w_out = h[-1].T @ errs
     d_b_out = float(errs.sum())
     dH = errs[:, None] * w_out
-    dC = np.zeros((B, M))
+    dC = 0.0
     d_grid = np.zeros(grid.shape)
     tc = np.tanh(C)
     d_tc = 1.0 - tc * tc
@@ -90,7 +91,8 @@ def batch_loss_and_grads(grid, w_out, b_out, X, y):
     V[:, -1] = 1.0
     U2 = grid[N : N + M]
     for t in range(T - 1, -1, -1):
-        i, f, g, o = np.split(acts[t], 4, axis=1)
+        a = acts[t]
+        i, f, g, o = a[:, :M], a[:, M : 2 * M], a[:, 2 * M : 3 * M], a[:, 3 * M :]
         h_prev, C_prev = (h[t - 1], C[t - 1]) if t > 0 else (0.0, 0.0)
         dC = dC + dH * o * d_tc[t]
         da = np.concatenate([dC * g * i, dC * C_prev * f, dC * i, dH * tc[t] * o], axis=1) * d_acts[t]

@@ -85,6 +85,7 @@ def train(dataset, cfg: TrainConfig):
         else:
             step = cfg.learning_rate * grad
         theta -= step
-        np.clip(theta, cfg.clamp_low, cfg.clamp_high, out=theta)
+        # np.clip as its two ufuncs: its Python wrapper costs more than both
+        np.minimum(np.maximum(theta, cfg.clamp_low, out=theta), cfg.clamp_high, out=theta)
 
     return LstmParams(grid), OutputLayer(w_out, b_out), loss_history

@@ -256,11 +256,15 @@ class TestProgramCrossbar:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
-    def test_with_seed_equals_programming_with_that_seed(self, sigma, seed):
+    def test_swapping_the_seed_equals_programming_with_that_seed(self, sigma, seed):
+        """The level map does not depend on the seed and the device is drawn
+        from cfg.seed only when it runs, so replacing a program's seed is
+        the same as programming with that seed."""
         params = random_params(44)
         cfg = CrossbarConfig("uniform_resistance", read_noise_sigma=0.01,
                              level_variation_sigma=sigma, seed=3)
-        got = program_crossbar(params, cfg).with_seed(seed)
+        program = program_crossbar(params, cfg)
+        got = replace(program, cfg=replace(program.cfg, seed=seed))
         want = program_crossbar(params, replace(cfg, seed=seed))
         assert got.cfg == want.cfg
         npt.assert_array_equal(got.level_plus, want.level_plus)
@@ -318,7 +322,7 @@ class TestCrossbarDot:
         windows = WindowedSeries(np.random.default_rng(1).uniform(0, 1, (5, 2)), np.zeros(5), 2)
         a = crossbar_window_predictions(program, out, windows)
         b = crossbar_window_predictions(program, out, windows)
-        c = crossbar_window_predictions(program.with_seed(6), out, windows)
+        c = crossbar_window_predictions(program_crossbar(params, replace(cfg, seed=6)), out, windows)
         clean = crossbar_window_predictions(program_crossbar(params, replace(cfg, read_noise_sigma=0.0)), out, windows)
         npt.assert_array_equal(a, b)
         assert np.all(a != c)
@@ -412,7 +416,7 @@ class TestCrossbarForward:
         program = program_crossbar(params, cfg_a)
         one = crossbar_window_predictions(program, out, windows)
         two = crossbar_window_predictions(program, out, windows)
-        other = crossbar_window_predictions(program.with_seed(78), out, windows)
+        other = crossbar_window_predictions(program_crossbar(params, replace(cfg_a, seed=78)), out, windows)
         npt.assert_array_equal(one, two)
         assert np.all(one != other)
 
@@ -508,20 +512,20 @@ def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
         assert np.shares_memory(grid, grid0) and np.shares_memory(gain, gain0)
 
 
-def test_monte_carlo_rejects_a_negative_seed_as_with_seed_does():
+def test_monte_carlo_rejects_a_negative_seed_as_the_config_does():
     program = program_crossbar(random_params(51), CrossbarConfig(read_noise_sigma=0.01))
     windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
     out = OutputLayer(np.ones(4), 0.0)
-    for call in (lambda: program.with_seed(-1), lambda: monte_carlo(program, out, windows, [3, -1])):
+    for call in (lambda: CrossbarConfig(seed=-1), lambda: monte_carlo(program, out, windows, [3, -1])):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             call()
 
 
-def test_monte_carlo_rejects_a_seed_beyond_128_bits_as_with_seed_does():
+def test_monte_carlo_rejects_a_seed_beyond_128_bits_as_the_config_does():
     program = program_crossbar(random_params(51), CrossbarConfig(read_noise_sigma=0.01))
     windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
     out = OutputLayer(np.ones(4), 0.0)
-    for call in (lambda: program.with_seed(2**128), lambda: monte_carlo(program, out, windows, [3, 2**128])):
+    for call in (lambda: CrossbarConfig(seed=2**128), lambda: monte_carlo(program, out, windows, [3, 2**128])):
         with pytest.raises(ValueError, match=rf"seed must be < 2\*\*128, got {2**128}"):
             call()
 

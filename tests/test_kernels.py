@@ -108,13 +108,15 @@ def test_unit_gain_equals_no_gain():
         assert np.array_equal(a, b)
 
 
-def test_out_arrays_are_written_and_returned():
+@pytest.mark.parametrize("T", [1, 3])
+def test_out_arrays_are_written_and_returned(T):
     """With out given, the unroll writes its results into those arrays and
-    returns that very tuple, equal bit for bit to a call that allocates. A
-    second call into the same arrays, on other stacked devices at look-back
-    3, equals its own fresh call, so nothing carries over between calls."""
+    returns that very tuple, equal bit for bit to a call that allocates.
+    The arrays start NaN-filled, and a second call into them, on other
+    stacked devices, equals its own fresh call, so nothing carries over
+    between calls; at look-back 1 the unroll writes no h into its drive."""
     rng = np.random.default_rng(302)
-    S, R, M, B, T = 2, 6, 4, 3, 3
+    S, R, M, B = 2, 6, 4, 3
     X = rng.uniform(-1, 1, (B, T, 1))
     bufs = tuple(np.full((T, S, B, width), np.nan) for width in (M, 4 * M, 4 * M, M))
     for _ in range(2):

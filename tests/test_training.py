@@ -135,6 +135,11 @@ class TestTrain:
         for arr in (params.grid, out.w_out):
             assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
         assert -1.0 <= out.b_out <= 1.0
+        # a narrow, asymmetric range that the large steps press against on both sides
+        params, out, _ = train(data, TrainConfig(epochs=10, seed=2, clamp_low=-0.3, clamp_high=0.4, learning_rate=0.5))
+        theta = np.concatenate([params.grid.ravel(), out.w_out, [out.b_out]])
+        assert np.all(theta >= -0.3) and np.all(theta <= 0.4)
+        assert theta.min() == -0.3 and theta.max() == 0.4
 
     @pytest.mark.parametrize("n_hidden", [1, 4, 6])
     def test_init_lies_in_a_narrow_clamp_range(self, n_hidden):
