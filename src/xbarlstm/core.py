@@ -85,27 +85,27 @@ def sigmoid(x, out=None):
 def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None):
     """The LSTM cell equations, the only place they are written.
 
-    a holds gate pre-activations [..., 4M] in grid column order (gate g of
-    unit m at g * M + m), C_prev the previous cell state [..., M]:
+    a holds gate pre-activations gate-first, [4, *S] in gate order
+    (i, f, c, o), so each gate is one contiguous block; C_prev is the
+    previous cell state [*S]:
 
     i, f, o = sigma(a_i, a_f, a_o),  c_tilde = tanh(a_c),
     C_t = f * C_prev + i * c_tilde,  h_t = o * tanh(C_t).
 
     Returns (acts, C_t, h_t) with acts the post-activation gates in a's
-    layout. out, numpy-style, is an (acts, C_t, h_t) tuple of arrays to
-    write them into; C_t may be C_prev itself. Without out they are
-    allocated.
+    layout and C_t, h_t shaped [*S]. out, numpy-style, is an (acts, C_t,
+    h_t) tuple of arrays to write them into; C_t may be C_prev itself.
+    Without out they are allocated.
     """
-    m = C_prev.shape[-1]
     if out is None:
-        state = np.broadcast_shapes(a.shape[:-1] + (m,), C_prev.shape)
+        state = np.broadcast_shapes(a.shape[1:], C_prev.shape)
         out = np.empty(a.shape), np.empty(state), np.empty(state)
     acts, C_t, h_t = out
-    # one sigmoid over all 4M columns, c's included and then overwritten: at
-    # these widths that is cheaper than skipping the c block
+    # one sigmoid over all four blocks, c's included and then overwritten:
+    # at train's sizes that is cheaper than skipping the c block
     sigmoid(a, out=acts)
-    i, f, c_tilde, o = acts[..., :m], acts[..., m : 2 * m], acts[..., 2 * m : 3 * m], acts[..., 3 * m :]
-    np.tanh(a[..., 2 * m : 3 * m], out=c_tilde)
+    i, f, c_tilde, o = acts
+    np.tanh(a[2], out=c_tilde)
     np.multiply(i, c_tilde, out=h_t)  # h_t holds i * c_tilde until C_t is done
     np.multiply(f, C_prev, out=C_t)
     C_t += h_t

@@ -17,7 +17,8 @@ path is this path on the ideal weight grid. Evaluation is time
 multiplexed: one hidden unit per cycle, four column reads per cycle, M
 cycles per time step, with the new h latched into the memory units only
 after all M cycles. All M cycles of a step therefore see the same h, and
-kernels.crossbar_unroll computes a step's reads together.
+kernels.crossbar_unroll computes a step's reads together, gate-first:
+a step's reads and read gains are [4, ..., B, M], one block per gate.
 
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
@@ -25,7 +26,7 @@ multiplicative Gaussian current noise per column read (read_noise_sigma).
 A CrossbarProgram is what the program file holds, the level map and its
 device config (spacing, sigmas, seed); monte_carlo is the one place a
 device is drawn from a seed and run, a chunk of devices stacked on the
-kernel's leading axis at a time. Its chunk-sized arrays (the draws, the
+kernel's device axis at a time. Its chunk-sized arrays (the draws, the
 varied grid, the read gains and the unroll's results) are allocated once
 per call and every chunk is written into them in place, so a sweep does
 not map and fault in fresh ~146 KB arrays per chunk. A device seed s in
@@ -50,7 +51,7 @@ R_MIN_OHM = 200e3
 R_MAX_OHM = 2000e3
 
 # Devices per stacked unroll in monte_carlo. Eight keeps each per-step array
-# of a 143-window, 4-unit sweep ([8, 143, 16], ~146 KB) in cache; chunks of
+# of a 143-window, 4-unit sweep ([4, 8, 143, 4], ~146 KB) in cache; chunks of
 # 256 ran slower and took ~50 MB more memory. With the chunk arrays reused,
 # chunks of 16 and 32 were measured too: no faster, and 1-3 MB more memory,
 # as the cell's own temporaries at that size are mapped afresh per step.
@@ -251,7 +252,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
                for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
     g_sides = np.stack([g[program.level_plus], g[program.level_minus]])
     grid = np.empty((size, rows, cols)) if vary else program.grid()
-    gain = np.empty((size, B, T, cols)) if read else None
+    gain = np.empty((T, 4, size, B, cols // 4)) if read else None
     preds = np.empty((len(seeds), B))
     bufs = None  # the unroll's (h, reads, acts, C), made by the first chunk
     for start in range(0, len(seeds), MC_CHUNK):
@@ -271,11 +272,11 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
             np.subtract(p[:, 0], p[:, 1], out=grid[:n])
             grid[:n] *= _k_scale(g)
         if read:
-            # [n, B, T, M, 4] draws laid out like the grid's columns, gate g of unit m at g * M + m
-            np.multiply(draws[:n].swapaxes(-1, -2), cfg.read_noise_sigma, out=gain[:n].reshape(n, B, T, 4, cols // 4))
-            gain[:n] += 1.0
+            # [n, B, T, M, 4] draws laid out gate-first like the unroll's reads, [T, 4, n, B, M]
+            np.multiply(draws[:n].transpose(2, 4, 0, 1, 3), cfg.read_noise_sigma, out=gain[:, :, :n])
+            gain[:, :, :n] += 1.0
         # the short last chunk, if any, allocates its own
-        bufs = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:n],
+        bufs = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:, :, :n],
                                        out=bufs if n == size else None)
         np.matmul(bufs[0][-1], out.w_out, out=preds[start : start + n])
         preds[start : start + n] += out.b_out

@@ -10,9 +10,10 @@ tests, in ``tests/_oracles.py``.
 
 Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and
 column g * M + m carrying gate g of hidden unit m, gate order (i, f, c, o);
-window batches X [B, T, N]; results laid out [T, B, .]. The forward also
-takes a stack of devices on leading axes of the grid and the gain, and
-then lays its results out [T, ..., B, .].
+window batches X [B, T, N]; results laid out [T, B, M], and column reads,
+gates and read gains gate-first, [T, 4, B, M], each gate one contiguous
+block. The forward also takes a stack of devices on leading axes of the
+grid and the gain, and then lays its results out [T, (4,) ..., B, M].
 """
 
 import numpy as np
@@ -24,37 +25,43 @@ def crossbar_unroll(grid, X, gain=None, out=None):
     """Run every window of X from the zero state through the cell on grid.
 
     Each step drives the rows with [x_t, h_{t-1}, 1] and reads all 4M
-    columns at once. With gain [B, T, 4M] given, read (b, t, col) is
-    multiplied by gain[b, t, col], a read-noise gain 1 + noise. Returns
+    columns at once. With gain [T, 4, B, M] given, read (t, g, b, m) is
+    multiplied by gain[t, g, b, m], a read-noise gain 1 + noise. Returns
     (h, reads, acts, C): hidden outputs and cell states [T, B, M], column
-    reads and post-activation gates [T, B, 4M]. out, numpy-style, is such
-    a tuple of arrays to write them into, and is then what is returned;
-    without it they are allocated.
+    reads and post-activation gates gate-first, [T, 4, B, M]. out,
+    numpy-style, is such a tuple of arrays to write them into, and is then
+    what is returned; without it they are allocated.
 
-    Leading device axes on grid [..., R, 4M] and gain [..., B, T, 4M]
+    Leading device axes on grid [..., R, 4M] and gain [T, 4, ..., B, M]
     broadcast against each other; the windows are shared, and the results
-    gain the broadcast axes after T, as [T, ..., B, .]. Each device's
+    gain the broadcast axes before B, as [T, (4,) ..., B, M]. Each device's
     results equal those of its own call bit for bit.
     """
     B, T, N = X.shape
     *lead, R, C4 = grid.shape
     if gain is not None:
-        lead = np.broadcast_shapes(tuple(lead), gain.shape[:-3])
+        lead = np.broadcast_shapes(tuple(lead), gain.shape[2:-2])
     M = C4 // 4
     if R != N + M + 1:
         raise ValueError(f"weights have n_inputs={R - M - 1} but the windows carry {N} feature(s) per step")
+    # gate-first views [4, ..., R, M] of the grid and [T, 4, ..., B, M] of the
+    # gain, no copy; unit axes give each every device axis, so the gate axis never pairs with one
+    L = len(lead)
+    grid4 = grid.reshape(*(1,) * (L + 2 - grid.ndim), *grid.shape[:-1], 4, M).transpose(L + 1, *range(L + 1), L + 2)
+    if gain is not None:
+        gain = gain.reshape(T, 4, *(1,) * (L + 4 - gain.ndim), *gain.shape[2:])
+    state, gates = (T, *lead, B, M), (T, 4, *lead, B, M)
     if out is None:
-        out = (np.empty((T, *lead, B, M)), np.empty((T, *lead, B, C4)), np.empty((T, *lead, B, C4)),
-               np.empty((T, *lead, B, M)))
+        out = np.empty(state), np.empty(gates), np.empty(gates), np.empty(state)
     h, reads, acts, C = out
     V = np.zeros((*lead, B, R))
     V[..., R - 1] = 1.0
     C_prev = np.zeros((*lead, B, M))
     for t in range(T):
         V[..., :N] = X[:, t, :]
-        np.matmul(V, grid, out=reads[t])
+        np.matmul(V, grid4, out=reads[t])
         if gain is not None:
-            reads[t] *= gain[..., t, :]
+            reads[t] *= gain[t]
         lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]))
         C_prev = C[t]
         if t + 1 < T:
@@ -81,25 +88,32 @@ def batch_loss_and_grads(grid, w_out, b_out, X, y):
     dH = errs[:, None] * w_out
     dC = 0.0
     d_grid = np.zeros(grid.shape)
+    d_gates = d_grid.reshape(-1, 4, M).transpose(1, 0, 2)  # gate-first view [4, R, M]
     tc = np.tanh(C)
     d_tc = 1.0 - tc * tc
     # a sigmoid gate's slope is a * (1 - a), and da below carries its a; tanh's is 1 - c_tilde**2
     d_acts = 1.0 - acts
-    c_tilde = acts[..., 2 * M : 3 * M]
-    d_acts[..., 2 * M : 3 * M] = 1.0 - c_tilde * c_tilde
+    c_tilde = acts[:, 2]
+    d_acts[:, 2] = 1.0 - c_tilde * c_tilde
     V = np.zeros((B, grid.shape[0]))
     V[:, -1] = 1.0
     U2 = grid[N : N + M]
+    da = np.empty((4, B, M))
     for t in range(T - 1, -1, -1):
-        a = acts[t]
-        i, f, g, o = a[:, :M], a[:, M : 2 * M], a[:, 2 * M : 3 * M], a[:, 3 * M :]
+        i, f, g, o = acts[t]
         h_prev, C_prev = (h[t - 1], C[t - 1]) if t > 0 else (0.0, 0.0)
         dC = dC + dH * o * d_tc[t]
-        da = np.concatenate([dC * g * i, dC * C_prev * f, dC * i, dH * tc[t] * o], axis=1) * d_acts[t]
+        np.multiply(dC * g, i, out=da[0])
+        np.multiply(dC * C_prev, f, out=da[1])
+        np.multiply(dC, i, out=da[2])
+        np.multiply(dH * tc[t], o, out=da[3])
+        da *= d_acts[t]
         V[:, :N] = X[:, t, :]
         V[:, N : N + M] = h_prev
-        d_grid += V.T @ da
+        d_gates += V.T @ da
         if t > 0:
-            dH = da @ U2.T
+            # one [B, 4M] contraction in U2's (g, m) column order keeps dH's
+            # bits; a sum of per-gate products would round differently
+            dH = da.transpose(1, 0, 2).reshape(B, 4 * M) @ U2.T
             dC = dC * f
     return loss, d_grid, d_w_out, d_b_out

@@ -63,29 +63,31 @@ def train(dataset, cfg: TrainConfig):
     m_state, v_state = np.zeros(theta.shape), np.zeros(theta.shape)
 
     loss_history = []
-    for epoch in range(cfg.epochs):
-        if cfg.shuffle:
-            perm = rng.permutation(len(y))
-            Xe, ye = X[perm], y[perm]
-        else:
-            Xe, ye = X, y
-        loss, d_grid, d_w_out, d_b_out = kernels.batch_loss_and_grads(grid, w_out, b_out, Xe, ye)
-        if not math.isfinite(loss):
-            raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
-        loss_history.append(loss)
-        grad = np.concatenate([d_grid.ravel(), d_w_out, [d_b_out]])
+    # a diverging run overflows on its way to the non-finite loss reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if cfg.shuffle:
+                perm = rng.permutation(len(y))
+                Xe, ye = X[perm], y[perm]
+            else:
+                Xe, ye = X, y
+            loss, d_grid, d_w_out, d_b_out = kernels.batch_loss_and_grads(grid, w_out, b_out, Xe, ye)
+            if not math.isfinite(loss):
+                raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
+            loss_history.append(loss)
+            grad = np.concatenate([d_grid.ravel(), d_w_out, [d_b_out]])
 
-        if cfg.optimizer == "adam":
-            t = epoch + 1
-            bc1 = 1.0 - cfg.beta1**t
-            bc2 = 1.0 - cfg.beta2**t
-            m_state = cfg.beta1 * m_state + (1.0 - cfg.beta1) * grad
-            v_state = cfg.beta2 * v_state + (1.0 - cfg.beta2) * (grad * grad)
-            step = cfg.learning_rate * (m_state / bc1) / (np.sqrt(v_state / bc2) + cfg.eps)
-        else:
-            step = cfg.learning_rate * grad
-        theta -= step
-        # np.clip as its two ufuncs: its Python wrapper costs more than both
-        np.minimum(np.maximum(theta, cfg.clamp_low, out=theta), cfg.clamp_high, out=theta)
+            if cfg.optimizer == "adam":
+                t = epoch + 1
+                bc1 = 1.0 - cfg.beta1**t
+                bc2 = 1.0 - cfg.beta2**t
+                m_state = cfg.beta1 * m_state + (1.0 - cfg.beta1) * grad
+                v_state = cfg.beta2 * v_state + (1.0 - cfg.beta2) * (grad * grad)
+                step = cfg.learning_rate * (m_state / bc1) / (np.sqrt(v_state / bc2) + cfg.eps)
+            else:
+                step = cfg.learning_rate * grad
+            theta -= step
+            # np.clip as its two ufuncs: its Python wrapper costs more than both
+            np.minimum(np.maximum(theta, cfg.clamp_low, out=theta), cfg.clamp_high, out=theta)
 
     return LstmParams(grid), OutputLayer(w_out, b_out), loss_history

@@ -240,6 +240,21 @@ def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
     assert not (out / EVAL_REPORT_FILE).exists()
 
 
+def test_diverging_train_prints_only_its_error(tmp_path):
+    """A run whose loss overflows stops with the one error line: no numpy
+    warning on the way there, and no out-dir written."""
+    out = tmp_path / "r"
+    # a fresh process, so stderr is exactly what the command prints
+    result = subprocess.run(
+        [sys.executable, "-m", "xbarlstm.cli", "train", "--epochs", "3", "--clamp-low", "-1e308",
+         "--clamp-high", "1e308", "--learning-rate", "1e300", "--out-dir", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: training aborted: non-finite loss at epoch 2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["quantize", "--quantize-output-layer"],
     ["evaluate", "--quantize-output-layer"],

@@ -41,8 +41,9 @@ def oracle_gates(params):
 
 
 def cell_step(params, x, h_prev, C_prev):
-    """One step of the one cell: drive the grid rows with [x, h_prev, 1]."""
-    return lstm_cell(np.concatenate([x, h_prev, [1.0]]) @ params.grid, C_prev)
+    """One step of the one cell: drive the grid rows with [x, h_prev, 1];
+    the cell takes the 4M column reads gate-first, as [4, M]."""
+    return lstm_cell((np.concatenate([x, h_prev, [1.0]]) @ params.grid).reshape(4, -1), C_prev)
 
 
 def oracle_step(params, x, h_prev, C_prev):
@@ -55,7 +56,7 @@ class TestActivations:
 
     def test_tanh_at_zero(self):
         # the candidate column of the cell is the tanh one
-        acts, _, _ = lstm_cell(np.zeros(4), np.zeros(1))
+        acts, _, _ = lstm_cell(np.zeros((4, 1)), np.zeros(1))
         assert acts[2] == 0.0
         npt.assert_array_equal(acts[[0, 1, 3]], 0.5)
 
@@ -94,7 +95,7 @@ class TestActivations:
         """out= targets receive what the allocating call returns, also when
         the new cell state overwrites the previous one."""
         rng = np.random.default_rng(4)
-        a, C_prev = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 5, 2))
+        a, C_prev = rng.standard_normal((4, 3, 5, 2)), rng.standard_normal((3, 5, 2))
         want = lstm_cell(a, C_prev)
         out = np.empty_like(a), C_prev.copy(), np.empty_like(C_prev)
         got = lstm_cell(a, out[1], out=out)
@@ -107,7 +108,7 @@ class TestLstmStep:
     def test_zero_params_zero_state(self):
         params = zero_params(1, 4)
         acts, C, h = cell_step(params, [0.37], np.zeros(4), np.zeros(4))
-        i, f, c_tilde, o = acts.reshape(4, 4)
+        i, f, c_tilde, o = acts
         npt.assert_array_equal(i, 0.5)
         npt.assert_array_equal(f, 0.5)
         npt.assert_array_equal(o, 0.5)
@@ -130,7 +131,7 @@ class TestLstmStep:
         h_prev, C_prev = rng.uniform(-0.9, 0.9, n_hidden), rng.uniform(-2, 2, n_hidden)
         acts, C, h = cell_step(params, x, h_prev, C_prev)
         i, f, c_tilde, o, want_h, want_C = oracle_step(params, x, h_prev, C_prev)
-        npt.assert_allclose(acts, i + f + c_tilde + o, rtol=0, atol=1e-12)
+        npt.assert_allclose(acts.reshape(-1), i + f + c_tilde + o, rtol=0, atol=1e-12)
         npt.assert_allclose(h, want_h, rtol=0, atol=1e-12)
         npt.assert_allclose(C, want_C, rtol=0, atol=1e-12)
 
@@ -152,7 +153,7 @@ class TestLstmStep:
             x = rng.uniform(-5, 5, 1)
             C_prev = rng.uniform(-3, 3, 4)
             acts, C, h = cell_step(params, x, rng.uniform(-0.99, 0.99, 4), C_prev)
-            i, f, c_tilde, o = acts.reshape(4, 4)
+            i, f, c_tilde, o = acts
             assert np.all((i > 0) & (i < 1))
             assert np.all((f > 0) & (f < 1))
             assert np.all((o > 0) & (o < 1))

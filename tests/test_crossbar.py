@@ -292,7 +292,7 @@ class TestCrossbarDot:
         program = program_crossbar(random_params(6), CrossbarConfig())
         # with x and h at zero, only the bias row drives the columns
         _, reads, _, _ = crossbar_unroll(program.grid(), np.zeros((1, 1, 1)))
-        npt.assert_array_equal(reads[0, 0], program.grid()[-1])
+        npt.assert_array_equal(reads[0, :, 0], program.grid()[-1].reshape(4, 4))
         program = program_crossbar(zero_params(1, 4), CrossbarConfig())
         _, reads, _, _ = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.8))
         npt.assert_array_equal(reads, 0.0)
@@ -312,7 +312,7 @@ class TestCrossbarDot:
                 for unit in range(4):
                     column_weights = np.concatenate([recon_W[g][:, unit], recon_U[g][:, unit], [recon_b[g][unit]]])
                     want = dot_loop(v.tolist(), column_weights.tolist())
-                    assert reads[t, 0, g * 4 + unit] == pytest.approx(want, abs=1e-12)
+                    assert reads[t, g, 0, unit] == pytest.approx(want, abs=1e-12)
 
     def test_read_noise_reproducible(self):
         cfg = CrossbarConfig(read_noise_sigma=0.02, seed=3)
@@ -347,7 +347,7 @@ class TestCrossbarStep:
     def test_zero_program_matches_core_zero_case(self):
         program = program_crossbar(zero_params(1, 4), CrossbarConfig())
         h, _, acts, C = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.7))
-        i, f, c_tilde, o = acts[0, 0].reshape(4, 4)
+        i, f, c_tilde, o = acts[0, :, 0]
         npt.assert_array_equal(i, 0.5)
         npt.assert_array_equal(f, 0.5)
         npt.assert_array_equal(o, 0.5)
@@ -367,7 +367,7 @@ class TestCrossbarStep:
         state = ([0.0] * 4, [0.0] * 4)
         for t in range(3):
             i, f, c_tilde, o, *state = lstm_step_loops(*oracle_gates(recon), xs[t].tolist(), *state)
-            npt.assert_allclose(acts[t, 0], i + f + c_tilde + o, rtol=0, atol=1e-9)
+            npt.assert_allclose(acts[t, :, 0].reshape(-1), i + f + c_tilde + o, rtol=0, atol=1e-9)
             npt.assert_allclose(h[t, 0], state[0], rtol=0, atol=1e-9)
             npt.assert_allclose(C[t, 0], state[1], rtol=0, atol=1e-9)
 
@@ -468,7 +468,9 @@ SWEEP_SEEDS = [int(s) for s in np.random.SeedSequence(2024).generate_state(300, 
 def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_variation, read_noise):
     """Row k is device seeds[k]'s one-seed forward, bit for bit, for sweeps
     shorter than a chunk, one past a chunk and with a short last chunk; the
-    seeds on each side of the first chunk boundary match the loop oracle."""
+    seeds on each side of the first chunk boundary match the loop oracle.
+    Four seeds stack as many devices as there are gates, so a device axis
+    paired with the gate axis would broadcast silently."""
     rng = np.random.default_rng(look_back)
     windows = WindowedSeries(rng.uniform(0, 1, (25, look_back)), rng.uniform(0, 1, 25), look_back)
     out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
@@ -477,7 +479,7 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
     want = np.array([monte_carlo(program, out, windows, [s])[0] for s in SWEEP_SEEDS])
     for k in range(MC_CHUNK - 2, MC_CHUNK + 2):
         npt.assert_allclose(want[k], device_oracle(program, out, windows, SWEEP_SEEDS[k]), rtol=0, atol=1e-12)
-    for count in (0, 1, MC_CHUNK - 1, MC_CHUNK + 1, len(SWEEP_SEEDS)):
+    for count in (0, 1, 4, MC_CHUNK - 1, MC_CHUNK + 1, len(SWEEP_SEEDS)):
         got = monte_carlo(program, out, windows, SWEEP_SEEDS[:count])
         assert got.shape == (count, len(windows))
         assert np.array_equal(got, want[:count])

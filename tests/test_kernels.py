@@ -29,6 +29,22 @@ def random_case(seed, B=7, T=3, N=2, M=4):
     return W, U, b, w_out, b_out, X, y
 
 
+def gate_first(a):
+    """Per-read values [..., B, T, 4M] in grid column order, laid out as the
+    unroll takes its gain, gate-first: [T, 4, ..., B, M]."""
+    *lead, B, T, C4 = a.shape
+    n = len(lead)
+    return a.reshape(*lead, B, T, 4, C4 // 4).transpose(n + 1, n + 2, *range(n), n, n + 3)
+
+
+def grid_columns(a):
+    """The unroll's gate-first reads [T, 4, ..., B, M] in grid column order,
+    [T, ..., B, 4M]."""
+    T, _, *lead, B, M = a.shape
+    n = len(lead)
+    return a.transpose(0, *range(2, n + 3), 1, n + 3).reshape(T, *lead, B, 4 * M)
+
+
 def last_predictions(W, U, b, w_out, b_out, X):
     h, *_ = kernels.crossbar_unroll(grid_from_gates(W, U, b), X)
     return h[-1] @ w_out + b_out
@@ -64,16 +80,20 @@ def test_crossbar_loop_vs_numpy(seed):
     noise = 0.01 * rng.standard_normal((B, T, 4 * M))
     k = 1.0 / 4.5e-6
     ha, ra = crossbar_unroll_loop(gp, gm, k, X, noise)
-    hb, rb, _, _ = kernels.crossbar_unroll((gp - gm) * k, X, 1.0 + noise)
+    hb, rb, _, _ = kernels.crossbar_unroll((gp - gm) * k, X, gate_first(1.0 + noise))
     npt.assert_allclose(ha, hb.transpose(1, 0, 2), rtol=0, atol=1e-12)
-    npt.assert_allclose(ra, rb.transpose(1, 0, 2), rtol=0, atol=1e-12)
+    npt.assert_allclose(ra, grid_columns(rb).transpose(1, 0, 2), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("grid_lead, noise_lead", [((3,), (3,)), ((3,), None), ((), (3,)), ((2, 1), (3,))])
+@pytest.mark.parametrize("grid_lead, noise_lead",
+                         [((3,), (3,)), ((3,), None), ((), (3,)), ((2, 1), (3,)), ((), (4,))])
 def test_device_axes_equal_per_device_calls(grid_lead, noise_lead):
     """Stacked devices on leading axes of the grid and the noise broadcast;
     each device's results equal its own call exactly and the read-by-read
-    oracle to 1e-12."""
+    oracle to 1e-12. Four devices on the noise alone is the case where the
+    gate axis of the grid could pair with the device axis and broadcast.
+    Every gate of every step's reads and gates is one C-contiguous block,
+    the layout the cell's per-gate ufuncs rest on."""
     rng = np.random.default_rng(300)
     R, M, B, T = 6, 4, 3, 4
     gp = rng.uniform(0.5e-6, 5e-6, (*grid_lead, R, 4 * M))
@@ -83,19 +103,21 @@ def test_device_axes_equal_per_device_calls(grid_lead, noise_lead):
     k = 1.0 / 4.5e-6
     grid = (gp - gm) * k
     lead = np.broadcast_shapes(grid_lead, () if noise is None else noise_lead)
-    stacked = kernels.crossbar_unroll(grid, X, None if noise is None else 1.0 + noise)
-    assert [a.shape for a in stacked] == [(T, *lead, B, n) for n in (M, 4 * M, 4 * M, M)]
+    stacked = kernels.crossbar_unroll(grid, X, None if noise is None else gate_first(1.0 + noise))
+    assert [a.shape for a in stacked] == [(T, *gates, *lead, B, M) for gates in ((), (4,), (4,), ())]
+    assert all(a[t][g].flags.c_contiguous for a in stacked[1:3] for t in range(T) for g in range(4))
     for device in np.ndindex(lead):
         g_index = tuple(i if n > 1 else 0 for i, n in zip(device[len(lead) - len(grid_lead):], grid_lead))
         n_index = None if noise is None else device[len(lead) - len(noise_lead):]
         one_noise = None if noise is None else noise[n_index]
-        one = kernels.crossbar_unroll(grid[g_index], X, None if one_noise is None else 1.0 + one_noise)
-        for a, b in zip(stacked, one):
-            assert np.array_equal(a[(slice(None), *device)], b)
+        one = kernels.crossbar_unroll(grid[g_index], X, None if one_noise is None else gate_first(1.0 + one_noise))
+        for a, b, gates in zip(stacked, one, ((), (slice(None),), (slice(None),), ())):
+            assert np.array_equal(a[(slice(None), *gates, *device)], b)
         h, reads = crossbar_unroll_loop(gp[g_index], gm[g_index], k, X,
                                         np.zeros((B, T, 4 * M)) if one_noise is None else one_noise)
         npt.assert_allclose(h, stacked[0][(slice(None), *device)].transpose(1, 0, 2), rtol=0, atol=1e-12)
-        npt.assert_allclose(reads, stacked[1][(slice(None), *device)].transpose(1, 0, 2), rtol=0, atol=1e-12)
+        npt.assert_allclose(reads, grid_columns(stacked[1])[(slice(None), *device)].transpose(1, 0, 2),
+                            rtol=0, atol=1e-12)
 
 
 def test_unit_gain_equals_no_gain():
@@ -104,7 +126,7 @@ def test_unit_gain_equals_no_gain():
     R, M, B, T = 6, 4, 3, 4
     grid = rng.uniform(-1, 1, (R, 4 * M))
     X = rng.uniform(-1, 1, (B, T, 1))
-    for a, b in zip(kernels.crossbar_unroll(grid, X, np.ones((B, T, 4 * M))), kernels.crossbar_unroll(grid, X)):
+    for a, b in zip(kernels.crossbar_unroll(grid, X, np.ones((T, 4, B, M))), kernels.crossbar_unroll(grid, X)):
         assert np.array_equal(a, b)
 
 
@@ -118,10 +140,10 @@ def test_out_arrays_are_written_and_returned(T):
     rng = np.random.default_rng(302)
     S, R, M, B = 2, 6, 4, 3
     X = rng.uniform(-1, 1, (B, T, 1))
-    bufs = tuple(np.full((T, S, B, width), np.nan) for width in (M, 4 * M, 4 * M, M))
+    bufs = tuple(np.full((T, *gates, S, B, M), np.nan) for gates in ((), (4,), (4,), ()))
     for _ in range(2):
         grid = rng.uniform(-1, 1, (S, R, 4 * M))
-        gain = 1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M))
+        gain = gate_first(1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M)))
         got = kernels.crossbar_unroll(grid, X, gain, out=bufs)
         assert got is bufs
         for a, b in zip(got, kernels.crossbar_unroll(grid, X, gain)):

@@ -178,7 +178,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="training dataset is empty"):
             train(data, TrainConfig(epochs=1))
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_loss_aborts_with_epoch(self):
         data = WindowedSeries(np.array([[0.5]]), np.array([np.inf]), 1)
         with pytest.raises(RuntimeError, match="epoch 1"):
