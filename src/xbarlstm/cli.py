@@ -168,6 +168,14 @@ def _report_lines(pairs, fmt: str):
     return [f"{label:<{width}}  {value}" for label, value in pairs]
 
 
+def _require_finite(what: str, values, source=None) -> None:
+    """Refuse results that overflowed float64, which a command's errstate
+    lets through as inf or nan rather than as numpy warnings: one
+    ValueError, naming source, the file the numbers came from, if given."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{f'{source}: ' if source else ''}{what} are not finite: the numbers overflow float64")
+
+
 def _finish(out_dir: Path, files: dict, stdout, stderr=()) -> int:
     """The one ending of every command: make out_dir, write files into it,
     then print the stderr and stdout lines. files maps each file name to
@@ -204,9 +212,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
     rmse_rows = []
     for name, part in (("train", train_part), ("test", test_part)):
-        preds = batch_predictions(params, out, part)
-        rmse_rows.append((f"{name} RMSE normalized", f"{rmse(preds, part.y):.6f}"))
-        rmse_rows.append((f"{name} RMSE passengers", f"{rmse(preds, part.y, denorm=norm):.4f}"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = batch_predictions(params, out, part)
+            normalized, passengers = rmse(preds, part.y), rmse(preds, part.y, denorm=norm)
+        _require_finite(f"the trained model's {name} RMSEs", [normalized, passengers])
+        rmse_rows.append((f"{name} RMSE normalized", f"{normalized:.6f}"))
+        rmse_rows.append((f"{name} RMSE passengers", f"{passengers:.4f}"))
 
     shapes = packed_shapes(params)
     pairs = [
@@ -314,18 +325,25 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
 
     series, norm, windows, train_part, test_part = _load_pipeline(cfg)
     n_train = len(train_part)
-
-    float_preds = batch_predictions(params, out, windows)
-    xbar_preds = crossbar_window_predictions(program, xbar_out, windows)
-
     splits = {"train": slice(0, n_train), "test": slice(n_train, None)}
 
     def split_rmse(preds):
         return {name: (rmse(preds[sl], windows.y[sl]), rmse(preds[sl], windows.y[sl], denorm=norm))
                 for name, sl in splits.items()}
 
-    float_rmse = split_rmse(float_preds)
-    xbar_rmse = split_rmse(xbar_preds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        float_preds = batch_predictions(params, out, windows)
+        xbar_preds = crossbar_window_predictions(program, xbar_out, windows)
+        float_rmse, xbar_rmse = split_rmse(float_preds), split_rmse(xbar_preds)
+        seeds = _noise_seed_list(device.seed, cfg.noise_seeds) if cfg.noise_seeds > 1 else []
+        noisy = {name: np.empty(len(seeds)) for name in splits}
+        for start in range(0, len(seeds), SWEEP_BLOCK):
+            block = monte_carlo(program, xbar_out, windows, seeds[start : start + SWEEP_BLOCK])
+            for name, sl in splits.items():
+                noisy[name][start : start + len(block)] = rmse(block[:, sl], windows.y[sl], denorm=norm)
+    _require_finite("float predictions or RMSEs", [float_preds, *float_rmse.values()], weights_path)
+    _require_finite("crossbar predictions or RMSEs", [xbar_preds, *xbar_rmse.values(), *noisy.values()],
+                    program_path or weights_path)
 
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
@@ -346,13 +364,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
             (f"{name} delta passengers", f"{qp - fp:+.4f}"),
         ]
 
-    if cfg.noise_seeds > 1:
-        seeds = _noise_seed_list(device.seed, cfg.noise_seeds)
-        noisy = {name: np.empty(len(seeds)) for name in splits}
-        for start in range(0, len(seeds), SWEEP_BLOCK):
-            block = monte_carlo(program, xbar_out, windows, seeds[start : start + SWEEP_BLOCK])
-            for name, sl in splits.items():
-                noisy[name][start : start + len(block)] = rmse(block[:, sl], windows.y[sl], denorm=norm)
+    if seeds:
         for name, arr in noisy.items():
             pairs.append((
                 f"{name} noisy RMSE passengers over {cfg.noise_seeds} seeds",

@@ -8,8 +8,7 @@ updates.
 
 Gate axis order is (input, forget, cell, output) everywhere, matching the
 left-to-right column packing of ``LstmParams.grid``, the one weight layout
-that the training kernels and the crossbar share; :func:`gate_blocks` slices
-it into the per-gate blocks of the weight file.
+that the training kernels and the crossbar share.
 """
 
 from dataclasses import dataclass
@@ -39,16 +38,6 @@ class LstmParams:
 def grid_dims(shape) -> tuple:
     """(n_inputs, n_hidden) of a [n_inputs + n_hidden + 1, 4 * n_hidden] grid shape."""
     return shape[0] - shape[1] // 4 - 1, shape[1] // 4
-
-
-def gate_blocks(params: LstmParams) -> dict:
-    """Per-gate views of the grid, named and shaped as in the weight file:
-    W_g [N, M], U_g [M, M] and b_g [1, M] for each gate g, the W blocks
-    first, then U, then b."""
-    n, m = grid_dims(params.grid.shape)
-    rows = {"W": slice(0, n), "U": slice(n, n + m), "b": slice(n + m, None)}
-    return {f"{kind}_{gate}": params.grid[rows[kind], g * m : (g + 1) * m]
-            for kind in "WUb" for g, gate in enumerate("ifco")}
 
 
 @dataclass

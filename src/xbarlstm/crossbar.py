@@ -29,13 +29,14 @@ device is drawn from a seed and run, a chunk of devices stacked on the
 kernel's device axis at a time. Its chunk-sized arrays (the draws, the
 varied grid, the read gains and the unroll's results) are allocated once
 per call and every chunk is written into them in place, so a sweep does
-not map and fault in fresh ~146 KB arrays per chunk. A device seed s in
-[0, 2**128) draws from the two streams of SeedSequence(s).spawn(2), whose
-PCG64 states are derived for all seeds of a call at once.
-crossbar_window_predictions is its one-seed case. Peripheral CMOS stages
-(mirrors, converters, adders) are taken as ideal unit-gain. The output
-layer is not part of the program: a caller that maps it onto the crossbar
-too passes the layer from quantize_output_layer.
+not map and fault in fresh ~146 KB arrays per chunk. The varied grid is
+one expression of the level-variation draws, which it leaves intact. A
+device seed s in [0, 2**128) draws from the two streams of
+SeedSequence(s).spawn(2), whose PCG64 states are derived for all seeds of
+a call at once. crossbar_window_predictions is its one-seed case.
+Peripheral CMOS stages (mirrors, converters, adders) are taken as ideal
+unit-gain. The output layer is not part of the program: a caller that maps
+it onto the crossbar too passes the layer from quantize_output_layer.
 """
 
 from dataclasses import dataclass
@@ -262,15 +263,9 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
                 gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                            "has_uint32": 0, "uinteger": 0}
                 gen.standard_normal(out=buf[k])
-        if vary:
-            # max(G * (1 + sigma * z), 0) per side, then (plus - minus) * k
-            p = pert[:n]
-            p *= cfg.level_variation_sigma
-            p += 1.0
-            p *= g_sides
-            np.maximum(p, 0.0, out=p)
-            np.subtract(p[:, 0], p[:, 1], out=grid[:n])
-            grid[:n] *= _k_scale(g)
+        if vary:  # max(G * (1 + sigma * z), 0) per side, then (plus - minus) * k
+            sides = np.maximum(g_sides * (1.0 + cfg.level_variation_sigma * pert[:n]), 0.0)
+            np.multiply(sides[:, 0] - sides[:, 1], _k_scale(g), out=grid[:n])
         if read:
             # [n, B, T, M, 4] draws laid out gate-first like the unroll's reads, [T, 4, n, B, M]
             np.multiply(draws[:n].transpose(2, 4, 0, 1, 3), cfg.read_noise_sigma, out=gain[:, :, :n])

@@ -3,16 +3,16 @@
 Fourteen named matrices in a fixed order, each introduced by a header line
 ``name rows cols`` followed by that many rows of space-separated decimals
 with 17 significant digits (lossless for doubles, so export -> import ->
-export is byte-identical). The per-gate blocks are slices of the weight
-grid (core.gate_blocks): side by side they form its [N,4M] / [M,4M] /
-[1,4M] row bands, and the [M,1] output weights and single bias follow,
-which lets weights trained elsewhere be imported.
+export is byte-identical). The per-gate blocks are views of the weight
+grid, cut and named in one place (named_matrices): side by side they form
+its [N,4M] / [M,4M] / [1,4M] row bands, and the [M,1] output weights and
+single bias follow, which lets weights trained elsewhere be imported.
 """
 
 import numpy as np
 
 from .config import open_text
-from .core import LstmParams, OutputLayer, gate_blocks, grid_dims
+from .core import LstmParams, OutputLayer, grid_dims
 
 MATRIX_NAMES = (
     "W_i", "W_f", "W_c", "W_o",
@@ -23,11 +23,12 @@ MATRIX_NAMES = (
 
 
 def named_matrices(params: LstmParams, out: OutputLayer) -> dict:
-    """The weight file's matrices by name; the gate blocks are grid views."""
-    mats = gate_blocks(params)
-    mats["w_out"] = out.w_out[:, None]
-    mats["b_out"] = np.array([[out.b_out]])
-    return mats
+    """The weight file's matrices by name, in file order; the twelve gate
+    blocks W_g [N, M], U_g [M, M], b_g [1, M] are views of the grid."""
+    n, m = grid_dims(params.grid.shape)
+    gates = [params.grid[rows, g * m : (g + 1) * m] for rows in (slice(0, n), slice(n, n + m), slice(n + m, None))
+             for g in range(4)]
+    return dict(zip(MATRIX_NAMES, [*gates, out.w_out[:, None], np.array([[out.b_out]])]))
 
 
 def write_weights(params: LstmParams, out: OutputLayer, path) -> None:

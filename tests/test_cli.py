@@ -43,9 +43,11 @@ def run(*argv):
 
 def child_env():
     """Environment for a child process that imports the same xbarlstm as
-    this one, installed or not."""
+    this one, installed or not, and fails on a numpy RuntimeWarning as
+    pytest's filterwarnings = error makes this process do."""
     package_root = str(Path(xbarlstm.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+            "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def zero_model(n_inputs=1, n_hidden=4, gates=None):
@@ -240,18 +242,23 @@ def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
     assert not (out / EVAL_REPORT_FILE).exists()
 
 
-def test_diverging_train_prints_only_its_error(tmp_path):
-    """A run whose loss overflows stops with the one error line: no numpy
-    warning on the way there, and no out-dir written."""
+@pytest.mark.parametrize("argv, error", [
+    (["train", "--epochs", "3", "--clamp-low", "-1e308", "--clamp-high", "1e308", "--learning-rate", "1e300"],
+     "training aborted: non-finite loss at epoch 2"),
+    (["train", "--epochs", "1", "--clamp-low", "-1e308", "--clamp-high", "1e308", "--learning-rate", "1e307"],
+     "the trained model's train RMSEs are not finite: the numbers overflow float64"),
+    (["evaluate", "--weights", str(TEST_DATA / WEIGHTS_FILE), "--level-variation", "1e308"],
+     f"{TEST_DATA / WEIGHTS_FILE}: crossbar predictions or RMSEs are not finite: the numbers overflow float64"),
+], ids=["diverging-loss", "train-overflow", "level-variation-overflow"])
+def test_diverging_train_prints_only_its_error(tmp_path, argv, error):
+    """A run whose loss or results overflow stops with the one error line:
+    no numpy warning on the way there, and no out-dir written."""
     out = tmp_path / "r"
     # a fresh process, so stderr is exactly what the command prints
-    result = subprocess.run(
-        [sys.executable, "-m", "xbarlstm.cli", "train", "--epochs", "3", "--clamp-low", "-1e308",
-         "--clamp-high", "1e308", "--learning-rate", "1e300", "--out-dir", str(out)],
-        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
-    )
+    result = subprocess.run([sys.executable, "-m", "xbarlstm.cli", *argv, "--out-dir", str(out)],
+                            capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert result.returncode == 1
-    assert result.stderr == "error: training aborted: non-finite loss at epoch 2\n"
+    assert result.stderr == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -387,6 +394,20 @@ class TestEvaluateCommand:
             return [ln for ln in path.read_text().splitlines() if not ln.startswith("dataset,")]
 
         assert lines(out / EVAL_REPORT_FILE) == lines(TEST_DATA / "eval_report_sweep300.txt")
+
+    @pytest.mark.parametrize("weights, flags, pinned", [
+        (WEIGHTS_FILE, ("--level-variation", 0.05, "--read-noise", 0.01, "--seed", 7), "predictions_lv_rn_s7.csv"),
+        ("weights_lb3.txt", ("--look-back", 3, "--spacing", "uniform_resistance", "--level-variation", 0.1,
+                             "--seed", 3), "predictions_lb3_resistance_lv.csv"),
+    ], ids=["lv-rn-s7", "lb3-resistance-lv"])
+    def test_noisy_device_matches_the_pinned_predictions(self, tmp_path, weights, flags, pinned):
+        """One level-varied device, with and without read noise, gives the
+        pinned predictions at full precision: a bit moved in the level
+        variation draw, the read-noise draw or the read gain's layout moves
+        a digit of the quantized column."""
+        out = tmp_path / "run"
+        assert run("evaluate", "--weights", TEST_DATA / weights, *flags, "--out-dir", out) == 0
+        assert (out / PREDICTIONS_FILE).read_bytes() == (TEST_DATA / pinned).read_bytes()
 
     def test_n_inputs_mismatch_rejected(self, tmp_path, capsys):
         wfile = tmp_path / "two_inputs.txt"
@@ -826,7 +847,7 @@ def test_noise_seed_list_equals_numpy_seed_sequence(base, count):
     assert _noise_seed_list(base, count) == want
 
 
-MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "", "99999999999999999999"]
+MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "1e308", "", "99999999999999999999"]
 
 
 def _mutations(lines, positions):

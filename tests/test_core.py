@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import LstmParams, OutputLayer, gate_blocks, grid_dims, lstm_cell, sigmoid
+from xbarlstm.core import LstmParams, OutputLayer, grid_dims, lstm_cell, sigmoid
 from xbarlstm.data import WindowedSeries
 from xbarlstm.kernels import crossbar_unroll
 from xbarlstm.training import batch_predictions
@@ -249,19 +249,3 @@ class TestValidation:
     def test_output_weights_must_be_a_vector(self):
         with pytest.raises(ValueError, match=r"w_out must be a vector, got shape \(4, 1\)"):
             OutputLayer(np.zeros((4, 1)), 0.0)
-
-
-@pytest.mark.parametrize("n_inputs,n_hidden", [(1, 1), (1, 4), (3, 6)])
-def test_gate_blocks_equal_the_loop_oracle(n_inputs, n_hidden):
-    """gate_blocks slices the grid into the weight file's blocks, as the
-    entry-by-entry layout oracle reads them; the oracle's two directions
-    invert each other."""
-    grid = np.random.default_rng(n_inputs * 10 + n_hidden).uniform(-1, 1, (n_inputs + n_hidden + 1, 4 * n_hidden))
-    W, U, b = gates_from_grid(grid)
-    assert np.array_equal(grid_from_gates(W, U, b), grid)
-    blocks = gate_blocks(LstmParams(grid))
-    assert list(blocks) == [f"{kind}_{gate}" for kind in "WUb" for gate in "ifco"]
-    for g, gate in enumerate("ifco"):
-        assert np.array_equal(blocks[f"W_{gate}"], W[g])
-        assert np.array_equal(blocks[f"U_{gate}"], U[g])
-        assert np.array_equal(blocks[f"b_{gate}"], b[g][None, :])

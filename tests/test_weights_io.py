@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from xbarlstm.core import LstmParams, OutputLayer
-from xbarlstm.weights_io import MATRIX_NAMES, packed_shapes, read_weights, write_weights
+from xbarlstm.weights_io import MATRIX_NAMES, named_matrices, packed_shapes, read_weights, write_weights
 
 from _oracles import gates_from_grid, grid_from_gates
 
@@ -29,6 +29,26 @@ def file_blocks(path):
         blocks[name] = np.array([[float(v) for v in ln.split()] for ln in lines[pos + 1 : pos + 1 + int(rows)]])
         pos += 1 + int(rows)
     return blocks
+
+
+@pytest.mark.parametrize("n_inputs,n_hidden", [(1, 1), (1, 4), (3, 6)])
+def test_named_matrices_equal_the_loop_oracle(n_inputs, n_hidden):
+    """named_matrices cuts the grid into the weight file's blocks, in file
+    order, as the entry-by-entry layout oracle reads them, and each gate
+    block is a view that writes through to the grid, as read_weights needs;
+    the oracle's two directions invert each other."""
+    grid = np.random.default_rng(n_inputs * 10 + n_hidden).uniform(-1, 1, (n_inputs + n_hidden + 1, 4 * n_hidden))
+    W, U, b = gates_from_grid(grid)
+    assert np.array_equal(grid_from_gates(W, U, b), grid)
+    params = LstmParams(grid)
+    blocks = named_matrices(params, OutputLayer(np.zeros(n_hidden), 0.0))
+    assert tuple(blocks) == MATRIX_NAMES
+    for g, gate in enumerate("ifco"):
+        assert np.array_equal(blocks[f"W_{gate}"], W[g])
+        assert np.array_equal(blocks[f"U_{gate}"], U[g])
+        assert np.array_equal(blocks[f"b_{gate}"], b[g][None, :])
+        for kind in "WUb":
+            assert np.shares_memory(blocks[f"{kind}_{gate}"], params.grid)
 
 
 @pytest.mark.parametrize("seed", range(5))
