@@ -83,7 +83,7 @@ def _nearest_level(mags: np.ndarray, spacing: str) -> np.ndarray:
         # uniform spacing: work in level-step units, where the tie point
         # (k + 0.5) is exactly representable and floor(t + 0.5) rounds it up
         t = mags * (N_LEVELS - 1)
-        return np.minimum(np.floor(t + 0.5).astype(np.int64), N_LEVELS - 1)
+        return np.floor(t + 0.5).astype(np.int64)
     g = level_conductances(spacing)
     target = g[0] + mags * (g[-1] - g[0])
     d = np.abs(target[..., None] - g)
@@ -255,7 +255,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     grid = np.empty((size, rows, cols)) if vary else program.grid()
     gain = np.empty((T, 4, size, B, cols // 4)) if read else None
     preds = np.empty((len(seeds), B))
-    bufs = None  # the unroll's (h, reads, acts, C), made by the first chunk
+    work = kernels.Workspace((rows, cols), X.shape, (size,) if vary or read else ())  # the unroll's arrays
     for start in range(0, len(seeds), MC_CHUNK):
         n = min(MC_CHUNK, len(seeds) - start)
         for gen, states, buf in streams:
@@ -271,9 +271,9 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
             np.multiply(draws[:n].transpose(2, 4, 0, 1, 3), cfg.read_noise_sigma, out=gain[:, :, :n])
             gain[:, :, :n] += 1.0
         # the short last chunk, if any, allocates its own
-        bufs = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:, :, :n],
-                                       out=bufs if n == size else None)
-        np.matmul(bufs[0][-1], out.w_out, out=preds[start : start + n])
+        h = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:, :, :n],
+                                    work=work if n == size else None)[0]
+        np.matmul(h[-1], out.w_out, out=preds[start : start + n])
         preds[start : start + n] += out.b_out
     return preds
 

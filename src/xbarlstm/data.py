@@ -60,9 +60,6 @@ class WindowedSeries:
     def __len__(self):
         return self.x.shape[0]
 
-    def __getitem__(self, k):
-        return self.x[k], self.y[k]
-
     def take(self, start, stop):
         return WindowedSeries(self.x[start:stop], self.y[start:stop], self.look_back)
 
@@ -93,7 +90,10 @@ def load_series(path) -> TimeSeries:
             raise ValueError(f"{path}: line {lineno}: not a number: {row[1]!r}") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
-    return TimeSeries(np.array(values))
+    series = TimeSeries(np.array(values))
+    if not math.isfinite(max(values) - min(values)):  # each value is finite here, their range may not be
+        raise ValueError(f"{path}: values from {min(values)!r} to {max(values)!r} span more than float64 holds")
+    return series
 
 
 def fit_normalizer(series: TimeSeries) -> Normalizer:

@@ -3,7 +3,8 @@
 The trainer unrolls the cell through every window, computes exact
 reverse-mode gradients of the mean squared error, and clamps every
 parameter (LSTM and output layer) back into the configured range after
-each update.
+each update. A training allocates its arrays once and every epoch writes
+into them: BPTT its gradients, Adam its formula's ufuncs, in place.
 """
 
 import math
@@ -56,36 +57,34 @@ def train(dataset, cfg: TrainConfig):
 
     # Adam, SGD and the clamp are elementwise, so they run once per epoch on
     # one flat vector theta = [grid, w_out, b_out], which the kernel reads
-    # through views; its gradients are joined in the same layout.
+    # through views; BPTT writes its gradients in the same layout, to work.grad.
     theta = np.concatenate([params.grid.ravel(), out.w_out, [out.b_out]])
     n = params.grid.size
     grid, w_out, b_out = theta[:n].reshape(params.grid.shape), theta[n:-1], theta[-1:].reshape(())
-    m_state, v_state = np.zeros(theta.shape), np.zeros(theta.shape)
+    work = kernels.Workspace(grid.shape, X.shape)
+    grad, m_state, v_state, tmp, step = work.grad, *np.zeros((4, theta.size))
 
     loss_history = []
     # a diverging run overflows on its way to the non-finite loss reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            if cfg.shuffle:
-                perm = rng.permutation(len(y))
-                Xe, ye = X[perm], y[perm]
-            else:
-                Xe, ye = X, y
-            loss, d_grid, d_w_out, d_b_out = kernels.batch_loss_and_grads(grid, w_out, b_out, Xe, ye)
+            batch = rng.permutation(len(y)) if cfg.shuffle else slice(None)
+            loss = kernels.batch_loss_and_grads(grid, w_out, b_out, X[batch], y[batch], work)[0]
             if not math.isfinite(loss):
                 raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
             loss_history.append(loss)
-            grad = np.concatenate([d_grid.ravel(), d_w_out, [d_b_out]])
 
             if cfg.optimizer == "adam":
-                t = epoch + 1
-                bc1 = 1.0 - cfg.beta1**t
-                bc2 = 1.0 - cfg.beta2**t
-                m_state = cfg.beta1 * m_state + (1.0 - cfg.beta1) * grad
-                v_state = cfg.beta2 * v_state + (1.0 - cfg.beta2) * (grad * grad)
-                step = cfg.learning_rate * (m_state / bc1) / (np.sqrt(v_state / bc2) + cfg.eps)
+                bc1, bc2 = 1.0 - cfg.beta1 ** (epoch + 1), 1.0 - cfg.beta2 ** (epoch + 1)
+                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, step = lr (m / bc1) / (sqrt(v / bc2) + eps)
+                m_state *= cfg.beta1
+                m_state += np.multiply(grad, 1.0 - cfg.beta1, out=tmp)
+                v_state *= cfg.beta2
+                v_state += np.multiply(np.multiply(grad, grad, out=tmp), 1.0 - cfg.beta2, out=tmp)
+                np.multiply(np.divide(m_state, bc1, out=step), cfg.learning_rate, out=step)
+                step /= np.add(np.sqrt(np.divide(v_state, bc2, out=tmp), out=tmp), cfg.eps, out=tmp)
             else:
-                step = cfg.learning_rate * grad
+                np.multiply(grad, cfg.learning_rate, out=step)
             theta -= step
             # np.clip as its two ufuncs: its Python wrapper costs more than both
             np.minimum(np.maximum(theta, cfg.clamp_low, out=theta), cfg.clamp_high, out=theta)

@@ -249,10 +249,16 @@ def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
      "the trained model's train RMSEs are not finite: the numbers overflow float64"),
     (["evaluate", "--weights", str(TEST_DATA / WEIGHTS_FILE), "--level-variation", "1e308"],
      f"{TEST_DATA / WEIGHTS_FILE}: crossbar predictions or RMSEs are not finite: the numbers overflow float64"),
-], ids=["diverging-loss", "train-overflow", "level-variation-overflow"])
+    (["train", "--dataset", "wide.csv"], "wide.csv: values from -1e+308 to 1e+308 span more than float64 holds"),
+    (["evaluate", "--dataset", "wide.csv", "--weights", str(TEST_DATA / WEIGHTS_FILE)],
+     "wide.csv: values from -1e+308 to 1e+308 span more than float64 holds"),
+], ids=["diverging-loss", "train-overflow", "level-variation-overflow", "train-wide-dataset",
+        "evaluate-wide-dataset"])
 def test_diverging_train_prints_only_its_error(tmp_path, argv, error):
     """A run whose loss or results overflow stops with the one error line:
-    no numpy warning on the way there, and no out-dir written."""
+    no numpy warning on the way there, and no out-dir written. wide.csv
+    spans a range float64 cannot hold, so normalizing it would overflow."""
+    (tmp_path / "wide.csv").write_text('"Month","Passengers"\n"1949-01",1e308\n"1949-02",-1e308\n"1949-03",5\n')
     out = tmp_path / "r"
     # a fresh process, so stderr is exactly what the command prints
     result = subprocess.run([sys.executable, "-m", "xbarlstm.cli", *argv, "--out-dir", str(out)],

@@ -488,17 +488,16 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
 
 
 def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
-    """A sweep allocates its chunk arrays once: every full chunk after the
-    first unrolls on views of the same varied-grid and gain arrays and
-    writes into the result arrays the first chunk returned; only the short
-    last chunk allocates its own results."""
+    """A sweep allocates its chunk arrays once: every full chunk unrolls on
+    views of the same varied-grid and gain arrays and into the one
+    workspace the sweep made; only the short last chunk allocates its own
+    results."""
     calls = []
     unroll = kernels.crossbar_unroll
 
-    def recorder(grid, X, gain=None, out=None):
-        result = unroll(grid, X, gain, out=out)
-        calls.append((grid, gain, out, result))
-        return result
+    def recorder(grid, X, gain=None, work=None):
+        calls.append((grid, gain, work))
+        return unroll(grid, X, gain, work=work)
 
     monkeypatch.setattr(kernels, "crossbar_unroll", recorder)
     rng = np.random.default_rng(7)
@@ -507,10 +506,10 @@ def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
     monte_carlo(program, OutputLayer(rng.uniform(-1, 1, 4), 0.1), windows, SWEEP_SEEDS)
     assert len(SWEEP_SEEDS) % MC_CHUNK != 0
     assert len(calls) == -(-len(SWEEP_SEEDS) // MC_CHUNK)
-    (grid0, gain0, out0, made), *full, (_, _, tail_out, _) = calls
-    assert out0 is None and tail_out is None
-    for grid, gain, out, _ in full:
-        assert out is made
+    (grid0, gain0, work0), *full, (_, _, tail_work) = calls
+    assert isinstance(work0, kernels.Workspace) and tail_work is None
+    for grid, gain, work in full:
+        assert work is work0
         assert np.shares_memory(grid, grid0) and np.shares_memory(gain, gain0)
 
 
@@ -609,7 +608,7 @@ class TestProgramFile:
         (lambda lines: [ln for ln in lines if not ln.startswith("n_clamped")], "header"),
         (lambda lines: [ln for ln in lines if not ln.startswith("levels_siemens")], "header"),
         (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "header"),
-        (lambda lines: lines[:-1] + [lines[-1] + " 0"], "column lines"),
+        (lambda lines: lines[:-1] + [lines[-1] + " 0"], "expected 32 column lines of 6 level indices each"),
         (_set_header("seed", "1.5"), "seed is not an integer: '1.5'"),
         (_set_header("n_hidden", "four"), "n_hidden is not an integer: 'four'"),
         (_set_header("read_noise_sigma", "x"), "read_noise_sigma is not numeric: 'x'"),
@@ -618,16 +617,18 @@ class TestProgramFile:
         (_set_header("levels_siemens", "x"), "levels_siemens is not numeric: 'x'"),
         (_set_header("levels_siemens", "1.5"), "level table does not match"),
         (_set_header("n_clamped", "-1"), r"n_clamped must be in \[0, 96\]"),
+        (_set_header("n_clamped", "97"), r"n_clamped must be in \[0, 96\], got 97"),
         (_set_header("seed", str(2**128)), rf"seed must be < 2\*\*128, got {2**128}"),
         (lambda lines: lines[:-1] + ["99999999999999999999 " + lines[-1].split(" ", 1)[1]], "level index"),
         (lambda lines: lines[:-1] + ["x " + lines[-1].split(" ", 1)[1]], "level index"),
+        (lambda lines: lines[:-1] + ["16 " + lines[-1].split(" ", 1)[1]], "level index out of range$"),
         (_set_header("n_inputs", "0"), "n_inputs must be >= 1, got 0"),
         (_set_header("n_hidden", "0"), "n_hidden must be >= 1, got 0"),
         (_set_header("rows", "7"), "header dimensions are inconsistent"),
     ], ids=["no-n_clamped", "no-levels_siemens", "swapped-header", "ragged-column", "fractional-seed",
             "word-n_hidden", "word-sigma", "overflowing-sigma", "unknown-spacing", "word-levels", "short-levels",
-            "negative-n_clamped", "huge-seed", "overflowing-level", "word-level", "zero-n_inputs", "zero-n_hidden",
-            "rows-off-by-one"])
+            "negative-n_clamped", "n_clamped-97", "huge-seed", "overflowing-level", "word-level", "level-16",
+            "zero-n_inputs", "zero-n_hidden", "rows-off-by-one"])
     def test_rejects_malformed(self, tmp_path, mutate, match):
         path = tmp_path / "bad.txt"
         write_program(program_crossbar(random_params(45), CrossbarConfig(level_variation_sigma=0.02)), path)
@@ -646,3 +647,15 @@ class TestProgramFile:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValueError, match="out of range"):
             read_program(path)
+
+    def test_values_at_their_upper_bounds_load(self, tmp_path):
+        """15, the last level of the table, is a valid index, and every one
+        of the 6 x 16 weights may have been clamped; 16 and 97 are among the
+        malformed inputs above."""
+        path = tmp_path / "prog.txt"
+        write_program(program_crossbar(random_params(44), CrossbarConfig()), path)
+        text = _set_header("n_clamped", "96")(path.read_text().splitlines())
+        text[-1] = " ".join(["15"] + text[-1].split()[1:])  # row 0 of the last minus column
+        path.write_text("\n".join(text) + "\n")
+        program = read_program(path)
+        assert program.level_minus[0, -1] == 15 and program.n_clamped == 96

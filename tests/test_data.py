@@ -128,10 +128,9 @@ class TestMakeWindows:
         w = make_windows(TimeSeries(v), look_back)
         assert len(w) == 37 - look_back
         for k in range(len(w)):
-            window, target = w[k]
             for j in range(look_back):
-                assert window[j] == v[k + j]
-            assert target == v[k + look_back]
+                assert w.x[k][j] == v[k + j]
+            assert w.y[k] == v[k + look_back]
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
@@ -170,8 +169,9 @@ class TestSplit:
         w = make_windows(TimeSeries(np.array([1.0, 2.0, 3.0])), 1)
         with pytest.raises(ValueError, match="empty"):
             split(0.01, w)
-        with pytest.raises(ValueError):
-            split(1.5, w)
+        for frac in (0.0, 1.0, 1.5):  # the open interval's own ends are out of it
+            with pytest.raises(ValueError, match=rf"train_fraction must be in \(0, 1\), got {frac}"):
+                split(frac, w)
 
     def test_conservation_random_lengths(self):
         rng = np.random.default_rng(7)

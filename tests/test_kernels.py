@@ -132,22 +132,51 @@ def test_unit_gain_equals_no_gain():
 
 @pytest.mark.parametrize("T", [1, 3])
 def test_out_arrays_are_written_and_returned(T):
-    """With out given, the unroll writes its results into those arrays and
-    returns that very tuple, equal bit for bit to a call that allocates.
-    The arrays start NaN-filled, and a second call into them, on other
-    stacked devices, equals its own fresh call, so nothing carries over
-    between calls; at look-back 1 the unroll writes no h into its drive."""
+    """With a workspace given, the unroll writes its results into the
+    workspace's out arrays and returns that very tuple, equal bit for bit
+    to a call that allocates. The result arrays and the drive's input
+    columns start NaN-filled, and a second call into them, on other stacked
+    devices, equals its own fresh call, so nothing carries over between
+    calls: at look-back 3 the drive's h columns, which the first call
+    left holding its h, start the second call at zero."""
     rng = np.random.default_rng(302)
     S, R, M, B = 2, 6, 4, 3
     X = rng.uniform(-1, 1, (B, T, 1))
-    bufs = tuple(np.full((T, *gates, S, B, M), np.nan) for gates in ((), (4,), (4,), ()))
+    work = kernels.Workspace((R, 4 * M), X.shape, (S,))
+    for a in (*work.out, work.V[..., :1]):
+        a.fill(np.nan)
     for _ in range(2):
         grid = rng.uniform(-1, 1, (S, R, 4 * M))
         gain = gate_first(1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M)))
-        got = kernels.crossbar_unroll(grid, X, gain, out=bufs)
-        assert got is bufs
+        got = kernels.crossbar_unroll(grid, X, gain, work=work)
+        assert got is work.out
         for a, b in zip(got, kernels.crossbar_unroll(grid, X, gain)):
             assert np.array_equal(a, b)
+
+
+def test_one_workspace_serves_every_call_on_its_shapes():
+    """One workspace reused at look-back 3 across BPTT calls on other
+    windows, a permuted batch and another grid, and across a forward alone
+    between them, which leaves its last h in the drive: every call equals a
+    fresh call without a workspace bit for bit, and BPTT's gradients are
+    views of the workspace's one flat gradient [grid, w_out, b_out]."""
+    rng = np.random.default_rng(303)
+    W, U, b, w_out, b_out, X, y = random_case(303, B=5, T=3, N=1, M=4)
+    grid = grid_from_gates(W, U, b)
+    X2, y2 = rng.uniform(-1, 1, X.shape), rng.uniform(0, 1, len(y))
+    perm = rng.permutation(len(y))
+    work = kernels.Workspace(grid.shape, X.shape)
+    for g, Xb, yb, forward_first in ((grid, X, y, False), (grid, X2, y2, True), (grid, X2[perm], y2[perm], False),
+                                     (0.5 * grid, X, y, True)):
+        if forward_first:
+            for a, c in zip(kernels.crossbar_unroll(g, X2, work=work), kernels.crossbar_unroll(g, X2)):
+                assert np.array_equal(a, c)
+        loss, d_grid, d_w_out, d_b_out = kernels.batch_loss_and_grads(g, w_out, b_out, Xb, yb, work)
+        want = kernels.batch_loss_and_grads(g, w_out, b_out, Xb, yb)
+        assert loss == want[0] and d_b_out == want[3]
+        assert np.array_equal(d_grid, want[1]) and np.array_equal(d_w_out, want[2])
+        assert np.array_equal(work.grad, np.concatenate([want[1].ravel(), want[2], [want[3]]]))
+        assert np.shares_memory(d_grid, work.grad) and np.shares_memory(d_w_out, work.grad)
 
 
 def test_predictions_match_scalar_oracle():

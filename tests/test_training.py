@@ -117,11 +117,16 @@ class TestFiniteDifferenceCheck:
 
 class TestTrain:
     def test_deterministic(self):
+        """A second training in the same process, after another one in
+        between, ends on the same bytes: each allocates its own workspace."""
         data = airline_train_split()
         cfg = TrainConfig(epochs=5, seed=11)
-        _, _, hist_a = train(data, cfg)
-        _, _, hist_b = train(data, cfg)
+        params_a, out_a, hist_a = train(data, cfg)
+        train(data, TrainConfig(epochs=3, seed=5, shuffle=True))
+        params_b, out_b, hist_b = train(data, cfg)
         assert hist_a == hist_b
+        assert params_a.grid.tobytes() == params_b.grid.tobytes() and out_a.w_out.tobytes() == out_b.w_out.tobytes()
+        assert out_a.b_out == out_b.b_out
 
     def test_loss_decreases_on_airline(self):
         data = airline_train_split()
