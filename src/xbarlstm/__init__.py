@@ -15,7 +15,7 @@ _EXPORTS = {
     "CrossbarProgram": "crossbar", "crossbar_window_predictions": "crossbar", "level_conductances": "crossbar",
     "monte_carlo": "crossbar", "program_crossbar": "crossbar", "quantize_output_layer": "crossbar",
     "read_program": "crossbar", "reconstruct_weights": "crossbar", "seed_sequence_words": "crossbar",
-    "write_program": "crossbar",
+    "sweep": "crossbar", "write_program": "crossbar",
     "Normalizer": "data", "TimeSeries": "data", "WindowedSeries": "data", "denormalize": "data",
     "fit_normalizer": "data", "load_series": "data", "make_windows": "data", "normalize": "data", "rmse": "data",
     "split": "data",

@@ -53,10 +53,6 @@ PREDICTIONS_FILE = "predictions.csv"
 PLOT_PREDICTIONS_FILE = "plot_predictions.csv"
 PLOT_LOSS_FILE = "plot_loss.csv"
 PREDICTIONS_HEADER = "time_index,actual,prediction_float,prediction_quantized"
-# Seeds per monte_carlo call in an evaluate sweep; a block's predictions are
-# reduced to per-seed RMSE before the next, so no [seeds, windows] array of a
-# whole sweep is held.
-SWEEP_BLOCK = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,12 +295,6 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     return _finish(out_dir, files, _report_lines(pairs, cfg.report), _clamp_warnings(program.n_clamped, n_out_clamped))
 
 
-def _noise_seed_list(base_seed: int, count: int):
-    """SeedSequence(base_seed).generate_state(count, uint64), without numpy.random."""
-    _load_numeric()
-    return seed_sequence_words([base_seed], 2 * count)[0].astype("<u4").view("<u8").tolist()
-
-
 def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     """Float vs crossbar path on both splits. The device comes from the
     program file when one is given, header spacing, sigmas and seed
@@ -335,12 +325,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
         float_preds = batch_predictions(params, out, windows)
         xbar_preds = crossbar_window_predictions(program, xbar_out, windows)
         float_rmse, xbar_rmse = split_rmse(float_preds), split_rmse(xbar_preds)
-        seeds = _noise_seed_list(device.seed, cfg.noise_seeds) if cfg.noise_seeds > 1 else []
-        noisy = {name: np.empty(len(seeds)) for name in splits}
-        for start in range(0, len(seeds), SWEEP_BLOCK):
-            block = monte_carlo(program, xbar_out, windows, seeds[start : start + SWEEP_BLOCK])
-            for name, sl in splits.items():
-                noisy[name][start : start + len(block)] = rmse(block[:, sl], windows.y[sl], denorm=norm)
+        noisy = sweep(program, xbar_out, windows, cfg.noise_seeds, splits, norm) if cfg.noise_seeds > 1 else {}
     _require_finite("float predictions or RMSEs", [float_preds, *float_rmse.values()], weights_path)
     _require_finite("crossbar predictions or RMSEs", [xbar_preds, *xbar_rmse.values(), *noisy.values()],
                     program_path or weights_path)
@@ -364,12 +349,11 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
             (f"{name} delta passengers", f"{qp - fp:+.4f}"),
         ]
 
-    if seeds:
-        for name, arr in noisy.items():
-            pairs.append((
-                f"{name} noisy RMSE passengers over {cfg.noise_seeds} seeds",
-                f"{arr.mean():.4f} +/- {arr.std():.4f}",
-            ))
+    for name, arr in noisy.items():
+        pairs.append((
+            f"{name} noisy RMSE passengers over {cfg.noise_seeds} seeds",
+            f"{arr.mean():.4f} +/- {arr.std():.4f}",
+        ))
 
     # full-precision prediction dump over the whole series, for plot-data;
     # the first look_back points have no prediction

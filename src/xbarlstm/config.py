@@ -55,7 +55,7 @@ class CrossbarConfig:
 
 def _check_seed(seed: int) -> None:
     """A device seed is an integer that fits the four 32-bit entropy words
-    of crossbar._pcg64_states."""
+    of crossbar.seed_sequence_words."""
     value = operator.index(seed)
     if value < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -24,16 +24,17 @@ Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
 multiplicative Gaussian current noise per column read (read_noise_sigma).
 A CrossbarProgram is what the program file holds, the level map and its
-device config (spacing, sigmas, seed); monte_carlo is the one place a
-device is drawn from a seed and run, a chunk of devices stacked on the
-kernel's device axis at a time. Its chunk-sized arrays (the draws, the
-varied grid, the read gains and the unroll's results) are allocated once
-per call and every chunk is written into them in place, so a sweep does
-not map and fault in fresh ~146 KB arrays per chunk. The varied grid is
-one expression of the level-variation draws, which it leaves intact. A
-device seed s in [0, 2**128) draws from the two streams of
-SeedSequence(s).spawn(2), whose PCG64 states are derived for all seeds of
-a call at once. crossbar_window_predictions is its one-seed case.
+device config (spacing, sigmas, seed). One chunk loop draws a device from
+a seed and runs it, a chunk of devices stacked on the kernel's device axis
+at a time: monte_carlo stacks its predictions, one row per seed, and sweep
+reduces each chunk to per-device RMSEs as it is drawn. Its chunk-sized
+arrays (the draws, the varied grid, the read gains and the unroll's
+results) are allocated once per call and written in place, so a sweep
+does not fault in fresh ~146 KB arrays per chunk. The varied grid is one
+expression of the level-variation draws, which it leaves intact. A device
+seed s in [0, 2**128) draws from the two streams of SeedSequence(s).spawn(2),
+whose seed words are derived for all seeds of a call at once.
+crossbar_window_predictions is monte_carlo's one-seed case.
 Peripheral CMOS stages (mirrors, converters, adders) are taken as ideal
 unit-gain. The output layer is not part of the program: a caller that maps
 it onto the crossbar too passes the layer from quantize_output_layer.
@@ -46,6 +47,7 @@ import numpy as np
 from . import kernels
 from .config import SPACINGS, CrossbarConfig, _check_seed, open_text  # noqa: F401  (SPACINGS re-exported)
 from .core import LstmParams, OutputLayer, grid_dims
+from .data import Normalizer, denormalize
 
 N_LEVELS = 16
 R_MIN_OHM = 200e3
@@ -210,16 +212,16 @@ def seed_sequence_words(seeds, n_words: int, key: int | None = None) -> np.ndarr
     return value ^ value >> np.uint32(16)
 
 
-def _pcg64_states(seeds, key: int) -> list:
-    """(state, inc) of PCG64(SeedSequence(s).spawn(2)[key]) for every seed s
-    in [0, 2**128), computed for all seeds in one pass.
+def _pcg64_states(words) -> list:
+    """(state, inc) of PCG64(SeedSequence(s).spawn(2)[key]) for each row of
+    one stream's seed_sequence_words(seeds, 8, key), viewed as [n, 4] uint64.
 
     spawn(2)[key] is SeedSequence(s, spawn_key=(key,)). PCG64 takes its
     generate_state(4, uint64) and runs srandom_r on it: the first two 64-bit
     words are the initial state and the last two the stream, high word first.
     """
     states = []
-    for s_hi, s_lo, i_hi, i_lo in seed_sequence_words(seeds, 8, key).astype("<u4").view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
     return states
@@ -229,7 +231,7 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     """Last-step crossbar predictions of every window on one device per seed, [S, B].
 
     This is where a device is realized. Seed s spawns two streams from
-    SeedSequence(s), their PCG64 states derived for all seeds at once. The
+    SeedSequence(s), their seed words derived for all seeds at once. The
     first draws the level variation: a multiplicative Gaussian error on
     every plus conductance, then on every minus one. The second draws the
     read noise: a multiplicative Gaussian factor per column read, in
@@ -238,6 +240,11 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     one stacked unroll, and row k equals the one-seed call on seeds[k] bit
     for bit.
     """
+    return np.concatenate([np.empty((0, len(windows))), *_device_chunks(program, out, windows, seeds)])
+
+
+def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
+    """monte_carlo's rows, MC_CHUNK at a time: each chunk a fresh [n, B] array."""
     for seed in seeds:
         _check_seed(seed)
     X = windows.inputs()
@@ -249,17 +256,16 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     pert = np.empty((size, 2, rows, cols))
     draws = np.empty((size, B, T, cols // 4, 4))
     # one reused generator per stream, re-seeded to each device's state
-    streams = [(np.random.Generator(np.random.PCG64(0)), _pcg64_states(seeds, key), buf)
-               for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
+    streams = [(np.random.Generator(np.random.PCG64(0)), seed_sequence_words(seeds, 8, key).astype("<u4").view("<u8"),
+                buf) for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
     g_sides = np.stack([g[program.level_plus], g[program.level_minus]])
     grid = np.empty((size, rows, cols)) if vary else program.grid()
     gain = np.empty((T, 4, size, B, cols // 4)) if read else None
-    preds = np.empty((len(seeds), B))
     work = kernels.Workspace((rows, cols), X.shape, (size,) if vary or read else ())  # the unroll's arrays
     for start in range(0, len(seeds), MC_CHUNK):
         n = min(MC_CHUNK, len(seeds) - start)
-        for gen, states, buf in streams:
-            for k, (state, inc) in enumerate(states[start : start + n]):
+        for gen, words, buf in streams:
+            for k, (state, inc) in enumerate(_pcg64_states(words[start : start + n])):
                 gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                            "has_uint32": 0, "uinteger": 0}
                 gen.standard_normal(out=buf[k])
@@ -273,9 +279,24 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
         # the short last chunk, if any, allocates its own
         h = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:, :, :n],
                                     work=work if n == size else None)[0]
-        np.matmul(h[-1], out.w_out, out=preds[start : start + n])
-        preds[start : start + n] += out.b_out
-    return preds
+        preds = np.matmul(h[-1], out.w_out, out=np.empty((n, B)))  # at zero sigmas, one [B] row for all n
+        preds += out.b_out
+        yield preds
+
+
+def sweep(program: CrossbarProgram, out: OutputLayer, windows, count: int, splits: dict, norm: Normalizer) -> dict:
+    """Passenger RMSE of each split, {name: slice of windows}, per device,
+    {name: [count]}, on the devices SeedSequence(program.cfg.seed)
+    .generate_state(count, uint64). Each chunk is reduced as it is drawn, with
+    data.rmse's own operations, so value k equals rmse on monte_carlo's row k."""
+    seeds = seed_sequence_words([program.cfg.seed], 2 * count)[0].astype("<u4").view("<u8").tolist()
+    target = denormalize(windows.y, norm)
+    sums = {name: np.empty(count) for name in splits}
+    for i, chunk in enumerate(_device_chunks(program, out, windows, seeds)):
+        squared = (denormalize(chunk, norm) - target) ** 2
+        for name, sl in splits.items():  # the short last chunk's slice stops at count
+            np.add.reduce(squared[:, sl], axis=1, out=sums[name][i * MC_CHUNK : (i + 1) * MC_CHUNK])
+    return {name: np.sqrt(sums[name] / len(target[sl])) for name, sl in splits.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ def load_series(path) -> TimeSeries:
             values.append(float(row[1]))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: not a number: {row[1]!r}") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{path}: line {lineno}: not a finite number: {row[1]!r}")
     if not values:
         raise ValueError(f"{path}: no data rows")
     series = TimeSeries(np.array(values))
@@ -138,19 +140,18 @@ def split(train_fraction: float, windows: WindowedSeries):
     return windows.take(0, n_train), windows.take(n_train, n)
 
 
-def rmse(predictions, targets, denorm: Normalizer | None = None):
-    """Root of the mean squared error over the last axis: a float for 1-D
-    inputs, one per row for predictions [S, B] against targets [B]. With a
-    Normalizer, both sides are mapped back to original units first."""
+def rmse(predictions, targets, denorm: Normalizer | None = None) -> float:
+    """Root of the mean squared error of two equal-length 1-D (or 0-d)
+    arrays; other shapes are a length mismatch. With a Normalizer, both
+    sides are mapped back to original units first. crossbar.sweep reduces
+    its devices with these operations, in this order."""
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.shape[-1:] != t.shape[-1:] or t.shape != p.shape[p.ndim - t.ndim:]:
+    if p.shape != t.shape or p.ndim > 1:
         raise ValueError(f"length mismatch: {p.shape} predictions vs {t.shape} targets")
     if p.size == 0:
         raise ValueError("rmse of empty sequences is undefined")
     if denorm is not None:
         p = denormalize(p, denorm)
         t = denormalize(t, denorm)
-    squared = (p - t) ** 2
-    root = np.sqrt(squared.mean(axis=-1) if squared.ndim else squared)
-    return float(root) if root.ndim == 0 else root
+    return float(np.sqrt(((p - t) ** 2).mean()))

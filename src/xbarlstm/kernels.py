@@ -1,13 +1,13 @@
 """The one unroll of the LSTM cell over a window batch, and its BPTT.
 
 Both the float path and the crossbar path run here: the float path passes
-``LstmParams.grid`` and no gain; the crossbar path, ``crossbar.monte_carlo``,
-passes the differential column currents of each device in weight units,
-the ideal ``CrossbarProgram.grid()`` or its level-varied draw, with the
-device's per-read gains 1 + noise. Callers that run them every epoch or
-chunk pass a Workspace, their arrays allocated once. The scalar loop
-versions that check these kernels live with the tests, in
-``tests/_oracles.py``.
+``LstmParams.grid`` and no gain; the crossbar path, the chunk loop behind
+``crossbar.monte_carlo`` and ``crossbar.sweep``, passes the differential
+column currents of each device in weight units, the ideal
+``CrossbarProgram.grid()`` or its level-varied draw, with the device's
+per-read gains 1 + noise. Callers that run them every epoch or chunk pass
+a Workspace, their arrays allocated once. The scalar loop versions that
+check these kernels live with the tests, in ``tests/_oracles.py``.
 
 Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and
 column g * M + m carrying gate g of hidden unit m, gate order (i, f, c, o);

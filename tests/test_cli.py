@@ -23,7 +23,6 @@ from xbarlstm.cli import (
     QUANTIZED_WEIGHTS_FILE,
     WEIGHTS_FILE,
     RunConfig,
-    _noise_seed_list,
     build_parser,
     build_run_config,
     main,
@@ -252,13 +251,19 @@ def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
     (["train", "--dataset", "wide.csv"], "wide.csv: values from -1e+308 to 1e+308 span more than float64 holds"),
     (["evaluate", "--dataset", "wide.csv", "--weights", str(TEST_DATA / WEIGHTS_FILE)],
      "wide.csv: values from -1e+308 to 1e+308 span more than float64 holds"),
+    (["train", "--dataset", "nan.csv"], "nan.csv: line 3: not a finite number: 'nan'"),
+    (["evaluate", "--dataset", "inf.csv", "--weights", str(TEST_DATA / WEIGHTS_FILE)],
+     "inf.csv: line 4: not a finite number: '-inf'"),
 ], ids=["diverging-loss", "train-overflow", "level-variation-overflow", "train-wide-dataset",
-        "evaluate-wide-dataset"])
+        "evaluate-wide-dataset", "train-nan-dataset", "evaluate-inf-dataset"])
 def test_diverging_train_prints_only_its_error(tmp_path, argv, error):
     """A run whose loss or results overflow stops with the one error line:
     no numpy warning on the way there, and no out-dir written. wide.csv
-    spans a range float64 cannot hold, so normalizing it would overflow."""
+    spans a range float64 cannot hold, so normalizing it would overflow;
+    nan.csv and inf.csv each hold a non-finite row."""
     (tmp_path / "wide.csv").write_text('"Month","Passengers"\n"1949-01",1e308\n"1949-02",-1e308\n"1949-03",5\n')
+    (tmp_path / "nan.csv").write_text('"Month","Passengers"\n"1949-01",112\n"1949-02",nan\n"1949-03",5\n')
+    (tmp_path / "inf.csv").write_text('"Month","Passengers"\n"1949-01",112\n"1949-02",118\n"1949-03",-inf\n')
     out = tmp_path / "r"
     # a fresh process, so stderr is exactly what the command prints
     result = subprocess.run([sys.executable, "-m", "xbarlstm.cli", *argv, "--out-dir", str(out)],
@@ -842,15 +847,6 @@ def test_configs_are_one_object_wherever_imported():
     assert xbarlstm.CrossbarConfig is crossbar.CrossbarConfig is cli.CrossbarConfig is config.CrossbarConfig
     assert data.BUNDLED_DATASET is cli.BUNDLED_DATASET is config.BUNDLED_DATASET
     assert crossbar.SPACINGS is config.SPACINGS
-
-
-@pytest.mark.parametrize("base", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1, 2**96 + 0xB1F5EED])
-@pytest.mark.parametrize("count", [1, 2, 7, 256, 2000])
-def test_noise_seed_list_equals_numpy_seed_sequence(base, count):
-    """The sweep's device seeds are SeedSequence(base).generate_state(count,
-    uint64), derived without numpy.random."""
-    want = [int(s) for s in np.random.SeedSequence(base).generate_state(count, np.uint64)]
-    assert _noise_seed_list(base, count) == want
 
 
 MUTANTS = ["x", "1.5", "-1", "nan", "inf", "1e400", "1e308", "", "99999999999999999999"]

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm import kernels
+from xbarlstm import crossbar, kernels
 from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     MC_CHUNK,
@@ -22,9 +22,11 @@ from xbarlstm.crossbar import (
     quantize_output_layer,
     read_program,
     reconstruct_weights,
+    seed_sequence_words,
+    sweep,
     write_program,
 )
-from xbarlstm.data import WindowedSeries
+from xbarlstm.data import Normalizer, WindowedSeries, rmse
 from xbarlstm.kernels import crossbar_unroll
 
 from _oracles import (
@@ -470,7 +472,8 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
     shorter than a chunk, one past a chunk and with a short last chunk; the
     seeds on each side of the first chunk boundary match the loop oracle.
     Four seeds stack as many devices as there are gates, so a device axis
-    paired with the gate axis would broadcast silently."""
+    paired with the gate axis would broadcast silently. A program seeded
+    2024 sweeps SWEEP_SEEDS: each split's value k is 1-D rmse on row k."""
     rng = np.random.default_rng(look_back)
     windows = WindowedSeries(rng.uniform(0, 1, (25, look_back)), rng.uniform(0, 1, 25), look_back)
     out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
@@ -485,6 +488,12 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
         assert np.array_equal(got, want[:count])
     assert len(SWEEP_SEEDS) % MC_CHUNK != 0
     assert (len(np.unique(want, axis=0)) == 1) == (level_variation == read_noise == 0)
+    norm, splits = Normalizer(104.0, 622.0), {"train": slice(0, 16), "test": slice(16, None)}
+    for count in (0, 1, MC_CHUNK + 1, len(SWEEP_SEEDS)):
+        got = sweep(replace(program, cfg=replace(cfg, seed=2024)), out, windows, count, splits, norm)
+        for name, sl in splits.items():
+            assert got[name].shape == (count,)
+            assert got[name].tolist() == [rmse(row[sl], windows.y[sl], denorm=norm) for row in want[:count]]
 
 
 def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
@@ -513,6 +522,22 @@ def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
         assert np.shares_memory(grid, grid0) and np.shares_memory(gain, gain0)
 
 
+def test_sweep_derives_each_streams_seed_words_once(monkeypatch):
+    """A sweep derives its device seeds and each stream's seed words in one
+    call each, and the streams' PCG64 states one chunk at a time."""
+    words, states = [], []
+    seed_words, pcg64_states = crossbar.seed_sequence_words, crossbar._pcg64_states
+    monkeypatch.setattr(crossbar, "seed_sequence_words",
+                        lambda seeds, n, key=None: words.append((len(seeds), n, key)) or seed_words(seeds, n, key))
+    monkeypatch.setattr(crossbar, "_pcg64_states", lambda rows: states.append(len(rows)) or pcg64_states(rows))
+    rng = np.random.default_rng(8)
+    windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
+    program = program_crossbar(random_params(50), CrossbarConfig(read_noise_sigma=0.01, level_variation_sigma=0.05))
+    sweep(program, OutputLayer(rng.uniform(-1, 1, 4), 0.1), windows, 20, {"all": slice(None)}, Normalizer(0.0, 1.0))
+    assert words == [(1, 40, None), (20, 8, 0), (20, 8, 1)]
+    assert states == [MC_CHUNK] * 4 + [20 - 2 * MC_CHUNK] * 2
+
+
 def test_monte_carlo_rejects_a_negative_seed_as_the_config_does():
     program = program_crossbar(random_params(51), CrossbarConfig(read_noise_sigma=0.01))
     windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
@@ -536,16 +561,39 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 2**96 + 3, 2**128 -
 
 @pytest.mark.parametrize("key", [0, 1])
 def test_pcg64_states_equal_numpy_seeding(key):
-    """The derived (state, inc) of every seed's stream ``key`` is what numpy
-    itself builds: PCG64(SeedSequence(s).spawn(2)[key])."""
+    """The (state, inc) derived chunk by chunk from one stream's seed words
+    of every seed is what numpy itself builds:
+    PCG64(SeedSequence(s).spawn(2)[key])."""
     rng = random.Random(key)
     seeds = EDGE_SEEDS + [rng.randrange(2**bits) for bits in (8, 32, 33, 64, 65, 96, 97, 128) for _ in range(40)]
     want = []
     for seed in seeds:
         state = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[key]).state["state"]
         want.append((state["state"], state["inc"]))
-    assert _pcg64_states(seeds, key) == want
-    assert _pcg64_states([], key) == []
+    words = seed_sequence_words(seeds, 8, key).astype("<u4").view("<u8")
+    assert words.shape == (len(seeds), 4)
+    chunks = [_pcg64_states(words[start : start + MC_CHUNK]) for start in range(0, len(seeds), MC_CHUNK)]
+    assert [state for chunk in chunks for state in chunk] == want
+    assert _pcg64_states(words[:0]) == []
+
+
+@pytest.mark.parametrize("base", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1, 2**96 + 0xB1F5EED])
+@pytest.mark.parametrize("count", [1, 2, 7, 256, 2000])
+def test_sweep_device_seeds_equal_numpy_seed_sequence(monkeypatch, base, count):
+    """The sweep's device seeds are SeedSequence(base).generate_state(count,
+    uint64) of its program's seed, derived without numpy.random."""
+    seen = []
+
+    def chunks(program, out, windows, seeds):
+        seen.append(seeds)
+        for start in range(0, len(seeds), MC_CHUNK):
+            yield np.zeros((len(seeds[start : start + MC_CHUNK]), len(windows)))
+
+    monkeypatch.setattr(crossbar, "_device_chunks", chunks)
+    program = program_crossbar(random_params(52), CrossbarConfig(seed=base))
+    windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
+    sweep(program, OutputLayer(np.ones(4), 0.0), windows, count, {"all": slice(None)}, Normalizer(0.0, 1.0))
+    assert seen == [[int(s) for s in np.random.SeedSequence(base).generate_state(count, np.uint64)]]
 
 
 def _set_header(key, value):

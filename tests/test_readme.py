@@ -20,9 +20,10 @@ def test_library_use_example_runs():
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
     assert namespace["preds"].shape == (len(namespace["test_part"]),)
     assert (namespace["preds"] != namespace["other"]).all()
-    assert (namespace["preds"] == namespace["sweep"][0]).all()  # device seed 0 is the sweep's row 0
+    assert (namespace["preds"] == namespace["rows"][0]).all()  # device seed 0 is monte_carlo's row 0
+    assert (namespace["other"] == namespace["rows"][1]).all()
     assert namespace["n_clamped"] == 0  # training keeps every weight in [-1, 1]
-    assert namespace["sweep"].shape == (200, len(namespace["test_part"]))
+    assert namespace["noisy"].shape == (200,) and len(set(namespace["noisy"].tolist())) == 200
 
 
 @pytest.mark.parametrize("command", ["train", "quantize", "evaluate", "plot-data"])

@@ -210,8 +210,9 @@ class TestTrain:
             for value in (-0.1, 1.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\)"):
                     TrainConfig(**{name: value})
-        for bounds in ({"clamp_low": -np.inf}, {"clamp_high": np.inf}, {"clamp_low": np.nan}):
-            with pytest.raises(ValueError, match="must be finite"):
+        for bounds in ({"clamp_low": -np.inf}, {"clamp_high": np.inf}, {"clamp_low": np.nan},
+                       {"clamp_low": 0.5, "clamp_high": 0.5}):
+            with pytest.raises(ValueError, match="must be finite and non-empty"):
                 TrainConfig(**bounds)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
