@@ -143,13 +143,21 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_pipeline(cfg: RunConfig):
-    """Dataset -> normalizer -> windows -> chronological split."""
+    """Dataset -> normalizer -> windows -> chronological split: series, norm, windows, train_part, {"train": slice,
+    "test": slice} of windows, the slices in order with no gap."""
     _load_numeric()
     series = load_series(cfg.dataset)
     norm = fit_normalizer(series)
     windows = make_windows(normalize(series, norm), cfg.look_back)
-    train_part, test_part = split(cfg.split, windows)
-    return series, norm, windows, train_part, test_part
+    train_part, _ = split(cfg.split, windows)
+    n_train = len(train_part)
+    return series, norm, windows, train_part, {"train": slice(0, n_train), "test": slice(n_train, None)}
+
+
+def _split_rmse(preds, windows, splits: dict, norm) -> dict:
+    """{name: (normalized, passengers)} RMSE of preds on each split's slice of windows."""
+    return {name: (rmse(preds[sl], windows.y[sl]), rmse(preds[sl], windows.y[sl], denorm=norm))
+            for name, sl in splits.items()}
 
 
 def _fmt(value: float) -> str:
@@ -202,31 +210,28 @@ def _finish(out_dir: Path, files: dict, stdout, stderr=()) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     _load_numeric()
     out_dir = Path(cfg.out_dir)
-    series, norm, windows, train_part, test_part = _load_pipeline(cfg)
+    series, norm, windows, train_part, splits = _load_pipeline(cfg)
 
     params, out, history = train(train_part, cfg)
 
-    rmse_rows = []
-    for name, part in (("train", train_part), ("test", test_part)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            preds = batch_predictions(params, out, part)
-            normalized, passengers = rmse(preds, part.y), rmse(preds, part.y, denorm=norm)
-        _require_finite(f"the trained model's {name} RMSEs", [normalized, passengers])
-        rmse_rows.append((f"{name} RMSE normalized", f"{normalized:.6f}"))
-        rmse_rows.append((f"{name} RMSE passengers", f"{passengers:.4f}"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        split_rmse = _split_rmse(batch_predictions(params, out, windows), windows, splits, norm)
 
     shapes = packed_shapes(params)
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
-        ("windows", f"{len(windows)} = {len(train_part)} train + {len(test_part)} test"),
+        ("windows", f"{len(windows)} = {len(train_part)} train + {len(windows) - len(train_part)} test"),
         ("epochs", str(cfg.epochs)),
         ("seed", str(cfg.seed)),
         ("final epoch loss", f"{history[-1]:.8f}"),
         ("weight matrices", " ".join(f"[{r},{c}]" for r, c in shapes)),
-        *rmse_rows,
-        ("weights file", str(out_dir / WEIGHTS_FILE)),
-        ("loss history file", str(out_dir / LOSS_FILE)),
     ]
+    for name, (normalized, passengers) in split_rmse.items():
+        _require_finite(f"the trained model's {name} RMSEs", [normalized, passengers])
+        pairs.append((f"{name} RMSE normalized", f"{normalized:.6f}"))
+        pairs.append((f"{name} RMSE passengers", f"{passengers:.4f}"))
+    pairs += [("weights file", str(out_dir / WEIGHTS_FILE)),
+              ("loss history file", str(out_dir / LOSS_FILE))]
     files = {
         WEIGHTS_FILE: lambda path: write_weights(params, out, path),
         LOSS_FILE: [f"{epoch + 1} {_fmt(loss)}" for epoch, loss in enumerate(history)],
@@ -313,18 +318,12 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     device = program.cfg
     xbar_out, n_out_clamped = quantize_output_layer(out, device.spacing) if cfg.quantize_output_layer else (out, 0)
 
-    series, norm, windows, train_part, test_part = _load_pipeline(cfg)
-    n_train = len(train_part)
-    splits = {"train": slice(0, n_train), "test": slice(n_train, None)}
-
-    def split_rmse(preds):
-        return {name: (rmse(preds[sl], windows.y[sl]), rmse(preds[sl], windows.y[sl], denorm=norm))
-                for name, sl in splits.items()}
+    series, norm, windows, train_part, splits = _load_pipeline(cfg)
 
     with np.errstate(over="ignore", invalid="ignore"):
         float_preds = batch_predictions(params, out, windows)
         xbar_preds = crossbar_window_predictions(program, xbar_out, windows)
-        float_rmse, xbar_rmse = split_rmse(float_preds), split_rmse(xbar_preds)
+        float_rmse, xbar_rmse = (_split_rmse(preds, windows, splits, norm) for preds in (float_preds, xbar_preds))
         noisy = sweep(program, xbar_out, windows, cfg.noise_seeds, splits, norm) if cfg.noise_seeds > 1 else {}
     _require_finite("float predictions or RMSEs", [float_preds, *float_rmse.values()], weights_path)
     _require_finite("crossbar predictions or RMSEs", [xbar_preds, *xbar_rmse.values(), *noisy.values()],
@@ -332,14 +331,13 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
 
     pairs = [
         ("dataset", f"{cfg.dataset} ({len(series)} points)"),
-        ("windows", f"{len(windows)} = {n_train} train + {len(test_part)} test"),
+        ("windows", f"{len(windows)} = {len(train_part)} train + {len(windows) - len(train_part)} test"),
         ("spacing", device.spacing),
         ("read noise sigma", _fmt(device.read_noise_sigma)),
         ("level variation sigma", _fmt(device.level_variation_sigma)),
         ("program", str(program_path) if program_path else "derived from weights"),
     ]
-    for name in ("train", "test"):
-        fn, fp = float_rmse[name]
+    for name, (fn, fp) in float_rmse.items():
         qn, qp = xbar_rmse[name]
         pairs += [
             (f"{name} float RMSE normalized", f"{fn:.6f}"),

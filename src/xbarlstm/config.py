@@ -54,8 +54,8 @@ class CrossbarConfig:
 
 
 def _check_seed(seed: int) -> None:
-    """A device seed is an integer that fits the four 32-bit entropy words
-    of crossbar.seed_sequence_words."""
+    """The one seed rule, for the training seed and each device seed: an
+    integer that fits the four 32-bit entropy words of crossbar.seed_sequence_words."""
     value = operator.index(seed)
     if value < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -90,7 +90,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not -math.inf < self.clamp_low < self.clamp_high < math.inf:
             raise ValueError(f"clamp range [{self.clamp_low}, {self.clamp_high}] must be finite and non-empty")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if self.hidden_units < 1:
             raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")

@@ -238,15 +238,15 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     (window, step, cycle, gate) order, cycle m reading the four gate columns
     of unit m. A zero sigma draws nothing. MC_CHUNK devices at a time run as
     one stacked unroll, and row k equals the one-seed call on seeds[k] bit
-    for bit.
+    for bit. It checks the caller's seeds; sweep derives its own in range.
     """
+    for seed in seeds:
+        _check_seed(seed)
     return np.concatenate([np.empty((0, len(windows))), *_device_chunks(program, out, windows, seeds)])
 
 
 def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
-    """monte_carlo's rows, MC_CHUNK at a time: each chunk a fresh [n, B] array."""
-    for seed in seeds:
-        _check_seed(seed)
+    """monte_carlo's rows, MC_CHUNK at a time: each chunk a fresh [n, B] array. It checks no seed."""
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xbarlstm import kernels
+from xbarlstm.core import LstmParams, OutputLayer
 
 
 def sigmoid_scalar(x):
@@ -60,6 +61,35 @@ def gates_from_grid(grid):
                 U[g][k][j] = grid[n + k][g * m + j]
             b[g][j] = grid[n + m][g * m + j]
     return W, U, b
+
+
+def random_params(rng, n_inputs=1, n_hidden=4, scale=1.0):
+    """LSTM weights laid out by grid_from_gates from per-gate blocks W, U, b,
+    drawn in that order uniform in [-scale, scale). rng is a seed or a
+    Generator, which the draws advance."""
+    rng = np.random.default_rng(rng)
+    return LstmParams(grid_from_gates(
+        scale * rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
+        scale * rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
+        scale * rng.uniform(-1, 1, (4, n_hidden)),
+    ))
+
+
+def random_model(rng, n_inputs=1, n_hidden=4, scale=1.0):
+    """random_params, then an output layer drawn from the same stream,
+    uniform in [-1, 1) whatever the scale: (LstmParams, OutputLayer)."""
+    rng = np.random.default_rng(rng)
+    params = random_params(rng, n_inputs, n_hidden, scale)
+    return params, OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
+
+
+def zero_params(n_inputs, n_hidden):
+    return LstmParams(np.zeros((n_inputs + n_hidden + 1, 4 * n_hidden)))
+
+
+def oracle_gates(params):
+    """The per-gate blocks of params as nested lists, read by the loop oracles."""
+    return [a.tolist() for a in gates_from_grid(params.grid)]
 
 
 def lstm_step_loops(W, U, b, x, h_prev, C_prev):

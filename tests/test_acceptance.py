@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from xbarlstm.cli import LOSS_FILE, PREDICTIONS_FILE, PROGRAM_FILE, WEIGHTS_FILE, main as cli_main
-from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     CrossbarConfig,
     crossbar_window_predictions,
@@ -36,7 +35,7 @@ from xbarlstm.data import (
 from xbarlstm.training import TrainConfig, batch_predictions, train
 from xbarlstm.weights_io import read_weights, write_weights
 
-from _oracles import finite_difference_check, gates_from_grid, grid_from_gates, sequence_predictions_loop
+from _oracles import finite_difference_check, gates_from_grid, random_model, sequence_predictions_loop
 
 EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -45,16 +44,6 @@ def report(number, ok, detail, elapsed):
     line = f"[criterion {number}] {'PASS' if ok else 'FAIL'} - {detail} ({elapsed:.2f}s)"
     print(line)
     assert ok, line
-
-
-def random_model(rng, n_hidden=4):
-    params = LstmParams(grid_from_gates(
-        rng.uniform(-1, 1, (4, 1, n_hidden)),
-        rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
-        rng.uniform(-1, 1, (4, n_hidden)),
-    ))
-    out = OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
-    return params, out
 
 
 @pytest.fixture(scope="module")

@@ -317,6 +317,7 @@ class TestEvaluateCommand:
         assert rows[0] == "time_index,actual,prediction_float,prediction_quantized"
         assert len(rows) == 1 + 144
         assert rows[1].endswith("nan,nan")  # no prediction for the first point
+        assert "noisy" not in printed  # one device seed, the default, draws no sweep
 
     def test_deterministic_outputs(self, trained, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -442,15 +443,46 @@ class TestEvaluateCommand:
         assert "do not match" in capsys.readouterr().err
 
 
+def test_load_pipeline_returns_the_windows_the_train_part_and_the_split_table():
+    """The five values every command and the benchmark's worker unpack:
+    windows third, the train part fourth, then each split's slice of the
+    windows, the slices covering them in order with no gap."""
+    series, norm, windows, train_part, splits = xbarlstm.cli._load_pipeline(RunConfig())
+    assert (len(series), len(windows), len(train_part)) == (144, 143, 95)
+    assert list(splits) == ["train", "test"]
+    covered = [k for sl in splits.values() for k in range(len(windows))[sl]]
+    assert covered == list(range(len(windows)))
+    np.testing.assert_array_equal(windows.x[splits["train"]], train_part.x)
+    np.testing.assert_array_equal(windows.y[splits["train"]], train_part.y)
+
+
+@pytest.mark.parametrize("extra", [(), ("--look-back", "3", "--split", "0.5")], ids=["default", "lb3-split0.5"])
+def test_train_reports_the_float_rmses_evaluate_reports(tmp_path, capsys, extra):
+    """For the same weights and config, train's four RMSE lines carry
+    evaluate's float RMSEs: both cut one forward over all windows by the
+    same split table."""
+    out = tmp_path / "run"
+    assert run(*train_args(out, extra=[*extra, "--report", "delimited"])) == 0
+    trained = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+    assert run("evaluate", "--out-dir", out, *extra, "--report", "delimited") == 0
+    evaluated = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+    labels = [f"{name}_RMSE_{unit}" for name in ("train", "test") for unit in ("normalized", "passengers")]
+    assert [trained[label] for label in labels] == [evaluated[label.replace("_RMSE", "_float_RMSE")] for label in labels]
+    assert trained["windows"] == evaluated["windows"]
+
+
 HEADER = "time_index,actual,prediction_float,prediction_quantized\n"
 
 
 class TestPlotDataCommand:
-    def test_outputs(self, tmp_path):
+    def test_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(*train_args(out, epochs=6, seed=0)) == 0
         assert run("evaluate", "--out-dir", out) == 0
+        capsys.readouterr()
         assert run("plot-data", "--out-dir", out) == 0
+        assert capsys.readouterr().out == (f"wrote {out / PLOT_PREDICTIONS_FILE} (144 rows)\n"
+                                           f"wrote {out / PLOT_LOSS_FILE} (6 rows)\n")
 
         pred_rows = (out / PLOT_PREDICTIONS_FILE).read_text().splitlines()
         assert pred_rows[0] == "time_index,actual,prediction_float,prediction_quantized"
@@ -614,6 +646,8 @@ BAD_KEYS = [
     ("read_noise", "-inf", "read_noise_sigma must be finite"),
     ("look_back", "0", "look_back must be >= 1"),
     ("split", "7", "split must be in (0, 1)"),
+    ("split", "0", "split must be in (0, 1)"),
+    ("split", "1", "split must be in (0, 1)"),
     ("hidden_units", "0", "hidden_units must be >= 1"),
     ("noise_seeds", "0", "noise_seeds must be >= 1"),
     ("dataset", "", "dataset must not be empty"),

@@ -11,33 +11,17 @@ from xbarlstm.training import batch_predictions
 
 from _oracles import (
     dot_loop,
-    gates_from_grid,
-    grid_from_gates,
     lstm_step_loops,
+    oracle_gates,
+    random_params,
     sequence_predictions_loop,
     sigmoid_scalar,
     sigmoid_where,
+    zero_params,
 )
 
 EDGES = [0.0, 5e-324, 1e-300, 36.7, 710.0, 745.2, math.inf]
 EDGE_VALUES = np.array(EDGES + [-x for x in EDGES] + [math.nan])
-
-
-def random_params(rng, n_inputs, n_hidden, scale=1.0):
-    return LstmParams(grid_from_gates(
-        scale * rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
-        scale * rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
-        scale * rng.uniform(-1, 1, (4, n_hidden)),
-    ))
-
-
-def zero_params(n_inputs, n_hidden):
-    return LstmParams(np.zeros((n_inputs + n_hidden + 1, 4 * n_hidden)))
-
-
-def oracle_gates(params):
-    """The per-gate blocks of params as nested lists, read by the loop oracle."""
-    return [a.tolist() for a in gates_from_grid(params.grid)]
 
 
 def cell_step(params, x, h_prev, C_prev):

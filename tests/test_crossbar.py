@@ -36,25 +36,15 @@ from _oracles import (
     grid_from_gates,
     lstm_step_loops,
     nearest_level_exhaustive,
+    oracle_gates,
+    random_params,
     sequence_predictions_loop,
+    zero_params,
 )
-
-
-def random_params(seed, n_inputs=1, n_hidden=4):
-    rng = np.random.default_rng(seed)
-    return LstmParams(grid_from_gates(
-        rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
-        rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
-        rng.uniform(-1, 1, (4, n_hidden)),
-    ))
 
 
 def zero_gates(n_inputs, n_hidden):
     return np.zeros((4, n_inputs, n_hidden)), np.zeros((4, n_hidden, n_hidden)), np.zeros((4, n_hidden))
-
-
-def zero_params(n_inputs, n_hidden):
-    return LstmParams(grid_from_gates(*zero_gates(n_inputs, n_hidden)))
 
 
 def one_window(xs):
@@ -275,11 +265,6 @@ class TestProgramCrossbar:
         out = OutputLayer(np.full(4, 0.3), 0.1)
         npt.assert_array_equal(crossbar_window_predictions(got, out, windows),
                                crossbar_window_predictions(want, out, windows))
-
-
-def oracle_gates(params):
-    """The per-gate blocks of params as nested lists, read by the loop oracle."""
-    return [a.tolist() for a in gates_from_grid(params.grid)]
 
 
 def oracle_predictions(params, out, xs):
@@ -545,6 +530,21 @@ def test_monte_carlo_rejects_a_negative_seed_as_the_config_does():
     for call in (lambda: CrossbarConfig(seed=-1), lambda: monte_carlo(program, out, windows, [3, -1])):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             call()
+
+
+def test_seeds_are_checked_where_a_caller_hands_them_in(monkeypatch):
+    """monte_carlo checks every seed its caller gives, crossbar_window_predictions
+    through it; the chunk loop checks none, so sweep's derived seeds go unchecked."""
+    checked = []
+    monkeypatch.setattr(crossbar, "_check_seed", checked.append)
+    program = program_crossbar(random_params(51), CrossbarConfig(read_noise_sigma=0.01, seed=9))
+    windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
+    out = OutputLayer(np.ones(4), 0.0)
+    monte_carlo(program, out, windows, [3, 5, 7])
+    crossbar_window_predictions(program, out, windows)
+    assert checked == [3, 5, 7, 9]
+    sweep(program, out, windows, 2 * MC_CHUNK + 1, {"all": slice(None)}, Normalizer(0.0, 1.0))
+    assert checked == [3, 5, 7, 9]
 
 
 def test_monte_carlo_rejects_a_seed_beyond_128_bits_as_the_config_does():

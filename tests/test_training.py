@@ -15,18 +15,8 @@ from _oracles import (
     grid_from_gates,
     max_rel_error,
     mse_loop,
+    random_model,
 )
-
-
-def random_model(seed, n_hidden=4, scale=0.8):
-    rng = np.random.default_rng(seed)
-    params = LstmParams(grid_from_gates(
-        scale * rng.uniform(-1, 1, (4, 1, n_hidden)),
-        scale * rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
-        scale * rng.uniform(-1, 1, (4, n_hidden)),
-    ))
-    out = OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
-    return params, out
 
 
 def random_batch(seed, n_samples=3, look_back=2):
@@ -55,7 +45,7 @@ class TestBpttGradients:
         assert abs(loss - (0.3 - 0.9) ** 2) < 1e-14
 
     def test_loss_equals_separate_forward(self):
-        params, out = random_model(1)
+        params, out = random_model(1, scale=0.8)
         batch = random_batch(1)
         loss, *_ = bptt_gradients(params, out, batch)
         preds = batch_predictions(params, out, batch)
@@ -63,7 +53,7 @@ class TestBpttGradients:
 
     @pytest.mark.parametrize("seed,look_back", [(0, 1), (1, 2), (2, 3)])
     def test_matches_central_differences(self, seed, look_back):
-        params, out = random_model(seed)
+        params, out = random_model(seed, scale=0.8)
         batch = random_batch(seed, n_samples=4, look_back=look_back)
         _, d_grid, d_w_out, d_b_out = bptt_gradients(params, out, batch)
 
@@ -93,13 +83,13 @@ class TestFiniteDifferenceCheck:
         assert all(err < 1e-6 for err in report.group_errors.values())
 
     def test_random_model_passes(self):
-        params, out = random_model(3)
+        params, out = random_model(3, scale=0.8)
         batch = random_batch(3)
         report = finite_difference_check(params, out, batch, step=1e-5, tolerance=1e-4)
         assert report.passed
 
     def test_corrupted_gradient_fails(self):
-        params, out = random_model(4)
+        params, out = random_model(4, scale=0.8)
         batch = random_batch(4)
         _, d_grid, d_w_out, d_b_out = bptt_gradients(params, out, batch)
         d_grid[0] += 0.05  # the input-weight row
@@ -110,7 +100,7 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(params, out, batch, gradients=bad[:2])
 
     def test_bad_step_rejected(self):
-        params, out = random_model(5)
+        params, out = random_model(5, scale=0.8)
         with pytest.raises(ValueError, match="step"):
             finite_difference_check(params, out, random_batch(5), step=0.0)
 
@@ -216,9 +206,12 @@ class TestTrain:
                 TrainConfig(**bounds)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match=rf"seed must be < 2\*\*128, got {2**128}"):
+            TrainConfig(seed=2**128)  # the one seed rule, config._check_seed, as the crossbar's
         with pytest.raises(ValueError, match="hidden_units must be >= 1, got 0"):
             TrainConfig(hidden_units=0)
         TrainConfig(beta1=0.0, beta2=0.0, seed=0)  # the closed ends are valid
+        TrainConfig(seed=2**128 - 1)
 
     def test_loss_trend_across_seeds(self):
         # median loss over the last 10 epochs beats the first 10 for >= 4 of 5 seeds

@@ -5,19 +5,7 @@ import pytest
 from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, named_matrices, packed_shapes, read_weights, write_weights
 
-from _oracles import gates_from_grid, grid_from_gates
-
-
-def random_model(seed, n_inputs=1, n_hidden=4):
-    """A model built from per-gate blocks by the layout oracle, and those blocks."""
-    rng = np.random.default_rng(seed)
-    gates = (
-        rng.uniform(-1, 1, (4, n_inputs, n_hidden)),
-        rng.uniform(-1, 1, (4, n_hidden, n_hidden)),
-        rng.uniform(-1, 1, (4, n_hidden)),
-    )
-    out = OutputLayer(rng.uniform(-1, 1, n_hidden), rng.uniform(-1, 1))
-    return LstmParams(grid_from_gates(*gates)), out, gates
+from _oracles import gates_from_grid, grid_from_gates, random_model
 
 
 def file_blocks(path):
@@ -53,7 +41,8 @@ def test_named_matrices_equal_the_loop_oracle(n_inputs, n_hidden):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_round_trip_byte_identical(tmp_path, seed):
-    params, out, gates = random_model(seed)
+    params, out = random_model(seed)
+    gates = gates_from_grid(params.grid)  # the drawn per-gate blocks, read back by the layout oracle
     p1, p2 = tmp_path / "w1.txt", tmp_path / "w2.txt"
     write_weights(params, out, p1)
     back_params, back_out = read_weights(p1)
@@ -66,7 +55,8 @@ def test_round_trip_byte_identical(tmp_path, seed):
 
 
 def test_round_trip_exact_values_other_dims(tmp_path):
-    params, out, (W, U, b) = random_model(9, n_inputs=3, n_hidden=6)
+    params, out = random_model(9, n_inputs=3, n_hidden=6)
+    W, U, b = gates_from_grid(params.grid)
     path = tmp_path / "w.txt"
     write_weights(params, out, path)
     back_params, back_out = read_weights(path)
@@ -84,7 +74,7 @@ def test_round_trip_exact_values_other_dims(tmp_path):
 
 
 def test_file_layout_and_packed_view(tmp_path):
-    params, out, _ = random_model(0)
+    params, out = random_model(0)
     path = tmp_path / "w.txt"
     write_weights(params, out, path)
     lines = path.read_text().splitlines()
@@ -100,7 +90,7 @@ def test_file_layout_and_packed_view(tmp_path):
 
 
 def test_byte_order_mark_is_skipped(tmp_path):
-    params, out, _ = random_model(7)
+    params, out = random_model(7)
     plain, marked = tmp_path / "w.txt", tmp_path / "bom.txt"
     write_weights(params, out, plain)
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
@@ -118,7 +108,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_wrong_order(self, tmp_path):
-        params, out, _ = random_model(1)
+        params, out = random_model(1)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -128,7 +118,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_bad_value(self, tmp_path):
-        params, out, _ = random_model(2)
+        params, out = random_model(2)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         text = path.read_text().replace("W_i 1 4\n", "W_i 1 4\nx y z w\n", 1)
@@ -139,7 +129,7 @@ class TestMalformed:
             read_weights(path)
 
     def test_inconsistent_shapes(self, tmp_path):
-        params, out, _ = random_model(3)
+        params, out = random_model(3)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -152,7 +142,7 @@ class TestMalformed:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, value):
-        params, out, _ = random_model(5)
+        params, out = random_model(5)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -172,7 +162,7 @@ class TestMalformed:
     def test_output_layer_shape(self, tmp_path, header, expected):
         """The block itself is well formed, but its shape does not fit the
         one W_i sets: a gate block's or the output layer's."""
-        params, out, _ = random_model(6)
+        params, out = random_model(6)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         lines = path.read_text().splitlines()
@@ -184,9 +174,9 @@ class TestMalformed:
             read_weights(path)
 
     def test_trailing_garbage(self, tmp_path):
-        params, out, _ = random_model(4)
+        params, out = random_model(4)
         path = tmp_path / "w.txt"
         write_weights(params, out, path)
         path.write_text(path.read_text() + "0.1 0.2\n")
-        with pytest.raises(ValueError, match="trailing"):
+        with pytest.raises(ValueError, match="w.txt: 1 unexpected trailing lines$"):
             read_weights(path)
