@@ -154,6 +154,33 @@ def _load_pipeline(cfg: RunConfig):
     return series, norm, windows, train_part, {"train": slice(0, n_train), "test": slice(n_train, None)}
 
 
+def _data_pairs(cfg: RunConfig, series, windows, splits: dict) -> list:
+    """The dataset and windows report lines, each split counted from the table."""
+    parts = " + ".join(f"{len(windows.y[sl])} {name}" for name, sl in splits.items())
+    return [("dataset", f"{cfg.dataset} ({len(series)} points)"), ("windows", f"{len(windows)} = {parts}")]
+
+
+def _load_device(cfg: RunConfig, weights_path, program_path=None):
+    """The weights and the device they run on, from the program file when one
+    is given, header spacing, sigmas and seed included, else from the weights
+    and cfg: params, out, program, the output layer the crossbar runs (out
+    quantized on the program's spacing if quantize_output_layer, else out
+    itself) and one stderr warning per stage that clamped weights to [-1, 1]."""
+    _load_numeric()
+    params, out = read_weights(weights_path)
+    if program_path is not None:
+        program = read_program(program_path)
+        if program.level_plus.shape != params.grid.shape:
+            raise ValueError(f"{program_path}: program grid {program.level_plus.shape} and weights grid "
+                             f"{params.grid.shape} do not match")
+    else:
+        program = program_crossbar(params, cfg.crossbar_config())
+    xbar_out, n_out_clamped = quantize_output_layer(out, program.cfg.spacing) if cfg.quantize_output_layer else (out, 0)
+    stages = ((program.n_clamped, ""), (n_out_clamped, "output-layer "))
+    warnings = [f"warning: {n} {stage}weight(s) outside [-1, 1] were clamped" for n, stage in stages if n]
+    return params, out, program, xbar_out, warnings
+
+
 def _split_rmse(preds, windows, splits: dict, norm) -> dict:
     """{name: (normalized, passengers)} RMSE of preds on each split's slice of windows."""
     return {name: (rmse(preds[sl], windows.y[sl]), rmse(preds[sl], windows.y[sl], denorm=norm))
@@ -208,7 +235,6 @@ def _finish(out_dir: Path, files: dict, stdout, stderr=()) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _load_numeric()
     out_dir = Path(cfg.out_dir)
     series, norm, windows, train_part, splits = _load_pipeline(cfg)
 
@@ -219,8 +245,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     shapes = packed_shapes(params)
     pairs = [
-        ("dataset", f"{cfg.dataset} ({len(series)} points)"),
-        ("windows", f"{len(windows)} = {len(train_part)} train + {len(windows) - len(train_part)} test"),
+        *_data_pairs(cfg, series, windows, splits),
         ("epochs", str(cfg.epochs)),
         ("seed", str(cfg.seed)),
         ("final epoch loss", f"{history[-1]:.8f}"),
@@ -239,12 +264,12 @@ def cmd_train(cfg: RunConfig) -> int:
     return _finish(out_dir, files, _report_lines(pairs, cfg.report))
 
 
-def _quantization_table(params: "LstmParams", quantized: "LstmParams", out: "OutputLayer", out_q: "OutputLayer | None"):
+def _quantization_table(params: "LstmParams", quantized: "LstmParams", out: "OutputLayer", out_q: "OutputLayer"):
     """Per-entry (name, row, col, original, quantized, abs_error) rows, the
     error taken against the clamped original; output layer entries are
-    included only when it is quantized too."""
-    mats, q_mats = named_matrices(params, out), named_matrices(quantized, out_q or out)
-    names = [f"{kind}_{gate}" for gate in "ifco" for kind in "WUb"] + (["w_out", "b_out"] if out_q is not None else [])
+    included only when it is quantized too, that is when out_q is not out."""
+    mats, q_mats = named_matrices(params, out), named_matrices(quantized, out_q)
+    names = [f"{kind}_{gate}" for gate in "ifco" for kind in "WUb"] + (["w_out", "b_out"] if out_q is not out else [])
     table = []
     for name in names:
         for (r, c), v in np.ndenumerate(mats[name]):
@@ -253,26 +278,15 @@ def _quantization_table(params: "LstmParams", quantized: "LstmParams", out: "Out
     return table
 
 
-def _clamp_warnings(n_weights: int, n_output: int) -> list:
-    """One plain stderr line per stage whose out-of-range weights were clamped."""
-    stages = ((n_weights, ""), (n_output, "output-layer "))
-    return [f"warning: {n} {stage}weight(s) outside [-1, 1] were clamped" for n, stage in stages if n]
-
-
 def cmd_quantize(cfg: RunConfig, weights_path) -> int:
-    _load_numeric()
     out_dir = Path(cfg.out_dir)
-    params, out = read_weights(weights_path)
-    xbar_cfg = cfg.crossbar_config()
-
-    program = program_crossbar(params, xbar_cfg)
+    params, out, program, out_q, warnings = _load_device(cfg, weights_path)
     quantized = reconstruct_weights(program)
-    out_q, n_out_clamped = quantize_output_layer(out, xbar_cfg.spacing) if cfg.quantize_output_layer else (None, 0)
 
     table = _quantization_table(params, quantized, out, out_q)
     errors = np.array([row[5] for row in table])
     header = [
-        f"spacing {xbar_cfg.spacing}",
+        f"spacing {program.cfg.spacing}",
         f"entries {len(table)}",
         f"clamped {program.n_clamped}",
         f"max_abs_error {_fmt(float(errors.max()))}",
@@ -284,7 +298,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
         for name, r, c, v, q, e in table
     ]
     pairs = [
-        ("spacing", xbar_cfg.spacing),
+        ("spacing", program.cfg.spacing),
         ("entries", str(len(table))),
         ("max abs quantization error", f"{errors.max():.6f}"),
         ("mean abs quantization error", f"{errors.mean():.6f}"),
@@ -294,31 +308,17 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
     ]
     files = {
         PROGRAM_FILE: lambda path: write_program(program, path),
-        QUANTIZED_WEIGHTS_FILE: lambda path: write_weights(quantized, out_q or out, path),
+        QUANTIZED_WEIGHTS_FILE: lambda path: write_weights(quantized, out_q, path),
         QUANTIZE_REPORT_FILE: header + body,
     }
-    return _finish(out_dir, files, _report_lines(pairs, cfg.report), _clamp_warnings(program.n_clamped, n_out_clamped))
+    return _finish(out_dir, files, _report_lines(pairs, cfg.report), warnings)
 
 
 def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
-    """Float vs crossbar path on both splits. The device comes from the
-    program file when one is given, header spacing, sigmas and seed
-    included, else from the weights and cfg; each sweep seed re-draws it
-    from the same level map."""
-    _load_numeric()
+    """Float vs crossbar path on both splits; each sweep seed re-draws _load_device's device from its level map."""
     out_dir = Path(cfg.out_dir)
-    params, out = read_weights(weights_path)
-    if program_path is not None:
-        program = read_program(program_path)
-        if program.level_plus.shape != params.grid.shape:
-            raise ValueError(f"{program_path}: program grid {program.level_plus.shape} and weights grid "
-                             f"{params.grid.shape} do not match")
-    else:
-        program = program_crossbar(params, cfg.crossbar_config())
-    device = program.cfg
-    xbar_out, n_out_clamped = quantize_output_layer(out, device.spacing) if cfg.quantize_output_layer else (out, 0)
-
-    series, norm, windows, train_part, splits = _load_pipeline(cfg)
+    params, out, program, xbar_out, warnings = _load_device(cfg, weights_path, program_path)
+    series, norm, windows, _, splits = _load_pipeline(cfg)
 
     with np.errstate(over="ignore", invalid="ignore"):
         float_preds = batch_predictions(params, out, windows)
@@ -330,11 +330,10 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
                     program_path or weights_path)
 
     pairs = [
-        ("dataset", f"{cfg.dataset} ({len(series)} points)"),
-        ("windows", f"{len(windows)} = {len(train_part)} train + {len(windows) - len(train_part)} test"),
-        ("spacing", device.spacing),
-        ("read noise sigma", _fmt(device.read_noise_sigma)),
-        ("level variation sigma", _fmt(device.level_variation_sigma)),
+        *_data_pairs(cfg, series, windows, splits),
+        ("spacing", program.cfg.spacing),
+        ("read noise sigma", _fmt(program.cfg.read_noise_sigma)),
+        ("level variation sigma", _fmt(program.cfg.level_variation_sigma)),
         ("program", str(program_path) if program_path else "derived from weights"),
     ]
     for name, (fn, fp) in float_rmse.items():
@@ -362,7 +361,7 @@ def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
 
     lines = _report_lines(pairs, cfg.report)
     files = {EVAL_REPORT_FILE: lines, PREDICTIONS_FILE: rows}
-    return _finish(out_dir, files, lines, _clamp_warnings(program.n_clamped, n_out_clamped))
+    return _finish(out_dir, files, lines, warnings)
 
 
 def _checked_lines(path: Path, header, expected: str, valid) -> list:

@@ -291,6 +291,8 @@ def sweep(program: CrossbarProgram, out: OutputLayer, windows, count: int, split
     data.rmse's own operations, so value k equals rmse on monte_carlo's row k."""
     seeds = seed_sequence_words([program.cfg.seed], 2 * count)[0].astype("<u4").view("<u8").tolist()
     target = denormalize(windows.y, norm)
+    if not all(len(target[sl]) for sl in splits.values()):
+        raise ValueError("rmse of empty sequences is undefined")
     sums = {name: np.empty(count) for name in splits}
     for i, chunk in enumerate(_device_chunks(program, out, windows, seeds)):
         squared = (denormalize(chunk, norm) - target) ** 2

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from xbarlstm.cli import LOSS_FILE, PREDICTIONS_FILE, PROGRAM_FILE, WEIGHTS_FILE, main as cli_main
+from xbarlstm.cli import main as cli_main
 from xbarlstm.crossbar import (
     CrossbarConfig,
     crossbar_window_predictions,

@@ -460,7 +460,7 @@ def test_load_pipeline_returns_the_windows_the_train_part_and_the_split_table():
 def test_train_reports_the_float_rmses_evaluate_reports(tmp_path, capsys, extra):
     """For the same weights and config, train's four RMSE lines carry
     evaluate's float RMSEs: both cut one forward over all windows by the
-    same split table."""
+    same split table, which also counts both reports' windows line."""
     out = tmp_path / "run"
     assert run(*train_args(out, extra=[*extra, "--report", "delimited"])) == 0
     trained = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
@@ -468,7 +468,7 @@ def test_train_reports_the_float_rmses_evaluate_reports(tmp_path, capsys, extra)
     evaluated = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
     labels = [f"{name}_RMSE_{unit}" for name in ("train", "test") for unit in ("normalized", "passengers")]
     assert [trained[label] for label in labels] == [evaluated[label.replace("_RMSE", "_float_RMSE")] for label in labels]
-    assert trained["windows"] == evaluated["windows"]
+    assert [trained["dataset"], trained["windows"]] == [evaluated["dataset"], evaluated["windows"]]
 
 
 HEADER = "time_index,actual,prediction_float,prediction_quantized\n"

@@ -458,7 +458,8 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
     seeds on each side of the first chunk boundary match the loop oracle.
     Four seeds stack as many devices as there are gates, so a device axis
     paired with the gate axis would broadcast silently. A program seeded
-    2024 sweeps SWEEP_SEEDS: each split's value k is 1-D rmse on row k."""
+    2024 sweeps SWEEP_SEEDS: each split's value k is 1-D rmse on row k, and
+    an empty split is refused as rmse refuses it."""
     rng = np.random.default_rng(look_back)
     windows = WindowedSeries(rng.uniform(0, 1, (25, look_back)), rng.uniform(0, 1, 25), look_back)
     out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
@@ -479,6 +480,8 @@ def test_monte_carlo_rows_equal_per_device_forwards(spacing, look_back, level_va
         for name, sl in splits.items():
             assert got[name].shape == (count,)
             assert got[name].tolist() == [rmse(row[sl], windows.y[sl], denorm=norm) for row in want[:count]]
+    with pytest.raises(ValueError, match="^rmse of empty sequences is undefined$"):
+        sweep(program, out, windows, 1, {**splits, "x": slice(200, None)}, norm)
 
 
 def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
