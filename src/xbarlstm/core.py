@@ -54,24 +54,26 @@ class OutputLayer:
             raise ValueError(f"w_out must be a vector, got shape {self.w_out.shape}")
 
 
-def sigmoid(x, out=None):
+def sigmoid(x, out=None, scratch=None):
     """Logistic function, saturates gracefully for large |x|: exp only ever
     sees -|x|, so it never overflows. With out given the result is written
-    there, numpy-style; a scalar x gives a float."""
+    there, numpy-style; a scalar x gives a float. scratch, a float and a
+    bool array of x's shape, holds the intermediates instead of new ones."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.empty_like(x)
-    np.copysign(x, -1.0, out=e)  # -|x|
+    e, mask = scratch or (np.empty_like(x), np.empty(x.shape, bool))
+    np.negative(np.abs(x, out=e), out=e)  # -|x|
     np.exp(e, out=e)
     if out is None:
         out = np.empty_like(x)
     np.add(e, 1.0, out=out)
     # e where x < 0, else 1 (e <= 1 there); NaN stays NaN
-    np.maximum(e, x >= 0, out=e)
+    np.greater_equal(x, 0, out=mask)
+    np.maximum(e, mask, out=e)
     np.divide(e, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None):
+def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None, scratch=None):
     """The LSTM cell equations, the only place they are written.
 
     a holds gate pre-activations gate-first, [4, *S] in gate order
@@ -84,7 +86,7 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None):
     Returns (acts, C_t, h_t) with acts the post-activation gates in a's
     layout and C_t, h_t shaped [*S]. out, numpy-style, is an (acts, C_t,
     h_t) tuple of arrays to write them into; C_t may be C_prev itself.
-    Without out they are allocated.
+    Without out they are allocated; with out and sigmoid's scratch, nothing is.
     """
     if out is None:
         state = np.broadcast_shapes(a.shape[1:], C_prev.shape)
@@ -92,7 +94,7 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None):
     acts, C_t, h_t = out
     # one sigmoid over all four blocks, c's included and then overwritten:
     # at train's sizes that is cheaper than skipping the c block
-    sigmoid(a, out=acts)
+    sigmoid(a, out=acts, scratch=scratch)
     i, f, c_tilde, o = acts
     np.tanh(a[2], out=c_tilde)
     np.multiply(i, c_tilde, out=h_t)  # h_t holds i * c_tilde until C_t is done

@@ -28,10 +28,11 @@ device config (spacing, sigmas, seed). One chunk loop draws a device from
 a seed and runs it, a chunk of devices stacked on the kernel's device axis
 at a time: monte_carlo stacks its predictions, one row per seed, and sweep
 reduces each chunk to per-device RMSEs as it is drawn. Its chunk-sized
-arrays (the draws, the varied grid, the read gains and the unroll's
-results) are allocated once per call and written in place, so a sweep
-does not fault in fresh ~146 KB arrays per chunk. The varied grid is one
-expression of the level-variation draws, which it leaves intact. A device
+arrays (the draws, the varied grid and the unroll's workspace) are
+allocated once per call and written in place, so a sweep does not fault
+in fresh ~293 KB arrays per chunk. The varied grid is one expression of
+the level-variation draws, which it leaves intact; the read-noise draws
+become the read gains 1 + sigma * z in their own buffer. A device
 seed s in [0, 2**128) draws from the two streams of SeedSequence(s).spawn(2),
 whose seed words are derived for all seeds of a call at once.
 crossbar_window_predictions is monte_carlo's one-seed case.
@@ -53,12 +54,11 @@ N_LEVELS = 16
 R_MIN_OHM = 200e3
 R_MAX_OHM = 2000e3
 
-# Devices per stacked unroll in monte_carlo. Eight keeps each per-step array
-# of a 143-window, 4-unit sweep ([4, 8, 143, 4], ~146 KB) in cache; chunks of
-# 256 ran slower and took ~50 MB more memory. With the chunk arrays reused,
-# chunks of 16 and 32 were measured too: no faster, and 1-3 MB more memory,
-# as the cell's own temporaries at that size are mapped afresh per step.
-MC_CHUNK = 8
+# Devices per stacked unroll in monte_carlo. Sixteen halves the numpy calls
+# per device against eight while each per-step array of a 143-window, 4-unit
+# sweep ([4, 16, 143, 4], ~293 KB) stays in cache, as the cell allocates
+# nothing per step; chunks of 256 ran slower and took ~50 MB more memory.
+MC_CHUNK = 16
 
 
 def level_conductances(spacing: str) -> np.ndarray:
@@ -260,7 +260,6 @@ def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
                 buf) for key, on, buf in ((0, vary, pert), (1, read, draws)) if on]
     g_sides = np.stack([g[program.level_plus], g[program.level_minus]])
     grid = np.empty((size, rows, cols)) if vary else program.grid()
-    gain = np.empty((T, 4, size, B, cols // 4)) if read else None
     work = kernels.Workspace((rows, cols), X.shape, (size,) if vary or read else ())  # the unroll's arrays
     for start in range(0, len(seeds), MC_CHUNK):
         n = min(MC_CHUNK, len(seeds) - start)
@@ -272,12 +271,12 @@ def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
         if vary:  # max(G * (1 + sigma * z), 0) per side, then (plus - minus) * k
             sides = np.maximum(g_sides * (1.0 + cfg.level_variation_sigma * pert[:n]), 0.0)
             np.multiply(sides[:, 0] - sides[:, 1], _k_scale(g), out=grid[:n])
-        if read:
-            # [n, B, T, M, 4] draws laid out gate-first like the unroll's reads, [T, 4, n, B, M]
-            np.multiply(draws[:n].transpose(2, 4, 0, 1, 3), cfg.read_noise_sigma, out=gain[:, :, :n])
-            gain[:, :, :n] += 1.0
-        # the short last chunk, if any, allocates its own
-        h = kernels.crossbar_unroll(grid[:n] if vary else grid, X, None if gain is None else gain[:, :, :n],
+        if read:  # the draws become the gains 1 + sigma * z in place
+            draws[:n] *= cfg.read_noise_sigma
+            draws[:n] += 1.0
+        # [n, B, T, M, 4] gains read gate-first like the unroll's reads, [T, 4, n, B, M];
+        # the short last chunk, if any, allocates its own results
+        h = kernels.crossbar_unroll(grid[:n] if vary else grid, X, draws[:n].transpose(2, 4, 0, 1, 3) if read else None,
                                     work=work if n == size else None)[0]
         preds = np.matmul(h[-1], out.w_out, out=np.empty((n, B)))  # at zero sigmas, one [B] row for all n
         preds += out.b_out

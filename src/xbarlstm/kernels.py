@@ -12,9 +12,9 @@ check these kernels live with the tests, in ``tests/_oracles.py``.
 Array conventions: weight grid [N + M + 1, 4M] with rows [x; h; bias] and
 column g * M + m carrying gate g of hidden unit m, gate order (i, f, c, o);
 window batches X [B, T, N]; results laid out [T, B, M], and column reads,
-gates and read gains gate-first, [T, 4, B, M], each gate one contiguous
-block. The forward also takes a stack of devices on leading axes of the
-grid and the gain, and then lays its results out [T, (4,) ..., B, M].
+gates and read gains gate-first, [T, 4, B, M], the reads and gates one
+contiguous block per gate. The forward also takes a stack of devices on
+leading axes of the grid and the gain: results [T, (4,) ..., B, M].
 """
 
 import numpy as np
@@ -25,16 +25,18 @@ from .core import lstm_cell
 class Workspace:
     """The arrays an unroll and its BPTT write, allocated once for one grid
     shape, window shape [B, T, N] and device stack lead: out = (h, reads,
-    acts, C), the row drive V [..., B, R], BPTT's da [4, B, M] and grad,
-    flat in train's theta layout [grid, w_out, b_out], viewed as d_grid and
-    d_w_out. Calls rewrite all they read but V's bias column (1) and, at
-    look-back 1, its h columns (0); an unroll leaves V driving its last step."""
+    acts, C), a step's sigmoid scratch, the drive V [..., B, R], BPTT's da
+    [4, B, M] and grad, flat in theta's layout [grid, w_out, b_out], viewed
+    as d_grid and d_w_out. Calls rewrite all they read but V's bias column
+    (1) and, at look-back 1, its h columns (0); an unroll leaves V driving
+    its last step."""
 
     def __init__(self, grid_shape, X_shape, lead=()):
         (B, T, _), (R, C4) = X_shape, grid_shape[-2:]
         M = C4 // 4
         state, gates = (T, *lead, B, M), (T, 4, *lead, B, M)
         self.out = np.empty(state), np.empty(gates), np.empty(gates), np.empty(state)
+        self.scratch = np.empty(gates[1:]), np.empty(gates[1:], bool)
         self.V, self.da, self.grad = np.zeros((*lead, B, R)), np.empty((4, B, M)), np.empty(R * C4 + M + 1)
         self.V[..., -1] = 1.0
         self.d_grid, self.d_w_out = self.grad[: R * C4].reshape(R, C4), self.grad[R * C4 : -1]
@@ -78,7 +80,7 @@ def crossbar_unroll(grid, X, gain=None, work=None):
         np.matmul(V, grid4, out=reads[t])
         if gain is not None:
             reads[t] *= gain[t]
-        lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]))
+        lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]), scratch=work.scratch)
         C_prev = C[t]
         if t + 1 < T:
             V[..., N : N + M] = h[t]

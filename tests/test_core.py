@@ -56,8 +56,20 @@ class TestActivations:
         xs = np.linspace(-6, 6, 200)
         assert np.all(np.diff(sigmoid(xs)) > 0)
 
-    def test_edge_values_match_scalar_oracle(self):
-        npt.assert_allclose(sigmoid(EDGE_VALUES), [sigmoid_scalar(x) for x in EDGE_VALUES], rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("scratch", [False, True], ids=["alloc", "scratch"])
+    def test_edge_values_match_scalar_oracle(self, scratch):
+        """Also through a scratch (e, mask) pair holding stale values: sigmoid
+        and the cell then give the allocating call's bits, NaN signs included."""
+        pair = (np.full(EDGE_VALUES.shape, 7.0), np.ones(EDGE_VALUES.shape, bool)) if scratch else None
+        got = sigmoid(EDGE_VALUES, scratch=pair)
+        npt.assert_allclose(got, [sigmoid_scalar(x) for x in EDGE_VALUES], rtol=1e-15, atol=0)
+        assert np.array_equal(got.view(np.uint64), sigmoid(EDGE_VALUES).view(np.uint64))
+        a = np.stack([EDGE_VALUES, EDGE_VALUES[::-1], -EDGE_VALUES, EDGE_VALUES[::-1]])
+        if scratch:
+            pair = np.full(a.shape, -3.0), np.zeros(a.shape, bool)
+        C_prev = np.linspace(-2.0, 2.0, len(EDGE_VALUES))
+        for g, w in zip(lstm_cell(a, C_prev, scratch=pair), lstm_cell(a, C_prev)):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [None, (95, 16), (8, 143, 16)], ids=["edges", "train", "sweep"])
     @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])

@@ -512,8 +512,9 @@ def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
 
 def test_sweep_derives_each_streams_seed_words_once(monkeypatch):
     """A sweep derives its device seeds and each stream's seed words in one
-    call each, and the streams' PCG64 states one chunk at a time."""
-    words, states = [], []
+    call each, and the streams' PCG64 states one chunk at a time: two full
+    chunks and a short one."""
+    words, states, count = [], [], 2 * MC_CHUNK + 4
     seed_words, pcg64_states = crossbar.seed_sequence_words, crossbar._pcg64_states
     monkeypatch.setattr(crossbar, "seed_sequence_words",
                         lambda seeds, n, key=None: words.append((len(seeds), n, key)) or seed_words(seeds, n, key))
@@ -521,9 +522,9 @@ def test_sweep_derives_each_streams_seed_words_once(monkeypatch):
     rng = np.random.default_rng(8)
     windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
     program = program_crossbar(random_params(50), CrossbarConfig(read_noise_sigma=0.01, level_variation_sigma=0.05))
-    sweep(program, OutputLayer(rng.uniform(-1, 1, 4), 0.1), windows, 20, {"all": slice(None)}, Normalizer(0.0, 1.0))
-    assert words == [(1, 40, None), (20, 8, 0), (20, 8, 1)]
-    assert states == [MC_CHUNK] * 4 + [20 - 2 * MC_CHUNK] * 2
+    sweep(program, OutputLayer(rng.uniform(-1, 1, 4), 0.1), windows, count, {"all": slice(None)}, Normalizer(0.0, 1.0))
+    assert words == [(1, 2 * count, None), (count, 8, 0), (count, 8, 1)]
+    assert states == [MC_CHUNK] * 4 + [count - 2 * MC_CHUNK] * 2
 
 
 def test_monte_carlo_rejects_a_negative_seed_as_the_config_does():

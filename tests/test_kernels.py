@@ -131,14 +131,18 @@ def test_unit_gain_equals_no_gain():
 
 
 @pytest.mark.parametrize("T", [1, 3])
-def test_out_arrays_are_written_and_returned(T):
+def test_out_arrays_are_written_and_returned(T, monkeypatch):
     """With a workspace given, the unroll writes its results into the
     workspace's out arrays and returns that very tuple, equal bit for bit
-    to a call that allocates. The result arrays and the drive's input
+    to a call that allocates, and every step's cell computes in the
+    workspace's scratch. The result arrays and the drive's input
     columns start NaN-filled, and a second call into them, on other stacked
     devices, equals its own fresh call, so nothing carries over between
     calls: at look-back 3 the drive's h columns, which the first call
     left holding its h, start the second call at zero."""
+    scratches, cell = [], kernels.lstm_cell
+    monkeypatch.setattr(kernels, "lstm_cell",
+                        lambda a, C_prev, out, scratch: scratches.append(scratch) or cell(a, C_prev, out, scratch))
     rng = np.random.default_rng(302)
     S, R, M, B = 2, 6, 4, 3
     X = rng.uniform(-1, 1, (B, T, 1))
@@ -148,8 +152,10 @@ def test_out_arrays_are_written_and_returned(T):
     for _ in range(2):
         grid = rng.uniform(-1, 1, (S, R, 4 * M))
         gain = gate_first(1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M)))
+        scratches.clear()
         got = kernels.crossbar_unroll(grid, X, gain, work=work)
         assert got is work.out
+        assert len(scratches) == T and all(scratch is work.scratch for scratch in scratches)
         for a, b in zip(got, kernels.crossbar_unroll(grid, X, gain)):
             assert np.array_equal(a, b)
 

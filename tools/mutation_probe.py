@@ -38,8 +38,6 @@ FLIPS = {
 
 # (file name, text on the mutated line, operator flipped, why the mutant computes the same numbers)
 ALLOWLIST = (
-    ("core.py", "np.maximum(e, x >= 0, out=e)", ">=",
-     "sigmoid: at x = 0, e = exp(-0) = 1, so max(e, x > 0) and max(e, x >= 0) agree"),
     ("crossbar.py", "positive = w >= 0", ">=",
      "quantize_levels: a zero weight sits at level 0 on both sides either way"),
     ("training.py", "q * np.sign(np.diag(r))", "*",
