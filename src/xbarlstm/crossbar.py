@@ -23,24 +23,27 @@ a step's reads and read gains are [4, ..., B, M], one block per gate.
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
 multiplicative Gaussian current noise per column read (read_noise_sigma).
-A CrossbarProgram is what the program file holds, the level map and its
-device config (spacing, sigmas, seed). One chunk loop draws a device from
-a seed and runs it, a chunk of devices stacked on the kernel's device axis
-at a time: monte_carlo stacks its predictions, one row per seed, and sweep
-reduces each chunk to per-device RMSEs as it is drawn. Its chunk-sized
-arrays (the draws, the varied grid and the unroll's workspace) are
-allocated once per call and written in place, so a sweep does not fault
-in fresh ~293 KB arrays per chunk. The varied grid is one expression of
-the level-variation draws, which it leaves intact; the read-noise draws
-become the read gains 1 + sigma * z in their own buffer. A device
-seed s in [0, 2**128) draws from the two streams of SeedSequence(s).spawn(2),
-whose seed words are derived for all seeds of a call at once.
-crossbar_window_predictions is monte_carlo's one-seed case.
+A CrossbarProgram is what the program file holds, the level map and its device
+config (spacing, sigmas, seed). One chunk loop draws a device from a seed and
+runs it, a chunk of devices stacked on the kernel's device axis at a time:
+monte_carlo stacks its predictions, one row per seed, and sweep reduces each
+chunk to per-device RMSEs as it is drawn, a contiguous share of the seeds on
+each worker thread (numpy's draws, matmuls and ufuncs release the GIL), 16
+devices in flight in all. The loop's chunk-sized arrays (the draws, the varied
+grid and the unroll's workspace) are allocated once per call and written in
+place, so a sweep does not fault in fresh ~293 KB arrays per chunk. The varied
+grid is one expression of the level-variation draws, which it leaves intact;
+the read-noise draws become the read gains 1 + sigma * z in their own buffer.
+A device seed s in [0, 2**128) draws from the two streams of
+SeedSequence(s).spawn(2), whose seed words are derived for all seeds of a call
+at once. crossbar_window_predictions is monte_carlo's one-seed case.
 Peripheral CMOS stages (mirrors, converters, adders) are taken as ideal
 unit-gain. The output layer is not part of the program: a caller that maps
 it onto the crossbar too passes the layer from quantize_output_layer.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +57,12 @@ N_LEVELS = 16
 R_MIN_OHM = 200e3
 R_MAX_OHM = 2000e3
 
-# Devices per stacked unroll in monte_carlo. Sixteen halves the numpy calls
-# per device against eight while each per-step array of a 143-window, 4-unit
-# sweep ([4, 16, 143, 4], ~293 KB) stays in cache, as the cell allocates
-# nothing per step; chunks of 256 ran slower and took ~50 MB more memory.
+# Devices in flight per stacked unroll, split across a sweep's workers: two at most, and no more
+# than the CPUs this process may run on. Sixteen halves the numpy calls per device against eight
+# while each per-step array of a 143-window, 4-unit sweep ([4, 16, 143, 4], ~293 KB) stays in
+# cache, as the cell allocates nothing per step; chunks of 256 ran slower and took ~50 MB more.
 MC_CHUNK = 16
+SWEEP_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def level_conductances(spacing: str) -> np.ndarray:
@@ -245,14 +249,14 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     return np.concatenate([np.empty((0, len(windows))), *_device_chunks(program, out, windows, seeds)])
 
 
-def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
-    """monte_carlo's rows, MC_CHUNK at a time: each chunk a fresh [n, B] array. It checks no seed."""
+def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds, chunk: int = MC_CHUNK):
+    """monte_carlo's rows, chunk at a time: each chunk a fresh [n, B] array. It checks no seed."""
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
     g, (rows, cols) = level_conductances(cfg.spacing), program.level_plus.shape
     vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0
-    size = min(MC_CHUNK, len(seeds))
+    size = min(chunk, len(seeds))
     pert = np.empty((size, 2, rows, cols))
     draws = np.empty((size, B, T, cols // 4, 4))
     # one reused generator per stream, re-seeded to each device's state
@@ -261,8 +265,8 @@ def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
     g_sides = np.stack([g[program.level_plus], g[program.level_minus]])
     grid = np.empty((size, rows, cols)) if vary else program.grid()
     work = kernels.Workspace((rows, cols), X.shape, (size,) if vary or read else ())  # the unroll's arrays
-    for start in range(0, len(seeds), MC_CHUNK):
-        n = min(MC_CHUNK, len(seeds) - start)
+    for start in range(0, len(seeds), chunk):
+        n = min(chunk, len(seeds) - start)
         for gen, words, buf in streams:
             for k, (state, inc) in enumerate(_pcg64_states(words[start : start + n])):
                 gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -287,16 +291,37 @@ def sweep(program: CrossbarProgram, out: OutputLayer, windows, count: int, split
     """Passenger RMSE of each split, {name: slice of windows}, per device,
     {name: [count]}, on the devices SeedSequence(program.cfg.seed)
     .generate_state(count, uint64). Each chunk is reduced as it is drawn, with
-    data.rmse's own operations, so value k equals rmse on monte_carlo's row k."""
+    data.rmse's own operations, so value k equals rmse on monte_carlo's row k.
+    Up to SWEEP_WORKERS threads each reduce a contiguous share of the seeds, under
+    the caller's errstate; a failing share raises once every share has stopped."""
     seeds = seed_sequence_words([program.cfg.seed], 2 * count)[0].astype("<u4").view("<u8").tolist()
     target = denormalize(windows.y, norm)
     if not all(len(target[sl]) for sl in splits.values()):
         raise ValueError("rmse of empty sequences is undefined")
     sums = {name: np.empty(count) for name in splits}
-    for i, chunk in enumerate(_device_chunks(program, out, windows, seeds)):
-        squared = (denormalize(chunk, norm) - target) ** 2
-        for name, sl in splits.items():  # the short last chunk's slice stops at count
-            np.add.reduce(squared[:, sl], axis=1, out=sums[name][i * MC_CHUNK : (i + 1) * MC_CHUNK])
+    workers = max(1, min(SWEEP_WORKERS, -(-count // MC_CHUNK)))
+    size = MC_CHUNK // workers  # devices per chunk, so MC_CHUNK are in flight in all
+    share = -(-count // (workers * size)) * size  # devices per worker, in whole chunks
+    errstate, errors = np.geterr(), [None] * workers
+
+    def reduce_share(k):
+        try:
+            with np.errstate(**errstate):
+                chunks = _device_chunks(program, out, windows, seeds[k * share : (k + 1) * share], size)
+                for chunk, start in zip(chunks, range(k * share, count, size)):
+                    squared = (denormalize(chunk, norm) - target) ** 2
+                    for name, sl in splits.items():  # the short last chunk's slice stops at count
+                        np.add.reduce(squared[:, sl], axis=1, out=sums[name][start : start + size])
+        except BaseException as exc:  # raised in the caller once every share has stopped
+            errors[k] = exc
+    threads = [threading.Thread(target=reduce_share, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    reduce_share(0)
+    for thread in threads:
+        thread.join()
+    for exc in filter(None, errors):  # the first failing share's
+        raise exc
     return {name: np.sqrt(sums[name] / len(target[sl])) for name, sl in splits.items()}
 
 

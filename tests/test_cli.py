@@ -248,13 +248,15 @@ def test_bad_weight_shape_rejected(tmp_path, capsys, command, header):
      "the trained model's train RMSEs are not finite: the numbers overflow float64"),
     (["evaluate", "--weights", str(TEST_DATA / WEIGHTS_FILE), "--level-variation", "1e308"],
      f"{TEST_DATA / WEIGHTS_FILE}: crossbar predictions or RMSEs are not finite: the numbers overflow float64"),
+    (["evaluate", "--weights", str(TEST_DATA / WEIGHTS_FILE), "--level-variation", "1e308", "--noise-seeds", "40"],
+     f"{TEST_DATA / WEIGHTS_FILE}: crossbar predictions or RMSEs are not finite: the numbers overflow float64"),
     (["train", "--dataset", "wide.csv"], "wide.csv: values from -1e+308 to 1e+308 span more than float64 holds"),
     (["evaluate", "--dataset", "wide.csv", "--weights", str(TEST_DATA / WEIGHTS_FILE)],
      "wide.csv: values from -1e+308 to 1e+308 span more than float64 holds"),
     (["train", "--dataset", "nan.csv"], "nan.csv: line 3: not a finite number: 'nan'"),
     (["evaluate", "--dataset", "inf.csv", "--weights", str(TEST_DATA / WEIGHTS_FILE)],
      "inf.csv: line 4: not a finite number: '-inf'"),
-], ids=["diverging-loss", "train-overflow", "level-variation-overflow", "train-wide-dataset",
+], ids=["diverging-loss", "train-overflow", "level-variation-overflow", "sweep-overflow", "train-wide-dataset",
         "evaluate-wide-dataset", "train-nan-dataset", "evaluate-inf-dataset"])
 def test_diverging_train_prints_only_its_error(tmp_path, argv, error):
     """A run whose loss or results overflow stops with the one error line:

@@ -1,4 +1,7 @@
+import os
 import random
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -510,21 +513,125 @@ def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
         assert np.shares_memory(grid, grid0) and np.shares_memory(gain, gain0)
 
 
-def test_sweep_derives_each_streams_seed_words_once(monkeypatch):
-    """A sweep derives its device seeds and each stream's seed words in one
-    call each, and the streams' PCG64 states one chunk at a time: two full
-    chunks and a short one."""
-    words, states, count = [], [], 2 * MC_CHUNK + 4
+@pytest.mark.parametrize("workers, shares", [
+    (1, [([(36, 8, 0), (36, 8, 1)], [MC_CHUNK] * 4 + [4] * 2)]),
+    (2, [([(24, 8, 0), (24, 8, 1)], [8] * 6), ([(12, 8, 0), (12, 8, 1)], [8] * 2 + [4] * 2)]),
+], ids=["1-worker", "2-workers"])
+def test_sweep_derives_each_streams_seed_words_once(monkeypatch, workers, shares):
+    """A sweep derives its device seeds in one call on the calling thread.
+    Each share derives each stream's seed words in one call on its own
+    thread, share 0 on the caller's, and the streams' PCG64 states one chunk
+    at a time: 36 devices in chunks of MC_CHUNK // workers."""
+    assert MC_CHUNK == 16
+    monkeypatch.setattr(crossbar, "SWEEP_WORKERS", workers)
+    words, states, count = {}, {}, 2 * MC_CHUNK + 4
     seed_words, pcg64_states = crossbar.seed_sequence_words, crossbar._pcg64_states
+
+    def record(log, entry):  # each thread's records apart, as threads interleave
+        log.setdefault(threading.get_ident(), []).append(entry)
+
     monkeypatch.setattr(crossbar, "seed_sequence_words",
-                        lambda seeds, n, key=None: words.append((len(seeds), n, key)) or seed_words(seeds, n, key))
-    monkeypatch.setattr(crossbar, "_pcg64_states", lambda rows: states.append(len(rows)) or pcg64_states(rows))
+                        lambda seeds, n, key=None: record(words, (len(seeds), n, key)) or seed_words(seeds, n, key))
+    monkeypatch.setattr(crossbar, "_pcg64_states", lambda rows: record(states, len(rows)) or pcg64_states(rows))
     rng = np.random.default_rng(8)
     windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
     program = program_crossbar(random_params(50), CrossbarConfig(read_noise_sigma=0.01, level_variation_sigma=0.05))
     sweep(program, OutputLayer(rng.uniform(-1, 1, 4), 0.1), windows, count, {"all": slice(None)}, Normalizer(0.0, 1.0))
-    assert words == [(1, 2 * count, None), (count, 8, 0), (count, 8, 1)]
-    assert states == [MC_CHUNK] * 4 + [count - 2 * MC_CHUNK] * 2
+    caller = threading.get_ident()
+    device_seeds, *caller_words = words.pop(caller)
+    assert device_seeds == (1, 2 * count, None)
+    caller_states = states.pop(caller)
+    assert words.keys() == states.keys()
+    assert [(caller_words, caller_states), *((words[ident], states[ident]) for ident in states)] == shares
+
+
+def test_sweep_workers_are_at_most_two_and_no_more_than_the_cpus():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert 1 <= crossbar.SWEEP_WORKERS <= min(2, cpus)
+
+
+@pytest.mark.parametrize("level_variation, read_noise", [(0, 0), (0.05, 0.01)])
+def test_sweep_values_do_not_depend_on_the_worker_count(monkeypatch, level_variation, read_noise):
+    """One worker and two give bit-identical values, and both equal rmse on
+    monte_carlo's rows, for sweeps with no device, one, one either side of
+    a two-worker chunk and of a full chunk, two chunks and a short one, and
+    every seed of SWEEP_SEEDS."""
+    rng = np.random.default_rng(9)
+    windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
+    out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
+    cfg = CrossbarConfig(read_noise_sigma=read_noise, level_variation_sigma=level_variation, seed=2024)
+    program = program_crossbar(random_params(53), cfg)
+    want = monte_carlo(program, out, windows, SWEEP_SEEDS)
+    norm, splits = Normalizer(104.0, 622.0), {"train": slice(0, 16), "test": slice(16, None)}
+    half = MC_CHUNK // 2
+    for count in (0, 1, half - 1, half + 1, MC_CHUNK - 1, MC_CHUNK + 1, 2 * MC_CHUNK + 5, len(SWEEP_SEEDS)):
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(crossbar, "SWEEP_WORKERS", workers)
+            got.append(sweep(program, out, windows, count, splits, norm))
+        for name, sl in splits.items():
+            assert got[0][name].tobytes() == got[1][name].tobytes()
+            assert got[1][name].tolist() == [rmse(row[sl], windows.y[sl], denorm=norm) for row in want[:count]]
+
+
+def test_sweep_on_more_workers_than_cpus_with_threads_switching_often(monkeypatch):
+    """Four workers, more than this host's cap, and a thread switch every
+    microsecond: each share writes only its own devices, so the values are
+    still those of one worker bit for bit."""
+    rng = np.random.default_rng(11)
+    windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
+    out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
+    program = program_crossbar(random_params(56), CrossbarConfig(read_noise_sigma=0.01, level_variation_sigma=0.05))
+    args = out, windows, len(SWEEP_SEEDS), {"all": slice(None)}, Normalizer(0.0, 1.0)
+    monkeypatch.setattr(crossbar, "SWEEP_WORKERS", 1)
+    want = sweep(program, *args)["all"]
+    monkeypatch.setattr(crossbar, "SWEEP_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sweep(program, *args)["all"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sweep_workers_keep_the_callers_errstate(monkeypatch):
+    """A worker thread starts with numpy's default errstate; the sweep runs
+    it under the caller's, so an overflow the caller ignores warns nowhere,
+    which pytest's filterwarnings = error would turn into a failure."""
+    monkeypatch.setattr(crossbar, "SWEEP_WORKERS", 2)
+    windows = WindowedSeries(np.full((5, 1), 0.5), np.zeros(5), 1)
+    program = program_crossbar(random_params(54), CrossbarConfig(level_variation_sigma=1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sweep(program, OutputLayer(np.ones(4), 0.0), windows, 2 * MC_CHUNK + 5, {"all": slice(None)},
+                    Normalizer(0.0, 1.0))
+    assert not np.all(np.isfinite(got["all"]))
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller-share", "worker-share"])
+def test_a_failing_share_fails_the_sweep_once_every_share_has_stopped(monkeypatch, failing):
+    """The failing share's own exception reaches the caller, after the
+    other share has run to its end and its thread has stopped."""
+    monkeypatch.setattr(crossbar, "SWEEP_WORKERS", 2)
+    error, finished, device_chunks = RuntimeError("share failed"), [], crossbar._device_chunks
+
+    def chunks(program, out, windows, seeds, chunk=MC_CHUNK):
+        share = 0 if threading.current_thread() is threading.main_thread() else 1
+        if share == failing:
+            raise error
+        yield from device_chunks(program, out, windows, seeds, chunk)
+        finished.append(share)
+
+    monkeypatch.setattr(crossbar, "_device_chunks", chunks)
+    rng = np.random.default_rng(10)
+    windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
+    program = program_crossbar(random_params(55), CrossbarConfig(read_noise_sigma=0.01))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        sweep(program, OutputLayer(np.ones(4), 0.0), windows, 4 * MC_CHUNK, {"all": slice(None)}, Normalizer(0.0, 1.0))
+    assert info.value is error
+    assert finished == [1 - failing]
+    assert threading.active_count() == threads
 
 
 def test_monte_carlo_rejects_a_negative_seed_as_the_config_does():
@@ -581,23 +688,36 @@ def test_pcg64_states_equal_numpy_seeding(key):
     assert _pcg64_states(words[:0]) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("base", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1, 2**96 + 0xB1F5EED])
-@pytest.mark.parametrize("count", [1, 2, 7, 256, 2000])
-def test_sweep_device_seeds_equal_numpy_seed_sequence(monkeypatch, base, count):
+@pytest.mark.parametrize("count", [1, 2, 7, 17, 256, 2000])
+def test_sweep_device_seeds_equal_numpy_seed_sequence(monkeypatch, base, count, workers):
     """The sweep's device seeds are SeedSequence(base).generate_state(count,
-    uint64) of its program's seed, derived without numpy.random."""
+    uint64) of its program's seed, derived without numpy.random. They run in
+    min(workers, MC_CHUNK-device chunks) contiguous shares, in chunks of
+    MC_CHUNK // that many devices; the shares are equal whole numbers of
+    chunks but the last, which is not longer."""
     seen = []
 
-    def chunks(program, out, windows, seeds):
-        seen.append(seeds)
-        for start in range(0, len(seeds), MC_CHUNK):
-            yield np.zeros((len(seeds[start : start + MC_CHUNK]), len(windows)))
+    def chunks(program, out, windows, seeds, chunk=MC_CHUNK):
+        seen.append((seeds, chunk))
+        for start in range(0, len(seeds), chunk):
+            yield np.zeros((len(seeds[start : start + chunk]), len(windows)))
 
+    monkeypatch.setattr(crossbar, "SWEEP_WORKERS", workers)
     monkeypatch.setattr(crossbar, "_device_chunks", chunks)
     program = program_crossbar(random_params(52), CrossbarConfig(seed=base))
     windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
     sweep(program, OutputLayer(np.ones(4), 0.0), windows, count, {"all": slice(None)}, Normalizer(0.0, 1.0))
-    assert seen == [[int(s) for s in np.random.SeedSequence(base).generate_state(count, np.uint64)]]
+    want = [int(s) for s in np.random.SeedSequence(base).generate_state(count, np.uint64)]
+    # threads record in any order: put the shares in seed order
+    shares = sorted(seen, key=lambda call: want.index(call[0][0]) if call[0] else count)
+    assert [s for seeds, _ in shares for s in seeds] == want
+    n_shares = min(workers, -(-count // MC_CHUNK))
+    chunk = MC_CHUNK // n_shares
+    assert [size for _, size in shares] == [chunk] * n_shares
+    sizes = [len(seeds) for seeds, _ in shares]
+    assert all(n == sizes[0] and n % chunk == 0 for n in sizes[:-1]) and 0 < sizes[-1] <= sizes[0]
 
 
 def _set_header(key, value):
