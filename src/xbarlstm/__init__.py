@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "CrossbarConfig": "config", "TrainConfig": "config",
-    "LstmParams": "core", "OutputLayer": "core", "sigmoid": "core",
+    "LstmParams": "kernels", "OutputLayer": "kernels", "sigmoid": "kernels",
     "CrossbarProgram": "crossbar", "crossbar_window_predictions": "crossbar", "level_conductances": "crossbar",
     "monte_carlo": "crossbar", "program_crossbar": "crossbar", "quantize_output_layer": "crossbar",
     "read_program": "crossbar", "reconstruct_weights": "crossbar", "seed_sequence_words": "crossbar",

@@ -17,8 +17,7 @@ path is this path on the ideal weight grid. Evaluation is time
 multiplexed: one hidden unit per cycle, four column reads per cycle, M
 cycles per time step, with the new h latched into the memory units only
 after all M cycles. All M cycles of a step therefore see the same h, and
-kernels.crossbar_unroll computes a step's reads together, gate-first:
-a step's reads and read gains are [4, ..., B, M], one block per gate.
+kernels.crossbar_unroll computes a step's reads together.
 
 Analog non-idealities are behavioral knobs: multiplicative Gaussian
 conductance error at program time (level_variation_sigma) and
@@ -50,8 +49,8 @@ import numpy as np
 
 from . import kernels
 from .config import SPACINGS, CrossbarConfig, _check_seed, open_text  # noqa: F401  (SPACINGS re-exported)
-from .core import LstmParams, OutputLayer, grid_dims
 from .data import Normalizer, denormalize
+from .kernels import LstmParams, OutputLayer, grid_dims
 
 N_LEVELS = 16
 R_MIN_OHM = 200e3
@@ -278,9 +277,8 @@ def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds, c
         if read:  # the draws become the gains 1 + sigma * z in place
             draws[:n] *= cfg.read_noise_sigma
             draws[:n] += 1.0
-        # [n, B, T, M, 4] gains read gate-first like the unroll's reads, [T, 4, n, B, M];
         # the short last chunk, if any, allocates its own results
-        h = kernels.crossbar_unroll(grid[:n] if vary else grid, X, draws[:n].transpose(2, 4, 0, 1, 3) if read else None,
+        h = kernels.crossbar_unroll(grid[:n] if vary else grid, X, draws[:n] if read else None,
                                     work=work if n == size else None)[0]
         preds = np.matmul(h[-1], out.w_out, out=np.empty((n, B)))  # at zero sigmas, one [B] row for all n
         preds += out.b_out

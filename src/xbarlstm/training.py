@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .config import TrainConfig
-from .core import LstmParams, OutputLayer
+from .kernels import LstmParams, OutputLayer
 
 
 def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray:
@@ -22,7 +22,7 @@ def batch_predictions(params: LstmParams, out: OutputLayer, batch) -> np.ndarray
     return h[-1] @ out.w_out + out.b_out
 
 
-def init_parameters(n_inputs: int, n_hidden: int, rng: "np.random.Generator", clamp_low=-1.0, clamp_high=1.0):
+def init_parameters(n_inputs: int, n_hidden: int, rng: "np.random.Generator", clamp_low, clamp_high):
     """Seeded init: uniform Glorot input/output weights, orthogonal recurrent
     weights, zero biases except a forget-gate bias of one. Every weight is
     then clamped into [clamp_low, clamp_high], the range training keeps."""

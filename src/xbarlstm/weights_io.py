@@ -12,7 +12,7 @@ single bias follow, which lets weights trained elsewhere be imported.
 import numpy as np
 
 from .config import open_text
-from .core import LstmParams, OutputLayer, grid_dims
+from .kernels import LstmParams, OutputLayer, grid_dims
 
 MATRIX_NAMES = (
     "W_i", "W_f", "W_c", "W_o",

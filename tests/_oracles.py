@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xbarlstm import kernels
-from xbarlstm.core import LstmParams, OutputLayer
+from xbarlstm.kernels import LstmParams, OutputLayer
 
 
 def sigmoid_scalar(x):

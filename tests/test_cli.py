@@ -28,7 +28,7 @@ from xbarlstm.cli import (
     main,
     parse_config_file,
 )
-from xbarlstm.core import LstmParams, OutputLayer
+from xbarlstm.kernels import LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, read_weights, write_weights
 
 from _oracles import gates_from_grid, grid_from_gates, window_last_prediction

@@ -4,9 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import LstmParams, OutputLayer, grid_dims, lstm_cell, sigmoid
 from xbarlstm.data import WindowedSeries
-from xbarlstm.kernels import crossbar_unroll
+from xbarlstm.kernels import LstmParams, OutputLayer, crossbar_unroll, grid_dims, lstm_cell, sigmoid
 from xbarlstm.training import batch_predictions
 
 from _oracles import (

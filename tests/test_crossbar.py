@@ -10,7 +10,6 @@ import numpy.testing as npt
 import pytest
 
 from xbarlstm import crossbar, kernels
-from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.crossbar import (
     MC_CHUNK,
     SPACINGS,
@@ -30,7 +29,7 @@ from xbarlstm.crossbar import (
     write_program,
 )
 from xbarlstm.data import Normalizer, WindowedSeries, rmse
-from xbarlstm.kernels import crossbar_unroll
+from xbarlstm.kernels import LstmParams, OutputLayer, crossbar_unroll
 
 from _oracles import (
     device_predictions_loop,

@@ -29,12 +29,10 @@ def random_case(seed, B=7, T=3, N=2, M=4):
     return W, U, b, w_out, b_out, X, y
 
 
-def gate_first(a):
+def read_order(a):
     """Per-read values [..., B, T, 4M] in grid column order, laid out as the
-    unroll takes its gain, gate-first: [T, 4, ..., B, M]."""
-    *lead, B, T, C4 = a.shape
-    n = len(lead)
-    return a.reshape(*lead, B, T, 4, C4 // 4).transpose(n + 1, n + 2, *range(n), n, n + 3)
+    unroll takes its gain, in the crossbar's read order: [..., B, T, M, 4]."""
+    return a.reshape(*a.shape[:-1], 4, -1).swapaxes(-1, -2)
 
 
 def grid_columns(a):
@@ -80,7 +78,7 @@ def test_crossbar_loop_vs_numpy(seed):
     noise = 0.01 * rng.standard_normal((B, T, 4 * M))
     k = 1.0 / 4.5e-6
     ha, ra = crossbar_unroll_loop(gp, gm, k, X, noise)
-    hb, rb, _, _ = kernels.crossbar_unroll((gp - gm) * k, X, gate_first(1.0 + noise))
+    hb, rb, _, _ = kernels.crossbar_unroll((gp - gm) * k, X, read_order(1.0 + noise))
     npt.assert_allclose(ha, hb.transpose(1, 0, 2), rtol=0, atol=1e-12)
     npt.assert_allclose(ra, grid_columns(rb).transpose(1, 0, 2), rtol=0, atol=1e-12)
 
@@ -103,14 +101,14 @@ def test_device_axes_equal_per_device_calls(grid_lead, noise_lead):
     k = 1.0 / 4.5e-6
     grid = (gp - gm) * k
     lead = np.broadcast_shapes(grid_lead, () if noise is None else noise_lead)
-    stacked = kernels.crossbar_unroll(grid, X, None if noise is None else gate_first(1.0 + noise))
+    stacked = kernels.crossbar_unroll(grid, X, None if noise is None else read_order(1.0 + noise))
     assert [a.shape for a in stacked] == [(T, *gates, *lead, B, M) for gates in ((), (4,), (4,), ())]
     assert all(a[t][g].flags.c_contiguous for a in stacked[1:3] for t in range(T) for g in range(4))
     for device in np.ndindex(lead):
         g_index = tuple(i if n > 1 else 0 for i, n in zip(device[len(lead) - len(grid_lead):], grid_lead))
         n_index = None if noise is None else device[len(lead) - len(noise_lead):]
         one_noise = None if noise is None else noise[n_index]
-        one = kernels.crossbar_unroll(grid[g_index], X, None if one_noise is None else gate_first(1.0 + one_noise))
+        one = kernels.crossbar_unroll(grid[g_index], X, None if one_noise is None else read_order(1.0 + one_noise))
         for a, b, gates in zip(stacked, one, ((), (slice(None),), (slice(None),), ())):
             assert np.array_equal(a[(slice(None), *gates, *device)], b)
         h, reads = crossbar_unroll_loop(gp[g_index], gm[g_index], k, X,
@@ -126,8 +124,24 @@ def test_unit_gain_equals_no_gain():
     R, M, B, T = 6, 4, 3, 4
     grid = rng.uniform(-1, 1, (R, 4 * M))
     X = rng.uniform(-1, 1, (B, T, 1))
-    for a, b in zip(kernels.crossbar_unroll(grid, X, np.ones((T, 4, B, M))), kernels.crossbar_unroll(grid, X)):
+    for a, b in zip(kernels.crossbar_unroll(grid, X, np.ones((B, T, M, 4))), kernels.crossbar_unroll(grid, X)):
         assert np.array_equal(a, b)
+
+
+def test_gain_is_taken_in_read_order():
+    """gain[..., b, t, m, g] scales the read of gate g of unit m at step t
+    of window b: at look-back 1 each first-step read is the ungained read
+    times its own gain, for one device and for a stack of three."""
+    rng = np.random.default_rng(304)
+    R, M, B = 6, 4, 3
+    grid = rng.uniform(-1, 1, (R, 4 * M))
+    X = rng.uniform(-1, 1, (B, 1, 1))
+    plain = kernels.crossbar_unroll(grid, X)[1][0]
+    for lead in ((), (3,)):
+        gain = rng.uniform(0.5, 1.5, (*lead, B, 1, M, 4))
+        reads = kernels.crossbar_unroll(grid, X, gain)[1][0]
+        for *device, b, _, m, g in np.ndindex(gain.shape):
+            assert reads[(g, *device, b, m)] == plain[g, b, m] * gain[(*device, b, 0, m, g)]
 
 
 @pytest.mark.parametrize("T", [1, 3])
@@ -151,7 +165,7 @@ def test_out_arrays_are_written_and_returned(T, monkeypatch):
         a.fill(np.nan)
     for _ in range(2):
         grid = rng.uniform(-1, 1, (S, R, 4 * M))
-        gain = gate_first(1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M)))
+        gain = read_order(1.0 + 0.01 * rng.standard_normal((S, B, T, 4 * M)))
         scratches.clear()
         got = kernels.crossbar_unroll(grid, X, gain, work=work)
         assert got is work.out

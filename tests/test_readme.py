@@ -38,3 +38,12 @@ def test_help_lists_a_flag_for_every_key(capsys, command):
 def test_readme_names_every_key():
     paragraph = README.read_text().split("Config keys and defaults:", 1)[1].split("\n\n", 1)[0]
     assert [key for key in KEYS if not re.search(rf"\b{key}\b", paragraph)] == []
+
+
+def test_layout_lists_every_module():
+    """The "Repository layout" block names exactly the package's modules,
+    so a fold or a rename cannot leave it stale."""
+    block = README.read_text().split("## Repository layout", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\w+\.py) ", block.split("src/xbarlstm/\n", 1)[1], re.M)
+    package = README.parent / "src" / "xbarlstm"
+    assert sorted(listed) == sorted(p.name for p in package.glob("*.py") if p.name != "__init__.py")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from xbarlstm.core import LstmParams, OutputLayer
 from xbarlstm.data import WindowedSeries, fit_normalizer, load_series, make_windows, normalize, split
 from xbarlstm.data import BUNDLED_DATASET
+from xbarlstm.kernels import LstmParams, OutputLayer
 from xbarlstm.training import TrainConfig, batch_predictions, init_parameters, train
 
 from _oracles import (

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xbarlstm.core import LstmParams, OutputLayer
+from xbarlstm.kernels import LstmParams, OutputLayer
 from xbarlstm.weights_io import MATRIX_NAMES, named_matrices, packed_shapes, read_weights, write_weights
 
 from _oracles import gates_from_grid, grid_from_gates, random_model
