@@ -26,9 +26,9 @@ A CrossbarProgram is what the program file holds, the level map and its device
 config (spacing, sigmas, seed). One chunk loop draws a device from a seed and
 runs it, a chunk of devices stacked on the kernel's device axis at a time:
 monte_carlo stacks its predictions, one row per seed, and sweep reduces each
-chunk to per-device RMSEs as it is drawn, a contiguous share of the seeds on
-each worker thread (numpy's draws, matmuls and ufuncs release the GIL), 16
-devices in flight in all. The loop's chunk-sized arrays (the draws, the varied
+chunk to per-device RMSEs as it is drawn, a contiguous share of the seeds in
+MC_CHUNK-device chunks on each worker thread (numpy's draws, matmuls and
+ufuncs release the GIL). The loop's chunk-sized arrays (the draws, the varied
 grid and the unroll's workspace) are allocated once per call and written in
 place, so a sweep does not fault in fresh ~293 KB arrays per chunk. The varied
 grid is one expression of the level-variation draws, which it leaves intact;
@@ -56,10 +56,10 @@ N_LEVELS = 16
 R_MIN_OHM = 200e3
 R_MAX_OHM = 2000e3
 
-# Devices in flight per stacked unroll, split across a sweep's workers: two at most, and no more
-# than the CPUs this process may run on. Sixteen halves the numpy calls per device against eight
-# while each per-step array of a 143-window, 4-unit sweep ([4, 16, 143, 4], ~293 KB) stays in
-# cache, as the cell allocates nothing per step; chunks of 256 ran slower and took ~50 MB more.
+# Devices per stacked unroll, on each of a sweep's threads (two at most, and no more than the
+# CPUs this process may run on). Sixteen halves the numpy calls per device against eight while
+# each per-step array of a 143-window, 4-unit sweep ([4, 16, 143, 4], ~293 KB) stays in cache,
+# as the cell allocates nothing per step; chunks of 256 ran slower and took ~50 MB more.
 MC_CHUNK = 16
 SWEEP_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -248,14 +248,14 @@ def monte_carlo(program: CrossbarProgram, out: OutputLayer, windows, seeds) -> n
     return np.concatenate([np.empty((0, len(windows))), *_device_chunks(program, out, windows, seeds)])
 
 
-def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds, chunk: int = MC_CHUNK):
-    """monte_carlo's rows, chunk at a time: each chunk a fresh [n, B] array. It checks no seed."""
+def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds):
+    """monte_carlo's rows, MC_CHUNK at a time: each chunk a fresh [n, B] array. It checks no seed."""
     X = windows.inputs()
     B, T = X.shape[:2]
     cfg = program.cfg
     g, (rows, cols) = level_conductances(cfg.spacing), program.level_plus.shape
     vary, read = cfg.level_variation_sigma > 0, cfg.read_noise_sigma > 0
-    size = min(chunk, len(seeds))
+    size = min(MC_CHUNK, len(seeds))
     pert = np.empty((size, 2, rows, cols))
     draws = np.empty((size, B, T, cols // 4, 4))
     # one reused generator per stream, re-seeded to each device's state
@@ -264,8 +264,8 @@ def _device_chunks(program: CrossbarProgram, out: OutputLayer, windows, seeds, c
     g_sides = np.stack([g[program.level_plus], g[program.level_minus]])
     grid = np.empty((size, rows, cols)) if vary else program.grid()
     work = kernels.Workspace((rows, cols), X.shape, (size,) if vary or read else ())  # the unroll's arrays
-    for start in range(0, len(seeds), chunk):
-        n = min(chunk, len(seeds) - start)
+    for start in range(0, len(seeds), MC_CHUNK):
+        n = min(MC_CHUNK, len(seeds) - start)
         for gen, words, buf in streams:
             for k, (state, inc) in enumerate(_pcg64_states(words[start : start + n])):
                 gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -298,18 +298,17 @@ def sweep(program: CrossbarProgram, out: OutputLayer, windows, count: int, split
         raise ValueError("rmse of empty sequences is undefined")
     sums = {name: np.empty(count) for name in splits}
     workers = max(1, min(SWEEP_WORKERS, -(-count // MC_CHUNK)))
-    size = MC_CHUNK // workers  # devices per chunk, so MC_CHUNK are in flight in all
-    share = -(-count // (workers * size)) * size  # devices per worker, in whole chunks
+    share = -(-count // (workers * MC_CHUNK)) * MC_CHUNK  # devices per worker, in whole chunks
     errstate, errors = np.geterr(), [None] * workers
 
     def reduce_share(k):
         try:
             with np.errstate(**errstate):
-                chunks = _device_chunks(program, out, windows, seeds[k * share : (k + 1) * share], size)
-                for chunk, start in zip(chunks, range(k * share, count, size)):
+                chunks = _device_chunks(program, out, windows, seeds[k * share : (k + 1) * share])
+                for chunk, start in zip(chunks, range(k * share, count, MC_CHUNK)):
                     squared = (denormalize(chunk, norm) - target) ** 2
                     for name, sl in splits.items():  # the short last chunk's slice stops at count
-                        np.add.reduce(squared[:, sl], axis=1, out=sums[name][start : start + size])
+                        np.add.reduce(squared[:, sl], axis=1, out=sums[name][start : start + MC_CHUNK])
         except BaseException as exc:  # raised in the caller once every share has stopped
             errors[k] = exc
     threads = [threading.Thread(target=reduce_share, args=(k,)) for k in range(1, workers)]

@@ -333,7 +333,7 @@ class TestCrossbarDot:
 
 
 class TestCrossbarStep:
-    def test_zero_program_matches_core_zero_case(self):
+    def test_zero_program_matches_cell_zero_case(self):
         program = program_crossbar(zero_params(1, 4), CrossbarConfig())
         h, _, acts, C = crossbar_unroll(program.grid(), np.full((1, 1, 1), 0.7))
         i, f, c_tilde, o = acts[0, :, 0]
@@ -345,7 +345,7 @@ class TestCrossbarStep:
         npt.assert_array_equal(C, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_core_step_on_reconstructed_weights(self, seed):
+    def test_matches_cell_step_on_reconstructed_weights(self, seed):
         cfg = CrossbarConfig()
         params = random_params(seed)
         program = program_crossbar(params, cfg)
@@ -514,13 +514,13 @@ def test_monte_carlo_reuses_its_chunk_arrays(monkeypatch):
 
 @pytest.mark.parametrize("workers, shares", [
     (1, [([(36, 8, 0), (36, 8, 1)], [MC_CHUNK] * 4 + [4] * 2)]),
-    (2, [([(24, 8, 0), (24, 8, 1)], [8] * 6), ([(12, 8, 0), (12, 8, 1)], [8] * 2 + [4] * 2)]),
+    (2, [([(32, 8, 0), (32, 8, 1)], [MC_CHUNK] * 4), ([(4, 8, 0), (4, 8, 1)], [4] * 2)]),
 ], ids=["1-worker", "2-workers"])
 def test_sweep_derives_each_streams_seed_words_once(monkeypatch, workers, shares):
     """A sweep derives its device seeds in one call on the calling thread.
     Each share derives each stream's seed words in one call on its own
     thread, share 0 on the caller's, and the streams' PCG64 states one chunk
-    at a time: 36 devices in chunks of MC_CHUNK // workers."""
+    at a time: 36 devices in chunks of MC_CHUNK, on two workers 32 + 4."""
     assert MC_CHUNK == 16
     monkeypatch.setattr(crossbar, "SWEEP_WORKERS", workers)
     words, states, count = {}, {}, 2 * MC_CHUNK + 4
@@ -553,8 +553,9 @@ def test_sweep_workers_are_at_most_two_and_no_more_than_the_cpus():
 def test_sweep_values_do_not_depend_on_the_worker_count(monkeypatch, level_variation, read_noise):
     """One worker and two give bit-identical values, and both equal rmse on
     monte_carlo's rows, for sweeps with no device, one, one either side of
-    a two-worker chunk and of a full chunk, two chunks and a short one, and
-    every seed of SWEEP_SEEDS."""
+    half a chunk and of a full chunk, at and either side of two chunks (one
+    per worker), two chunks and a short one, three and one more, and every
+    seed of SWEEP_SEEDS."""
     rng = np.random.default_rng(9)
     windows = WindowedSeries(rng.uniform(0, 1, (25, 1)), rng.uniform(0, 1, 25), 1)
     out = OutputLayer(rng.uniform(-1, 1, 4), 0.1)
@@ -563,7 +564,8 @@ def test_sweep_values_do_not_depend_on_the_worker_count(monkeypatch, level_varia
     want = monte_carlo(program, out, windows, SWEEP_SEEDS)
     norm, splits = Normalizer(104.0, 622.0), {"train": slice(0, 16), "test": slice(16, None)}
     half = MC_CHUNK // 2
-    for count in (0, 1, half - 1, half + 1, MC_CHUNK - 1, MC_CHUNK + 1, 2 * MC_CHUNK + 5, len(SWEEP_SEEDS)):
+    for count in (0, 1, half - 1, half + 1, MC_CHUNK - 1, MC_CHUNK + 1, 2 * MC_CHUNK - 1, 2 * MC_CHUNK,
+                  2 * MC_CHUNK + 1, 2 * MC_CHUNK + 5, 3 * MC_CHUNK + 1, len(SWEEP_SEEDS)):
         got = []
         for workers in (1, 2):
             monkeypatch.setattr(crossbar, "SWEEP_WORKERS", workers)
@@ -614,11 +616,11 @@ def test_a_failing_share_fails_the_sweep_once_every_share_has_stopped(monkeypatc
     monkeypatch.setattr(crossbar, "SWEEP_WORKERS", 2)
     error, finished, device_chunks = RuntimeError("share failed"), [], crossbar._device_chunks
 
-    def chunks(program, out, windows, seeds, chunk=MC_CHUNK):
+    def chunks(program, out, windows, seeds):
         share = 0 if threading.current_thread() is threading.main_thread() else 1
         if share == failing:
             raise error
-        yield from device_chunks(program, out, windows, seeds, chunk)
+        yield from device_chunks(program, out, windows, seeds)
         finished.append(share)
 
     monkeypatch.setattr(crossbar, "_device_chunks", chunks)
@@ -693,30 +695,30 @@ def test_pcg64_states_equal_numpy_seeding(key):
 def test_sweep_device_seeds_equal_numpy_seed_sequence(monkeypatch, base, count, workers):
     """The sweep's device seeds are SeedSequence(base).generate_state(count,
     uint64) of its program's seed, derived without numpy.random. They run in
-    min(workers, MC_CHUNK-device chunks) contiguous shares, in chunks of
-    MC_CHUNK // that many devices; the shares are equal whole numbers of
-    chunks but the last, which is not longer."""
+    min(workers, MC_CHUNK-device chunks) contiguous shares, each in chunks of
+    MC_CHUNK devices; the shares are equal whole numbers of chunks but the
+    last, which is not longer, and each device's value lands at its seed's
+    place."""
     seen = []
 
-    def chunks(program, out, windows, seeds, chunk=MC_CHUNK):
-        seen.append((seeds, chunk))
-        for start in range(0, len(seeds), chunk):
-            yield np.zeros((len(seeds[start : start + chunk]), len(windows)))
+    def chunks(program, out, windows, seeds):
+        seen.append(seeds)
+        for start in range(0, len(seeds), MC_CHUNK):  # each device's rmse is its seed mod 997
+            yield np.array([[s % 997] * len(windows) for s in seeds[start : start + MC_CHUNK]], dtype=float)
 
     monkeypatch.setattr(crossbar, "SWEEP_WORKERS", workers)
     monkeypatch.setattr(crossbar, "_device_chunks", chunks)
     program = program_crossbar(random_params(52), CrossbarConfig(seed=base))
     windows = WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)
-    sweep(program, OutputLayer(np.ones(4), 0.0), windows, count, {"all": slice(None)}, Normalizer(0.0, 1.0))
+    got = sweep(program, OutputLayer(np.ones(4), 0.0), windows, count, {"all": slice(None)}, Normalizer(0.0, 1.0))
     want = [int(s) for s in np.random.SeedSequence(base).generate_state(count, np.uint64)]
     # threads record in any order: put the shares in seed order
-    shares = sorted(seen, key=lambda call: want.index(call[0][0]) if call[0] else count)
-    assert [s for seeds, _ in shares for s in seeds] == want
-    n_shares = min(workers, -(-count // MC_CHUNK))
-    chunk = MC_CHUNK // n_shares
-    assert [size for _, size in shares] == [chunk] * n_shares
-    sizes = [len(seeds) for seeds, _ in shares]
-    assert all(n == sizes[0] and n % chunk == 0 for n in sizes[:-1]) and 0 < sizes[-1] <= sizes[0]
+    shares = sorted(seen, key=lambda seeds: want.index(seeds[0]) if seeds else count)
+    assert [s for seeds in shares for s in seeds] == want
+    assert got["all"].tolist() == [float(s % 997) for s in want]
+    assert len(shares) == min(workers, -(-count // MC_CHUNK))
+    sizes = [len(seeds) for seeds in shares]
+    assert all(n == sizes[0] and n % MC_CHUNK == 0 for n in sizes[:-1]) and 0 < sizes[-1] <= sizes[0]
 
 
 def _set_header(key, value):

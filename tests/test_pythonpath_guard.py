@@ -15,7 +15,7 @@ def run_pytest(*pythonpath):
     """pytest on one small test of this tree, from its root, with the given PYTHONPATH entries."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(entry) for entry in pythonpath)}
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "tests/test_core.py::TestActivations::test_sigmoid_at_zero"],
+                           "tests/test_cell.py::TestActivations::test_sigmoid_at_zero"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 
