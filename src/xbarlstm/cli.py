@@ -21,26 +21,29 @@ import xbarlstm
 from .config import BUNDLED_DATASET, CrossbarConfig, TrainConfig, is_number, open_text
 
 
-@functools.cache  # binds once per process; each command calls it
-def _load_numeric() -> None:
-    """Bind np and the package's public names into this module's globals on
-    first use, so plot-data never loads numpy. A name already bound keeps
-    its value, so a wrapper set on this module, as perfbench/tracing.py sets
-    its spans, stays the one the commands call."""
+@functools.cache  # binds once per set of modules; each command calls it
+def _load_numeric(*modules: str) -> None:
+    """Bind np and the public names of the named package submodules into
+    this module's globals on first use, so a command loads only the modules
+    it runs and plot-data never loads numpy. A name already bound keeps its
+    value, so a wrapper set on this module, as perfbench/tracing.py sets its
+    spans, stays the one the commands call."""
     import numpy
 
     bound = globals()
     bound.setdefault("np", numpy)
-    for name in xbarlstm.__all__:
-        bound.setdefault(name, getattr(xbarlstm, name))
+    for name, module in xbarlstm._EXPORTS.items():
+        if module in modules:
+            bound.setdefault(name, getattr(xbarlstm, name))
 
 
 def __getattr__(name: str):
-    """cli.<public name> before the first command loads them (PEP 562)."""
-    if name == "np" or name in xbarlstm.__all__:
-        _load_numeric()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """cli.<public name> before a command binds it (PEP 562): binds np and the
+    names of the one submodule xbarlstm._EXPORTS gives for name, or np alone."""
+    if name != "np" and name not in xbarlstm._EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_numeric(xbarlstm._EXPORTS.get(name))
+    return globals()[name]
 
 
 WEIGHTS_FILE = "weights.txt"
@@ -145,7 +148,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def _load_pipeline(cfg: RunConfig):
     """Dataset -> normalizer -> windows -> chronological split: series, norm, windows, train_part, {"train": slice,
     "test": slice} of windows, the slices in order with no gap."""
-    _load_numeric()
+    _load_numeric("data")
     series = load_series(cfg.dataset)
     norm = fit_normalizer(series)
     windows = make_windows(normalize(series, norm), cfg.look_back)
@@ -166,7 +169,7 @@ def _load_device(cfg: RunConfig, weights_path, program_path=None):
     and cfg: params, out, program, the output layer the crossbar runs (out
     quantized on the program's spacing if quantize_output_layer, else out
     itself) and one stderr warning per stage that clamped weights to [-1, 1]."""
-    _load_numeric()
+    _load_numeric("weights_io", "crossbar")
     params, out = read_weights(weights_path)
     if program_path is not None:
         program = read_program(program_path)
@@ -236,6 +239,7 @@ def _finish(out_dir: Path, files: dict, stdout, stderr=()) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
+    _load_numeric("training", "weights_io")
     series, norm, windows, train_part, splits = _load_pipeline(cfg)
 
     params, out, history = train(train_part, cfg)
@@ -317,6 +321,7 @@ def cmd_quantize(cfg: RunConfig, weights_path) -> int:
 def cmd_evaluate(cfg: RunConfig, weights_path, program_path=None) -> int:
     """Float vs crossbar path on both splits; each sweep seed re-draws _load_device's device from its level map."""
     out_dir = Path(cfg.out_dir)
+    _load_numeric("training")
     params, out, program, xbar_out, warnings = _load_device(cfg, weights_path, program_path)
     series, norm, windows, _, splits = _load_pipeline(cfg)
 

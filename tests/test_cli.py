@@ -819,6 +819,46 @@ def test_plot_data_loads_no_numpy(tmp_path, argv, code):
     assert (out / PLOT_LOSS_FILE).exists() == (code == 0)
 
 
+NUMERIC_MODULES = {"crossbar", "data", "kernels", "training", "weights_io"}
+# `python -m xbarlstm.cli ARGS`, or with no ARGS only `cli._load_pipeline` on
+# the default config, in a process that reports the numeric modules it loaded
+MODULES_PROBE = """
+import json, runpy, sys
+code = 0
+if sys.argv[1:]:
+    try:
+        runpy.run_module("xbarlstm.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    from xbarlstm import cli
+    cli._load_pipeline(cli.RunConfig())
+loaded = {name.removeprefix("xbarlstm.") for name in sys.modules if name.startswith("xbarlstm.")}
+print(json.dumps(sorted(loaded & NUMERIC)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """train never loads crossbar, quantize never loads training, evaluate
+    runs all five numeric modules and plot-data none; the data prep every
+    worker of the benchmark sets up with loads data alone."""
+    out = tmp_path / "run"
+    common = ["--out-dir", str(out)]
+    expected = [
+        (["train", "--epochs", "2", *common], ["data", "kernels", "training", "weights_io"]),
+        (["quantize", *common], ["crossbar", "data", "kernels", "weights_io"]),
+        (["evaluate", "--program", str(out / PROGRAM_FILE), *common], sorted(NUMERIC_MODULES)),
+        (["plot-data", *common], []),
+        ([], ["data"]),
+    ]
+    probe = f"NUMERIC = {NUMERIC_MODULES!r}\n{MODULES_PROBE}"
+    for argv, modules in expected:
+        result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=child_env())
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stderr.splitlines()[-1]) == modules, argv
+
+
 # Sets a counting wrapper on every xbarlstm.cli name that perfbench/tracing.py
 # wraps, as its Tracer.install does, then runs the four commands.
 WRAPPER_PROBE = """
@@ -872,7 +912,7 @@ def test_every_exported_name_resolves():
     from xbarlstm import cli
 
     assert [name for name in xbarlstm.__all__ if getattr(xbarlstm, name, None) is None] == []
-    cli._load_numeric()
+    cli._load_numeric(*sorted(set(xbarlstm._EXPORTS.values())))
     assert [name for name in xbarlstm.__all__ if name not in vars(cli)] == []
 
 
