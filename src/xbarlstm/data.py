@@ -16,7 +16,7 @@ import numpy as np
 from .config import BUNDLED_DATASET, is_number, open_text  # noqa: F401  (BUNDLED_DATASET re-exported)
 
 
-@dataclass
+@dataclass(eq=False)
 class TimeSeries:
     values: np.ndarray
 
@@ -41,7 +41,7 @@ class Normalizer:
             raise ValueError(f"degenerate range [{self.min}, {self.max}]")
 
 
-@dataclass
+@dataclass(eq=False)
 class WindowedSeries:
     """Supervised pairs: x[k] = values[k : k+look_back], y[k] = values[k+look_back]."""
 
@@ -142,12 +142,14 @@ def split(train_fraction: float, windows: WindowedSeries):
 
 def rmse(predictions, targets, denorm: Normalizer | None = None) -> float:
     """Root of the mean squared error of two equal-length 1-D (or 0-d)
-    arrays; other shapes are a length mismatch. With a Normalizer, both
+    arrays; inputs of more dimensions are refused. With a Normalizer, both
     sides are mapped back to original units first. crossbar.sweep reduces
     its devices with these operations, in this order."""
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape or p.ndim > 1:
+    if max(p.ndim, t.ndim) > 1:
+        raise ValueError(f"shape mismatch: 1-D or 0-d inputs only, got {p.shape} predictions and {t.shape} targets")
+    if p.shape != t.shape:
         raise ValueError(f"length mismatch: {p.shape} predictions vs {t.shape} targets")
     if p.size == 0:
         raise ValueError("rmse of empty sequences is undefined")

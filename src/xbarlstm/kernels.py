@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class LstmParams:
     """Gate weights of one LSTM layer as the crossbar holds them.
 
@@ -52,7 +52,7 @@ def grid_dims(shape) -> tuple:
     return shape[0] - shape[1] // 4 - 1, shape[1] // 4
 
 
-@dataclass
+@dataclass(eq=False)
 class OutputLayer:
     """Affine readout with no activation: prediction = w_out . h + b_out."""
 
@@ -97,13 +97,15 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None, scratch=None):
 
     Returns (acts, C_t, h_t) with acts the post-activation gates in a's
     layout and C_t, h_t shaped [*S]. out, numpy-style, is an (acts, C_t,
-    h_t) tuple of arrays to write them into; C_t may be C_prev itself.
-    Without out they are allocated; with out and sigmoid's scratch, nothing is.
+    h_t) tuple of arrays to write them into; C_t may be C_prev itself. A
+    fourth array [*S] in out keeps tanh(C_t): the unroll passes its
+    Workspace's tanh_C there, and BPTT reads it. Without out they are
+    allocated; with out and sigmoid's scratch, nothing is.
     """
     if out is None:
         state = np.broadcast_shapes(a.shape[1:], C_prev.shape)
         out = np.empty(a.shape), np.empty(state), np.empty(state)
-    acts, C_t, h_t = out
+    acts, C_t, h_t, tanh_C = (*out, out[2])[:4]  # with no fourth array, h_t holds tanh(C_t) until o scales it
     # one sigmoid over all four blocks, c's included and then overwritten:
     # at train's sizes that is cheaper than skipping the c block
     sigmoid(a, out=acts, scratch=scratch)
@@ -112,25 +114,27 @@ def lstm_cell(a: np.ndarray, C_prev: np.ndarray, out=None, scratch=None):
     np.multiply(i, c_tilde, out=h_t)  # h_t holds i * c_tilde until C_t is done
     np.multiply(f, C_prev, out=C_t)
     C_t += h_t
-    np.tanh(C_t, out=h_t)
-    h_t *= o
+    np.tanh(C_t, out=tanh_C)
+    np.multiply(tanh_C, o, out=h_t)
     return acts, C_t, h_t
 
 
 class Workspace:
     """The arrays an unroll and its BPTT write, allocated once for one grid
     shape, window shape [B, T, N] and device stack lead: out = (h, reads,
-    acts, C), a step's sigmoid scratch, the drive V [..., B, R], BPTT's da
-    [4, B, M] and grad, flat in theta's layout [grid, w_out, b_out], viewed
-    as d_grid and d_w_out. Calls rewrite all they read but V's bias column
-    (1) and, at look-back 1, its h columns (0); an unroll leaves V driving
-    its last step."""
+    acts, C), tanh_C = tanh(C) [T, ..., B, M], which the unroll's cells
+    write and BPTT reads, a step's sigmoid scratch, the drive V [..., B, R],
+    BPTT's da [4, B, M] and grad, flat in theta's layout [grid, w_out,
+    b_out], viewed as d_grid and d_w_out. Calls rewrite all they read but
+    V's bias column (1) and, at look-back 1, its h columns (0); an unroll
+    leaves V driving its last step."""
 
     def __init__(self, grid_shape, X_shape, lead=()):
         (B, T, _), (R, C4) = X_shape, grid_shape[-2:]
         M = C4 // 4
         state, gates = (T, *lead, B, M), (T, 4, *lead, B, M)
         self.out = np.empty(state), np.empty(gates), np.empty(gates), np.empty(state)
+        self.tanh_C = np.empty(state)
         self.scratch = np.empty(gates[1:]), np.empty(gates[1:], bool)
         self.V, self.da, self.grad = np.zeros((*lead, B, R)), np.empty((4, B, M)), np.empty(R * C4 + M + 1)
         self.V[..., -1] = 1.0
@@ -176,7 +180,7 @@ def crossbar_unroll(grid, X, gain=None, work=None):
         np.matmul(V, grid4, out=reads[t])
         if gain is not None:
             reads[t] *= gain[t]
-        lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t]), scratch=work.scratch)
+        lstm_cell(reads[t], C_prev, out=(acts[t], C[t], h[t], work.tanh_C[t]), scratch=work.scratch)
         C_prev = C[t]
         if t + 1 < T:
             V[..., N : N + M] = h[t]
@@ -194,7 +198,7 @@ def batch_loss_and_grads(grid, w_out, b_out, X, y, work=None):
     M = w_out.shape[0]
     work = work or Workspace(grid.shape, X.shape)
     h, _, acts, C = crossbar_unroll(grid, X, work=work)
-    grad, d_grid, d_w_out, V, da = work.grad, work.d_grid, work.d_w_out, work.V, work.da
+    grad, d_grid, d_w_out, V, da, tc = work.grad, work.d_grid, work.d_w_out, work.V, work.da, work.tanh_C
 
     errs = h[-1] @ w_out + b_out - y
     loss = float(np.add.reduce(errs * errs) / B)
@@ -203,31 +207,34 @@ def batch_loss_and_grads(grid, w_out, b_out, X, y, work=None):
     np.matmul(h[-1].T, errs, out=d_w_out)
     grad[-1] = d_b_out = float(np.add.reduce(errs))
     dH = errs[:, None] * w_out
-    dC = 0.0
-    d_grid.fill(0.0)
     d_gates = d_grid.reshape(-1, 4, M).transpose(1, 0, 2)  # gate-first view [4, R, M]
-    tc = np.tanh(C)
     d_tc = 1.0 - tc * tc
     # a sigmoid gate's slope is a * (1 - a), and da below carries its a; tanh's is 1 - c_tilde**2
     d_acts = 1.0 - acts
-    d_acts[:, 2] = 1.0 - np.square(acts[:, 2])
+    np.subtract(1.0, np.square(acts[:, 2], out=d_acts[:, 2]), out=d_acts[:, 2])
     U2 = grid[N : N + M]
     for t in range(T - 1, -1, -1):
         i, f, g, o = acts[t]
-        h_prev, C_prev = (h[t - 1], C[t - 1]) if t > 0 else (0.0, 0.0)
-        dC = dC + dH * o * d_tc[t]
+        dC = dH * o * d_tc[t]
+        if t < T - 1:  # add the dC carried back from step t + 1; V still drives step T - 1 from the unroll
+            dC += carry
+            V[:, :N] = X[:, t, :]
+            V[:, N : N + M] = h[t - 1] if t > 0 else 0.0
         np.multiply(dC * g, i, out=da[0])
-        np.multiply(dC * C_prev, f, out=da[1])
+        if t > 0:
+            np.multiply(dC * C[t - 1], f, out=da[1])
+        else:
+            da[1] = 0.0  # C_prev = 0, the zero state
         np.multiply(dC, i, out=da[2])
         np.multiply(dH * tc[t], o, out=da[3])
         da *= d_acts[t]
-        if t < T - 1:  # the unroll left V driving its last step
-            V[:, :N] = X[:, t, :]
-            V[:, N : N + M] = h_prev
-        d_gates += V.T @ da
+        if t < T - 1:
+            d_gates += V.T @ da
+        else:  # the first step writes every entry
+            np.matmul(V.T, da, out=d_gates)
         if t > 0:
             # one [B, 4M] contraction in U2's (g, m) column order keeps dH's
             # bits; a sum of per-gate products would round differently
             dH = da.transpose(1, 0, 2).reshape(B, 4 * M) @ U2.T
-            dC = dC * f
+            carry = dC * f
     return loss, d_grid, d_w_out, d_b_out

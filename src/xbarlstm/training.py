@@ -64,12 +64,14 @@ def train(dataset, cfg: TrainConfig):
     work = kernels.Workspace(grid.shape, X.shape)
     grad, m_state, v_state, tmp, step = work.grad, *np.zeros((4, theta.size))
 
-    loss_history = []
+    loss_history, Xb, yb = [], X, y
     # a diverging run overflows on its way to the non-finite loss reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            batch = rng.permutation(len(y)) if cfg.shuffle else slice(None)
-            loss = kernels.batch_loss_and_grads(grid, w_out, b_out, X[batch], y[batch], work)[0]
+            if cfg.shuffle:
+                batch = rng.permutation(len(y))
+                Xb, yb = X[batch], y[batch]
+            loss = kernels.batch_loss_and_grads(grid, w_out, b_out, Xb, yb, work)[0]
             if not math.isfinite(loss):
                 raise RuntimeError(f"training aborted: non-finite loss at epoch {epoch + 1}")
             loss_history.append(loss)

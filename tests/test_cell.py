@@ -241,6 +241,14 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"is not \[n_inputs \+ n_hidden \+ 1, 4 \* n_hidden\]"):
                 LstmParams(np.zeros(shape))
 
+    @pytest.mark.parametrize("make", [lambda: LstmParams(np.zeros((6, 16))), lambda: OutputLayer(np.zeros(4), 0.0)],
+                             ids=["LstmParams", "OutputLayer"])
+    def test_equality_is_identity(self, make):
+        """Two equal-valued instances compare unequal, not by the ambiguous
+        truth value of an ndarray field; an instance equals itself."""
+        a, b = make(), make()
+        assert (a == b) is False and (a != b) is True and a == a
+
     def test_output_weights_must_be_a_vector(self):
         with pytest.raises(ValueError, match=r"w_out must be a vector, got shape \(4, 1\)"):
             OutputLayer(np.zeros((4, 1)), 0.0)

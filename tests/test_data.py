@@ -93,6 +93,15 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=r"3 windows but \(2,\) targets"):
             WindowedSeries(np.zeros((3, 1)), np.zeros(2), 1)
 
+    @pytest.mark.parametrize("make", [lambda: TimeSeries(np.ones(3)),
+                                      lambda: WindowedSeries(np.zeros((3, 1)), np.zeros(3), 1)],
+                             ids=["TimeSeries", "WindowedSeries"])
+    def test_equality_is_identity(self, make):
+        """Two equal-valued instances compare unequal, not by the ambiguous
+        truth value of an ndarray field; an instance equals itself."""
+        a, b = make(), make()
+        assert (a == b) is False and (a != b) is True and a == a
+
 
 class TestNormalizer:
     def test_simple(self):
@@ -243,6 +252,10 @@ class TestRmse:
     def test_last_axis_mismatch(self, shapes):
         with pytest.raises(ValueError, match="mismatch"):
             rmse(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    def test_more_than_one_dimension_is_refused(self):
+        with pytest.raises(ValueError, match=r"1-D or 0-d inputs only, got \(2, 3\) predictions and \(2, 3\) targets"):
+            rmse(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_scalar_is_a_float(self):
         value = rmse(3.0, 1.0)

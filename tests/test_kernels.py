@@ -218,6 +218,23 @@ def test_predictions_match_forward_sequence():
         npt.assert_allclose(got[:, s], want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inert_weights_get_positive_zero_gradients_at_look_back_1(seed):
+    """One step from the zero state, h_prev = 0 and C_prev = 0: the U rows
+    and the forget gate's x and bias weights never reach a prediction, and
+    BPTT gives each a gradient of exactly +0.0, with no sign bit, also into
+    a workspace whose gradient holds NaN from before."""
+    W, U, b, w_out, b_out, X, y = random_case(seed, B=9, T=1, N=2, M=4)
+    grid, (N, M) = grid_from_gates(W, U, b), (2, 4)
+    work = kernels.Workspace(grid.shape, X.shape)
+    work.grad.fill(np.nan)
+    for d_grid in (kernels.batch_loss_and_grads(grid, w_out, b_out, X, y)[1],
+                   kernels.batch_loss_and_grads(grid, w_out, b_out, X, y, work)[1]):
+        for inert in (d_grid[N : N + M], d_grid[:N, M : 2 * M], d_grid[N + M, M : 2 * M]):
+            assert np.array_equal(inert.view(np.uint64), np.zeros(inert.shape, np.uint64))
+        assert np.count_nonzero(d_grid) == d_grid.size - 4 * M * M - (N + 1) * M  # every live entry moves
+
+
 def test_loss_matches_scalar_oracle():
     W, U, b, w_out, b_out, X, y = random_case(7, B=3, T=2, N=1, M=3)
     loss, *_ = kernels.batch_loss_and_grads(grid_from_gates(W, U, b), w_out, b_out, X, y)

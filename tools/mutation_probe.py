@@ -43,13 +43,9 @@ ALLOWLIST = (
     ("training.py", "q * np.sign(np.diag(r))", "*",
      "init: the sign is +1 or -1, so q * s and q / s agree"),
     ("kernels.py", "if t > 0:", ">",
-     "BPTT: the dH and dC it would also compute at t = 0 are never read"),
+     "BPTT: the dH and carried dC it would also compute at t = 0 are never read"),
     ("kernels.py", "if T > 1:", ">",
      "unroll: at look-back 1 the drive's h columns are already zero, so zeroing them again changes nothing"),
-    ("kernels.py", "if t < T - 1:", "<",
-     "BPTT: at t = T - 1 the write it skips puts back what the unroll left in the drive"),
-    ("kernels.py", "if t < T - 1:", "-",
-     "BPTT: t < T + 1 always holds, and the extra write puts back what the unroll left in the drive"),
 )
 
 
